@@ -21,16 +21,13 @@ from .roles import (
     RoleAssignment,
     RotationLedger,
     SwitchPolicy,
+    default_switch,
     delayed_credit,
     deterministic_assign,
     fairness_report,
     rotation_priority,
     stochastic_selection,
 )
-
-
-def _default_switch(n_agents: int) -> SwitchPolicy:
-    return SwitchPolicy(mode="deterministic_window", window=max(1, n_agents - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +78,7 @@ def run_dungeon(config: DungeonConfig) -> DungeonResult:
     resolves to exactly one sacrificer with the deterministic priority so
     a round can never fail for lack of a volunteer.
     """
-    switch = config.switch or _default_switch(config.n_agents)
+    switch = config.switch or default_switch(config.n_agents, 1, "deterministic_window")
     ledger = RotationLedger(
         config.n_agents,
         window=switch.window if switch.mode == "deterministic_window" else None,

@@ -3,22 +3,28 @@
 Loads a JSON config, validates it strictly (unknown keys are rejected),
 executes one of the seven experiment kinds, and writes deterministic
 artifacts into the output directory: the experiment CSVs, a manifest.json
-holding the fully resolved config, and a human-readable report.md.
-Re-running a manifest reproduces the CSVs byte for byte.
+holding the fully resolved config, and a human-readable report.md. Nothing
+is written unless validation and execution both succeed. Re-running a
+manifest reproduces the CSVs byte for byte.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import asdict, dataclass
+import sys
+import types
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .envs import DungeonConfig, IntersectionConfig, intersection_episode, run_dungeon
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, NumericalIntegrityError, ValidationError
 from .ipd import (
+    Alternator,
     MatchConfig,
     PayoffMatrix,
     critical_discount,
@@ -28,24 +34,11 @@ from .ipd import (
     stick_payoff,
     tournament,
 )
-from .mfg import (
-    MfgParams,
-    RewardTable,
-    simulate_population,
-    solve_equilibrium,
-    uniform_policy,
-)
-from .roles import SwitchPolicy, default_streak_midpoint
+from .mfg import MfgParams, simulate_population, solve_equilibrium, uniform_policy
+from .roles import SwitchPolicy, default_switch
 
-EXPERIMENT_KINDS = (
-    "ipd_match",
-    "ipd_tournament",
-    "delta_scan",
-    "mfg_solve",
-    "mfg_simulate",
-    "roles_run",
-    "dungeon",
-)
+# a delta_scan start/stop/step grid may hold at most this many points
+MAX_GRID_POINTS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -72,264 +65,113 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 # ---------------------------------------------------------------------------
-# strict config readers
+# config reading: each key's type and default come from the dataclass field
+# or function parameter it feeds
 # ---------------------------------------------------------------------------
 
+_EXPECTED = {
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+    bool: "true/false",
+    list: "an array",
+    dict: "an object",
+}
 
-class _Section:
-    """Typed accessor over one config dict level; tracks unknown keys."""
 
-    def __init__(self, raw: dict, path: str, problems: list[str]):
-        if not isinstance(raw, dict):
-            problems.append(f"{path}: expected an object")
-            raw = {}
-        self.raw = raw
-        self.path = path
-        self.problems = problems
-        self.seen: set[str] = set()
+def _schema(target, skip=()) -> dict:
+    """{key: (type, default)} for a dataclass's fields or a callable's
+    parameters; MISSING marks a required key."""
+    if is_dataclass(target):
+        hints = get_type_hints(target)
+        defaults = {f.name: f.default for f in fields(target)}
+    else:
+        hints = get_type_hints(target.__init__ if isinstance(target, type) else target)
+        defaults = {
+            p.name: MISSING if p.default is p.empty else p.default
+            for p in inspect.signature(target).parameters.values()
+        }
+    return {key: (hints[key], d) for key, d in defaults.items() if key not in skip}
 
-    def _fetch(self, key, default, required):
-        self.seen.add(key)
-        if key in self.raw:
-            return self.raw[key]
-        if required:
-            self.problems.append(f"{self.path}: missing required key '{key}'")
-        return default
 
-    def integer(self, key, default=None, required=False, minimum=None):
-        value = self._fetch(key, default, required)
-        if value is None:
-            return default
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.problems.append(f"{self.path}.{key}: expected an integer")
-            return default
-        if minimum is not None and value < minimum:
-            self.problems.append(f"{self.path}.{key}: must be >= {minimum}")
-        return value
+# Taken at import from the solver itself: the module attribute may later be
+# replaced by a wrapper whose signature says nothing.
+_SOLVER = _schema(solve_equilibrium, skip=("params",))
 
-    def number(self, key, default=None, required=False):
-        value = self._fetch(key, default, required)
-        if value is None:
-            return default
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.problems.append(f"{self.path}.{key}: expected a number")
-            return default
-        return float(value)
 
-    def string(self, key, default=None, required=False, choices=None):
-        value = self._fetch(key, default, required)
-        if value is None:
-            return default
-        if not isinstance(value, str):
-            self.problems.append(f"{self.path}.{key}: expected a string")
-            return default
-        if choices is not None and value not in choices:
-            self.problems.append(
-                f"{self.path}.{key}: must be one of {sorted(choices)}, got '{value}'"
-            )
-        return value
-
-    def boolean(self, key, default=None):
-        value = self._fetch(key, default, False)
-        if value is None:
-            return default
-        if not isinstance(value, bool):
-            self.problems.append(f"{self.path}.{key}: expected true/false")
-            return default
-        return value
-
-    def array(self, key, default=None, required=False):
-        value = self._fetch(key, default, required)
-        if value is None:
-            return default
-        if not isinstance(value, list):
-            self.problems.append(f"{self.path}.{key}: expected an array")
-            return default
-        return value
-
-    def section(self, key, required=False):
-        value = self._fetch(key, None, required)
+def _value(value, tp, path, problems):
+    """`value` checked against type `tp`, nested dataclasses built; None
+    after recording a problem."""
+    if get_origin(tp) in (Union, types.UnionType):
         if value is None:
             return None
-        return _Section(value, f"{self.path}.{key}", self.problems)
-
-    def finish(self):
-        unknown = sorted(set(self.raw) - self.seen)
-        if unknown:
-            self.problems.append(
-                f"{self.path}: unknown keys: {', '.join(unknown)}"
-            )
-
-
-def _read_payoff(section: _Section | None, problems) -> PayoffMatrix | None:
-    if section is None:
-        return None
-    values = (
-        section.number("temptation", required=True),
-        section.number("reward", required=True),
-        section.number("punishment", required=True),
-        section.number("sucker", required=True),
-    )
-    section.finish()
-    if any(v is None for v in values):
-        return None
-    try:
-        return PayoffMatrix(*values)
-    except ValidationError as exc:
-        problems.append(f"{section.path}: {exc}")
-        return None
-
-
-def _read_players(top: _Section, problems, exact=None, minimum=2):
-    blocks = top.array("players", required=True)
-    if blocks is None:
-        return None, []
-    if exact is not None and len(blocks) != exact:
-        problems.append(f"{top.path}.players: expected exactly {exact} entries")
-        return None, []
-    if exact is None and len(blocks) < minimum:
-        problems.append(f"{top.path}.players: expected at least {minimum} entries")
-        return None, []
-    players = []
-    resolved = []
-    for idx, block in enumerate(blocks):
-        sec = _Section(block, f"{top.path}.players[{idx}]", problems)
-        kind = sec.string("kind", required=True)
-        opts = {}
-        entry = {"kind": kind}
-        if kind == "alternator":
-            parity = sec.string("parity", default=None, choices={"first", "second"})
-            punishment = sec.integer("punishment_length", default=None, minimum=1)
-            opts = {"parity": parity, "punishment_length": punishment}
-            entry.update(opts)
-        sec.finish()
-        if kind is None:
-            continue
-        try:
-            players.append(make_strategy(kind, **opts))
-            resolved.append(entry)
-        except ValidationError as exc:
-            problems.append(f"{sec.path}: {exc}")
-    if len(resolved) != len(blocks):
-        return None, []
-    return players, resolved
-
-
-def _read_mfg_params(
-    section: _Section | None,
-    problems,
-    path="params",
-    n_agents=None,
-    threshold=None,
-) -> tuple[MfgParams | None, dict]:
-    """Build MfgParams from a config block; n_agents/threshold may be
-    supplied by the caller (roles_run inherits them from the environment)."""
-    raw = {}
-    if section is not None:
-        if n_agents is None:
-            n_agents = section.integer("n_agents", required=True, minimum=2)
-        else:
-            stated = section.integer("n_agents", default=n_agents, minimum=2)
-            if stated != n_agents:
-                problems.append(f"{section.path}.n_agents: must match the environment")
-        if threshold is None:
-            threshold = section.integer("threshold", required=True, minimum=1)
-        else:
-            stated = section.integer("threshold", default=threshold, minimum=1)
-            if stated != threshold:
-                problems.append(f"{section.path}.threshold: must match the environment")
-        raw = dict(
-            discount=section.number("discount", default=0.9),
-            smoothing=section.number("smoothing", default=1.0),
-            reward_offset=section.number("reward_offset", default=0.0),
-            consistency_weight=section.number("consistency_weight", default=0.0),
-            preference_baseline=section.number("preference_baseline", default=0.0),
-            temperature=section.number("temperature", default=1.0),
-            horizon=section.integer("horizon", default=30, minimum=1),
-            reward_mode=section.string(
-                "reward_mode", default="table", choices={"table", "formula"}
-            ),
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+    if is_dataclass(tp):
+        return _build(tp, value, path, problems)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            problems.append(f"{path}: expected an array")
+            return None
+        return tuple(
+            _value(item, get_args(tp)[0], f"{path}[{i}]", problems)
+            for i, item in enumerate(value)
         )
-        table_sec = section.section("reward_table")
-        if table_sec is not None:
-            table = RewardTable(
-                move_clear=table_sec.number("move_clear", default=1.0),
-                wait_clear=table_sec.number("wait_clear", default=0.6),
-                wait_congested=table_sec.number("wait_congested", default=0.2),
-                move_congested=table_sec.number("move_congested", default=0.0),
-            )
-            table_sec.finish()
-        else:
-            table = RewardTable()
-        initial = section.array("initial_distribution", default=None)
-        section.finish()
-        raw["reward_table"] = table
-        raw["initial_distribution"] = tuple(initial) if initial is not None else None
+    if tp is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     else:
-        raw = dict(reward_table=RewardTable(), initial_distribution=None)
-    if problems or n_agents is None or threshold is None:
-        return None, {}
+        ok = isinstance(value, tp)
+    if not ok or (isinstance(value, bool) and tp is not bool):
+        problems.append(f"{path}: expected {_EXPECTED[tp]}")
+        return None
+    return float(value) if tp is float else value
+
+
+def _read(raw, schema, path, problems) -> dict | None:
+    """Values of config object `raw` checked against `schema`, defaults
+    filled in; None after recording any problem."""
+    if not isinstance(raw, dict):
+        problems.append(f"{path}: expected an object")
+        return None
+    before = len(problems)
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        problems.append(f"{path}: unknown keys: {', '.join(unknown)}")
+    values = {}
+    for key, (tp, default) in schema.items():
+        if key in raw:
+            values[key] = _value(raw[key], tp, f"{path}.{key}", problems)
+        elif default is MISSING:
+            problems.append(f"{path}: missing required key '{key}'")
+        else:
+            values[key] = default
+    return values if len(problems) == before else None
+
+
+def _construct(factory, path, problems, *args, **kwargs):
+    """factory(*args, **kwargs), or None after recording why it refused."""
     try:
-        params = MfgParams(n_agents=n_agents, threshold=threshold, **raw)
-    except ValidationError as exc:
+        return factory(*args, **kwargs)
+    except (ValidationError, OverflowError) as exc:
         problems.append(f"{path}: {exc}")
-        return None, {}
-    resolved = asdict(params)
-    resolved["initial_distribution"] = (
-        list(params.initial_distribution)
-        if params.initial_distribution is not None
-        else None
-    )
-    return params, resolved
+        return None
 
 
-def _read_solver(section: _Section | None) -> dict:
-    if section is None:
-        return {"tol": 1e-8, "max_iter": 500, "damping": 0.5}
-    out = {
-        "tol": section.number("tol", default=1e-8),
-        "max_iter": section.integer("max_iter", default=500, minimum=1),
-        "damping": section.number("damping", default=0.5),
-    }
-    section.finish()
-    return out
+def _build(cls, raw, path, problems):
+    """Dataclass `cls` from config object `raw`; range rules stay in the
+    dataclass. None on any problem."""
+    values = _read(raw, _schema(cls), path, problems)
+    return None if values is None else _construct(cls, path, problems, **values)
 
 
-def _read_switch(section: _Section | None, n_agents, cohort, assignment):
-    """Resolve the switch policy block with assignment-aware defaults."""
-    if section is None:
-        if assignment == "stochastic":
-            return SwitchPolicy(
-                mode="stochastic_sigmoid",
-                streak_midpoint=default_streak_midpoint(n_agents, cohort),
-            )
-        return SwitchPolicy(
-            mode="deterministic_window", window=max(1, n_agents - 1)
-        )
-    mode_default = (
-        "stochastic_sigmoid" if assignment == "stochastic" else "deterministic_window"
-    )
-    mode = section.string(
-        "mode",
-        default=mode_default,
-        choices={"deterministic_window", "stochastic_sigmoid"},
-    )
-    window = section.integer("window", default=max(1, n_agents - 1), minimum=1)
-    midpoint = section.number(
-        "streak_midpoint", default=float(default_streak_midpoint(n_agents, cohort))
-    )
-    scale = section.number("streak_scale", default=1.0)
-    section.finish()
-    return SwitchPolicy(
-        mode=mode, window=window, streak_midpoint=midpoint, streak_scale=scale
-    )
+def _switch(raw, n_agents, cohort, stochastic, problems):
+    """The switch block; what it leaves unset comes from roles.default_switch
+    for the mode it names, else the assignment's mode."""
+    mode = raw.get("mode", "stochastic_sigmoid" if stochastic else "deterministic_window")
+    base = _construct(default_switch, "config.switch", problems, n_agents, cohort, mode)
+    if base is None:
+        return None
+    return _build(SwitchPolicy, {**asdict(base), **raw}, "config.switch", problems)
 
 
 def _finish_validation(problems: list[str]) -> None:
@@ -338,60 +180,56 @@ def _finish_validation(problems: list[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each gets its checked top-level keys (_KEYS below),
+# validates the rest, computes, and returns its resolved config, summary
+# and {csv name: (header, rows)}
 # ---------------------------------------------------------------------------
 
 
-def _run_ipd_match(top: _Section, seed: int, out: Path, problems):
-    payoff = _read_payoff(top.section("payoff", required=True), problems)
-    horizon = top.integer("horizon", required=True, minimum=1)
-    discount = top.number("discount", default=0.0)
-    players, resolved_players = _read_players(top, problems, exact=2)
-    top.finish()
+def _read_ipd(top, seed, problems, exact=None):
+    """Payoff, strategies and match config shared by both IPD kinds. Only
+    the alternator strategy takes options, typed by its constructor."""
+    blocks = top.pop("players")
+    if exact is not None and len(blocks) != exact:
+        problems.append(f"config.players: expected exactly {exact} entries")
+    elif len(blocks) < 2:
+        problems.append("config.players: expected at least 2 entries")
+    players, entries = [], []
+    for idx, block in enumerate(blocks):
+        path = f"config.players[{idx}]"
+        alternator = isinstance(block, dict) and block.get("kind") == "alternator"
+        schema = {"kind": (str, MISSING), **(_schema(Alternator) if alternator else {})}
+        entry = _read(block, schema, path, problems)
+        players.append(entry and _construct(make_strategy, path, problems, **entry))
+        entries.append(entry)
+    payoff = top.pop("payoff")
+    match = _construct(MatchConfig, "config", problems, seed=seed, **top)
     _finish_validation(problems)
-    config = MatchConfig(horizon=horizon, discount=discount, seed=seed)
-    result = play_match(players[0], players[1], payoff, config)
+    resolved = {**asdict(match), "payoff": asdict(payoff), "players": entries}
+    return payoff, players, match, resolved
+
+
+def _run_ipd_match(top, seed, problems):
+    payoff, players, match, resolved = _read_ipd(top, seed, problems, exact=2)
+    result = play_match(players[0], players[1], payoff, match)
     rows = []
     for t, (ax, ay) in enumerate(result.trajectory):
         px, py = payoff.payoffs(ax, ay)
         rows.append((t, ax.letter, ay.letter, px, py))
-    write_csv(out / "trajectory.csv", ["round", "action_x", "action_y", "payoff_x", "payoff_y"], rows)
-    resolved = {
-        "experiment": "ipd_match",
-        "seed": seed,
-        "payoff": asdict(payoff),
-        "horizon": horizon,
-        "discount": discount,
-        "players": resolved_players,
-    }
     summary = {
         "regime": payoff.regime().value,
         "total_payoffs": list(result.total_payoffs),
         "discounted_payoffs": list(result.discounted_payoffs),
         "group_payoff_per_round": result.group_payoff_per_round,
     }
-    return resolved, summary, ["trajectory.csv"]
+    header = ["round", "action_x", "action_y", "payoff_x", "payoff_y"]
+    return resolved, summary, {"trajectory.csv": (header, rows)}
 
 
-def _run_ipd_tournament(top: _Section, seed: int, out: Path, problems):
-    payoff = _read_payoff(top.section("payoff", required=True), problems)
-    horizon = top.integer("horizon", required=True, minimum=1)
-    discount = top.number("discount", default=0.0)
-    players, resolved_players = _read_players(top, problems, minimum=2)
-    top.finish()
-    _finish_validation(problems)
-    config = MatchConfig(horizon=horizon, discount=discount, seed=seed)
-    table = tournament(players, payoff, config)
+def _run_ipd_tournament(top, seed, problems):
+    payoff, players, match, resolved = _read_ipd(top, seed, problems)
+    table = tournament(players, payoff, match)
     rows = [(row.label, row.mean_discounted, row.mean_group) for row in table.scores]
-    write_csv(out / "scores.csv", ["label", "mean_discounted", "mean_group"], rows)
-    resolved = {
-        "experiment": "ipd_tournament",
-        "seed": seed,
-        "payoff": asdict(payoff),
-        "horizon": horizon,
-        "discount": discount,
-        "players": resolved_players,
-    }
     best = max(table.scores, key=lambda r: r.mean_discounted)
     summary = {
         "regime": payoff.regime().value,
@@ -399,34 +237,39 @@ def _run_ipd_tournament(top: _Section, seed: int, out: Path, problems):
         "best_label": best.label,
         "best_mean_discounted": best.mean_discounted,
     }
-    return resolved, summary, ["scores.csv"]
+    header = ["label", "mean_discounted", "mean_group"]
+    return resolved, summary, {"scores.csv": (header, rows)}
 
 
-def _run_delta_scan(top: _Section, seed: int, out: Path, problems):
-    payoff = _read_payoff(top.section("payoff", required=True), problems)
-    grid_sec = top.section("grid", required=True)
-    grid: list[float] = []
-    if grid_sec is not None:
-        values = grid_sec.array("values", default=None)
-        if values is not None:
-            grid_sec.finish()
-            grid = [float(v) for v in values]
-        else:
-            start = grid_sec.number("start", default=0.01)
-            stop = grid_sec.number("stop", default=0.99)
-            step = grid_sec.number("step", default=0.01)
-            grid_sec.finish()
-            if step is None or step <= 0:
-                problems.append(f"{grid_sec.path}.step: must be positive")
-            else:
-                count = int(round((stop - start) / step)) + 1
-                grid = [start + k * step for k in range(max(count, 0))]
-    for value in grid:
-        if not 0.0 <= value < 1.0:
-            problems.append(f"{top.path}.grid: every point must lie in [0, 1)")
-            break
-    top.finish()
+_GRID_RANGE = {"start": (float, 0.01), "stop": (float, 0.99), "step": (float, 0.01)}
+
+
+def _read_grid(raw, problems) -> list[float]:
+    """Explicit grid values, or a start/stop/step range bounded by
+    MAX_GRID_POINTS before any point is made."""
+    if "values" in raw:
+        grid = _read(raw, {"values": (tuple[float, ...], MISSING)}, "config.grid", problems)
+        return [] if grid is None else list(grid["values"])
+    grid = _read(raw, _GRID_RANGE, "config.grid", problems)
+    if grid is None:
+        return []
+    start, stop, step = grid["start"], grid["stop"], grid["step"]
+    if step <= 0:
+        problems.append("config.grid.step: must be positive")
+        return []
+    span = (stop - start) / step  # the range has round(span) + 1 points
+    if span >= MAX_GRID_POINTS - 0.5:
+        problems.append(f"config.grid: more than {MAX_GRID_POINTS} points")
+        return []
+    return [start + k * step for k in range(max(round(span) + 1, 0))]
+
+
+def _run_delta_scan(top, seed, problems):
+    grid = _read_grid(top["grid"], problems)
+    if not all(0.0 <= value < 1.0 for value in grid):
+        problems.append("config.grid: every point must lie in [0, 1)")
     _finish_validation(problems)
+    payoff = top["payoff"]
     threshold = critical_discount(payoff)
     rows = []
     for delta in grid:
@@ -437,17 +280,7 @@ def _run_delta_scan(top: _Section, seed: int, out: Path, problems):
         above_solved = threshold.solved is not None and delta > threshold.solved
         above_quoted = delta > threshold.quoted
         rows.append((delta, stick, deviate, sign, above_solved, above_quoted))
-    write_csv(
-        out / "scan.csv",
-        ["delta", "stick", "deviate", "sign", "above_solved", "above_quoted"],
-        rows,
-    )
-    resolved = {
-        "experiment": "delta_scan",
-        "seed": seed,
-        "payoff": asdict(payoff),
-        "grid": {"values": grid},
-    }
+    resolved = {"payoff": asdict(payoff), "grid": {"values": grid}}
     summary = {
         "solved_threshold": threshold.solved,
         "quoted_threshold": threshold.quoted,
@@ -455,50 +288,45 @@ def _run_delta_scan(top: _Section, seed: int, out: Path, problems):
         "points": len(grid),
         "points_favoring_stick": sum(1 for r in rows if r[3] > 0),
     }
-    return resolved, summary, ["scan.csv"]
+    header = ["delta", "stick", "deviate", "sign", "above_solved", "above_quoted"]
+    return resolved, summary, {"scan.csv": (header, rows)}
 
 
-def _solve_outputs(result, params, out: Path):
+def _solve_tables(result, params) -> dict:
     horizon, n = params.horizon, params.n_agents
     policy_rows = [
         (t, j, result.policy[t, j, 0], result.policy[t, j, 1])
         for t in range(horizon)
         for j in range(n + 1)
     ]
-    write_csv(out / "policy.csv", ["t", "j", "pi_wait", "pi_move"], policy_rows)
     flow_rows = [
         (t, j, result.flow[t, j]) for t in range(horizon + 1) for j in range(n + 1)
     ]
-    write_csv(out / "flow.csv", ["t", "j", "prob"], flow_rows)
     value_rows = [
         (t, j, result.values.q[t, j, 0], result.values.q[t, j, 1])
         for t in range(horizon + 1)
         for j in range(n + 1)
     ]
-    write_csv(out / "values.csv", ["t", "j", "q_wait", "q_move"], value_rows)
     diag_rows = [
         (k + 1, res[0], res[1]) for k, res in enumerate(result.residual_history)
     ]
-    write_csv(out / "diag.csv", ["iter", "policy_residual", "dist_residual"], diag_rows)
-    return ["policy.csv", "flow.csv", "values.csv", "diag.csv"]
+    return {
+        "policy.csv": (["t", "j", "pi_wait", "pi_move"], policy_rows),
+        "flow.csv": (["t", "j", "prob"], flow_rows),
+        "values.csv": (["t", "j", "q_wait", "q_move"], value_rows),
+        "diag.csv": (["iter", "policy_residual", "dist_residual"], diag_rows),
+    }
 
 
-def _run_mfg_solve(top: _Section, seed: int, out: Path, problems):
-    params, resolved_params = _read_mfg_params(top.section("params", required=True), problems)
-    solver = _read_solver(top.section("solver"))
-    top.finish()
+def _run_mfg_solve(top, seed, problems):
+    solver = _read(top["solver"], _SOLVER, "config.solver", problems)
     _finish_validation(problems)
+    params = top["params"]
     result = solve_equilibrium(params, **solver)
-    files = _solve_outputs(result, params, out)
     counts = np.arange(params.n_agents + 1, dtype=float)
     final_mean = float(result.flow[-1] @ counts)
     last = result.residual_history[-1]
-    resolved = {
-        "experiment": "mfg_solve",
-        "seed": seed,
-        "params": resolved_params,
-        "solver": solver,
-    }
+    resolved = {"params": asdict(params), "solver": solver}
     summary = {
         "converged": result.converged,
         "iterations": result.iterations,
@@ -507,18 +335,19 @@ def _run_mfg_solve(top: _Section, seed: int, out: Path, problems):
         "exploitability": result.exploitability,
         "mean_count_final_t": final_mean,
     }
-    return resolved, summary, files
+    return resolved, summary, _solve_tables(result, params)
 
 
-def _run_mfg_simulate(top: _Section, seed: int, out: Path, problems):
-    params, resolved_params = _read_mfg_params(top.section("params", required=True), problems)
-    episodes = top.integer("episodes", required=True, minimum=1)
-    policy_kind = top.string(
-        "policy", default="equilibrium", choices={"equilibrium", "uniform"}
-    )
-    solver = _read_solver(top.section("solver"))
-    top.finish()
+def _run_mfg_simulate(top, seed, problems):
+    solver = _read(top["solver"], _SOLVER, "config.solver", problems)
+    if top["episodes"] < 1:
+        problems.append("config.episodes: must be >= 1")
+    if top["policy"] not in ("equilibrium", "uniform"):
+        problems.append(
+            f"config.policy: must be 'equilibrium' or 'uniform', got {top['policy']!r}"
+        )
     _finish_validation(problems)
+    params, episodes, policy_kind = top["params"], top["episodes"], top["policy"]
     solve_summary = None
     if policy_kind == "equilibrium":
         result = solve_equilibrium(params, **solver)
@@ -536,29 +365,23 @@ def _run_mfg_simulate(top: _Section, seed: int, out: Path, problems):
         )
         for t in range(params.horizon + 1)
     ]
-    write_csv(
-        out / "sim.csv",
-        ["t", "empirical_mean_count", "mean_field_mean_count", "scaled_gap"],
-        rows,
-    )
-    resolved = {
-        "experiment": "mfg_simulate",
-        "seed": seed,
-        "params": resolved_params,
-        "episodes": episodes,
-        "policy": policy_kind,
-        "solver": solver,
-    }
+    resolved = {**top, "params": asdict(params), "solver": solver}
     summary = {
         "episodes": episodes,
         "deviation": stats.deviation,
         "policy": policy_kind,
         "solve": solve_summary,
     }
-    return resolved, summary, ["sim.csv"]
+    header = ["t", "empirical_mean_count", "mean_field_mean_count", "scaled_gap"]
+    return resolved, summary, {"sim.csv": (header, rows)}
 
 
-def _roles_csv_rows(rounds, credits, n_agents):
+_ROLES_HEADER = [
+    "round", "agent_id", "role", "streak", "cumulative_sacrifices", "credited_reward"
+]
+
+
+def _roles_csv_rows(rounds, credits):
     """Rows of round,agent_id,role,streak,cumulative_sacrifices,
     credited_reward. Credit lands on the final round (delayed)."""
     rows = []
@@ -570,147 +393,96 @@ def _roles_csv_rows(rounds, credits, n_agents):
     return rows
 
 
-def _run_roles(top: _Section, seed: int, out: Path, problems):
-    n_agents = top.integer("n_agents", required=True, minimum=2)
-    threshold = top.integer("threshold", required=True, minimum=1)
-    rounds = top.integer("rounds", required=True, minimum=1)
-    cohort = top.integer("cohort", default=None, minimum=1)
-    assignment = top.string(
-        "assignment",
-        default="rotation",
-        choices={"static", "rotation", "stochastic", "policy"},
-    )
-    credit_waiters = top.boolean("credit_waiters", default=True)
-    statics = top.array("static_movers", default=None)
-    switch_sec = top.section("switch")
-    mfg_sec = top.section("mfg")
-    solver = _read_solver(top.section("solver"))
-    top.finish()
-    if n_agents is None or threshold is None:
-        _finish_validation(problems)
-    effective_cohort = cohort if cohort is not None else threshold
-    switch = None
-    if not problems:
-        try:
-            switch = _read_switch(switch_sec, n_agents, effective_cohort, assignment)
-        except ValidationError as exc:
-            problems.append(f"config.switch: {exc}")
-    params, resolved_params = _read_mfg_params(
-        mfg_sec, problems, path="config.mfg", n_agents=n_agents, threshold=threshold
-    )
+def _run_roles(top, seed, problems):
+    blocks = {key: top.pop(key) for key in ("switch", "mfg", "solver")}
+    # switch and mfg defaults depend on the resolved sizes and cohort, so the
+    # environment is checked first without them
+    env = _construct(IntersectionConfig, "config", problems, seed=seed, **top)
+    _finish_validation(problems)
+    stochastic = env.assignment == "stochastic"
+    switch = _switch(blocks["switch"], env.n_agents, env.cohort, stochastic, problems)
+    sizes = {"n_agents": env.n_agents, "threshold": env.threshold}
+    params = _build(MfgParams, {**sizes, **blocks["mfg"]}, "config.mfg", problems)
+    solver = _read(blocks["solver"], _SOLVER, "config.solver", problems)
+    _finish_validation(problems)
+    config = _construct(replace, "config", problems, env, switch=switch, params=params)
     _finish_validation(problems)
     policy = None
     solve_summary = None
-    if assignment == "policy":
+    if config.assignment == "policy":
         result = solve_equilibrium(params, **solver)
         policy = result.policy
         solve_summary = {"converged": result.converged, "iterations": result.iterations}
-    try:
-        config = IntersectionConfig(
-            n_agents=n_agents,
-            threshold=threshold,
-            rounds=rounds,
-            cohort=effective_cohort,
-            assignment=assignment,
-            params=params,
-            switch=switch,
-            static_movers=tuple(statics) if statics is not None else None,
-            credit_waiters=credit_waiters,
-            seed=seed,
-        )
-    except ValidationError as exc:
-        raise ConfigError([f"config: {exc}"]) from exc
     episode = intersection_episode(config, policy=policy)
-    write_csv(
-        out / "roles.csv",
-        ["round", "agent_id", "role", "streak", "cumulative_sacrifices", "credited_reward"],
-        _roles_csv_rows(episode.rounds, episode.credits, n_agents),
-    )
-    write_csv(
-        out / "rounds.csv",
-        ["round", "n_moved", "passed"],
-        [(row.round_index, row.n_moved, row.passed) for row in episode.rounds],
-    )
-    resolved = {
-        "experiment": "roles_run",
-        "seed": seed,
-        "n_agents": n_agents,
-        "threshold": threshold,
-        "rounds": rounds,
-        "cohort": effective_cohort,
-        "assignment": assignment,
-        "credit_waiters": credit_waiters,
-        "static_movers": list(statics) if statics is not None else None,
-        "switch": asdict(switch),
-        "mfg": resolved_params,
-        "solver": solver,
-    }
+    resolved = {**asdict(config), "solver": solver}
+    resolved["mfg"] = resolved.pop("params")
     mover_counts = [rec.times_primary for rec in episode.ledger.records]
     summary = {
-        "rounds": rounds,
+        "rounds": config.rounds,
         "passed_rounds": sum(1 for row in episode.rounds if row.passed),
         "mover_count_gap": max(mover_counts) - min(mover_counts),
         "sacrifice_gap": episode.fairness.sacrifice_gap,
         "credited_spread": episode.fairness.credited_spread,
         "solve": solve_summary,
     }
-    return resolved, summary, ["roles.csv", "rounds.csv"]
-
-
-def _run_dungeon(top: _Section, seed: int, out: Path, problems):
-    n_agents = top.integer("n_agents", default=3, minimum=2)
-    rounds = top.integer("rounds", required=True, minimum=1)
-    success_reward = top.number("success_reward", default=1.0)
-    sacrifice_cost = top.number("sacrifice_cost", default=1.0)
-    switch_sec = top.section("switch")
-    top.finish()
-    switch = None
-    if not problems:
-        try:
-            switch = _read_switch(switch_sec, n_agents, 1, "rotation")
-        except ValidationError as exc:
-            problems.append(f"config.switch: {exc}")
-    _finish_validation(problems)
-    config = DungeonConfig(
-        n_agents=n_agents,
-        rounds=rounds,
-        success_reward=success_reward,
-        sacrifice_cost=sacrifice_cost,
-        switch=switch,
-        seed=seed,
-    )
-    result = run_dungeon(config)
-    write_csv(
-        out / "roles.csv",
-        ["round", "agent_id", "role", "streak", "cumulative_sacrifices", "credited_reward"],
-        _roles_csv_rows(result.rounds, result.credits, n_agents),
-    )
-    write_csv(
-        out / "rounds.csv",
-        ["round", "sacrificer", "success"],
-        [(row.round_index, row.sacrificer, row.success) for row in result.rounds],
-    )
-    resolved = {
-        "experiment": "dungeon",
-        "seed": seed,
-        "n_agents": n_agents,
-        "rounds": rounds,
-        "success_reward": success_reward,
-        "sacrifice_cost": sacrifice_cost,
-        "switch": asdict(switch),
+    rounds = [(row.round_index, row.n_moved, row.passed) for row in episode.rounds]
+    return resolved, summary, {
+        "roles.csv": (_ROLES_HEADER, _roles_csv_rows(episode.rounds, episode.credits)),
+        "rounds.csv": (["round", "n_moved", "passed"], rounds),
     }
+
+
+def _run_dungeon(top, seed, problems):
+    top["switch"] = _switch(top["switch"], top["n_agents"], 1, False, problems)
+    config = _construct(DungeonConfig, "config", problems, seed=seed, **top)
+    _finish_validation(problems)
+    result = run_dungeon(config)
     sac_counts = {
         rec.agent_id: rec.times_sacrifice for rec in result.ledger.records
     }
     summary = {
-        "rounds": rounds,
+        "rounds": config.rounds,
         "sacrifice_counts": sac_counts,
         "sacrifice_gap": result.fairness.sacrifice_gap,
         "credited_spread": result.fairness.credited_spread,
     }
-    return resolved, summary, ["roles.csv", "rounds.csv"]
+    rounds = [(row.round_index, row.sacrificer, row.success) for row in result.rounds]
+    return asdict(config), summary, {
+        "roles.csv": (_ROLES_HEADER, _roles_csv_rows(result.rounds, result.credits)),
+        "rounds.csv": (["round", "sacrificer", "success"], rounds),
+    }
 
 
+_IPD_KEYS = {
+    "payoff": (PayoffMatrix, MISSING),
+    "players": (list, MISSING),
+    **_schema(MatchConfig, skip=("seed",)),
+}
+_MFG_KEYS = {"params": (MfgParams, MISSING), "solver": (dict, {})}
+# Each kind's top-level keys besides experiment, seed and out_dir. Blocks
+# typed dict are read by the runner, against defaults it has to work out.
+_KEYS = {
+    "ipd_match": _IPD_KEYS,
+    "ipd_tournament": _IPD_KEYS,
+    "delta_scan": {"payoff": (PayoffMatrix, MISSING), "grid": (dict, MISSING)},
+    "mfg_solve": _MFG_KEYS,
+    "mfg_simulate": {
+        **_MFG_KEYS,
+        "episodes": (int, MISSING),
+        "policy": (str, "equilibrium"),
+    },
+    "roles_run": {
+        **_schema(IntersectionConfig, skip=("params", "switch", "seed")),
+        "switch": (dict, {}),
+        "mfg": (dict, {}),
+        "solver": (dict, {}),
+    },
+    "dungeon": {
+        **_schema(DungeonConfig, skip=("seed",)),
+        "rounds": (int, MISSING),  # a config states its length
+        "switch": (dict, {}),
+    },
+}
 _RUNNERS = {
     "ipd_match": _run_ipd_match,
     "ipd_tournament": _run_ipd_tournament,
@@ -720,6 +492,7 @@ _RUNNERS = {
     "roles_run": _run_roles,
     "dungeon": _run_dungeon,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -736,36 +509,47 @@ class RunArtifacts:
     summary: dict
 
 
+_COMMON = {"seed": (int, 0), "out_dir": (str | None, None)}
+
+
 def run(config: dict, out_dir=None) -> RunArtifacts:
-    """Validate and execute one experiment config; write all artifacts."""
+    """Validate and execute one experiment config, then write all artifacts."""
     if not isinstance(config, dict):
         raise ConfigError(["config: expected a JSON object"])
+    kind = config.get("experiment")
+    if kind not in EXPERIMENT_KINDS:
+        raise ConfigError(
+            [f"config.experiment: must be one of {list(EXPERIMENT_KINDS)}, got {kind!r}"]
+        )
     problems: list[str] = []
-    top = _Section(dict(config), "config", problems)
-    kind = top.string("experiment", required=True, choices=set(EXPERIMENT_KINDS))
-    seed = top.integer("seed", default=0, minimum=0)
-    configured_out = top.string("out_dir", default=None)
-    if kind not in _RUNNERS or seed is None:
-        top.finish()
-        _finish_validation(problems)  # guaranteed to raise: kind/seed invalid
-    out = Path(out_dir) if out_dir is not None else Path(
-        configured_out or f"runs/{kind}"
-    )
-    out.mkdir(parents=True, exist_ok=True)
-    resolved, summary, files = _RUNNERS[kind](top, seed, out, problems)
+    rest = {key: value for key, value in config.items() if key != "experiment"}
+    top = _read(rest, {**_COMMON, **_KEYS[kind]}, "config", problems)
+    if top is not None and top["seed"] < 0:
+        problems.append("config.seed: must be >= 0")
+    _finish_validation(problems)
+    seed, configured_out = top.pop("seed"), top.pop("out_dir")
+    resolved, summary, tables = _RUNNERS[kind](top, seed, problems)
     manifest = {
-        "config": resolved,
+        "config": {"experiment": kind, "seed": seed, **resolved},
         "version": __version__,
-        "outputs": sorted(files),
+        "outputs": sorted(tables),
         "summary": summary,
     }
+    try:
+        manifest_text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalIntegrityError(f"manifest: {exc}") from exc
+    out = Path(out_dir if out_dir is not None else configured_out or f"runs/{kind}")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
     manifest_path = out / "manifest.json"
-    _write_json(manifest_path, manifest)
+    manifest_path.write_text(manifest_text + "\n", encoding="utf-8")
     report_path = out / "report.md"
     report_path.write_text(render_report(manifest), encoding="utf-8")
     return RunArtifacts(
         out_dir=out,
-        csv_files=tuple(sorted(files)),
+        csv_files=tuple(sorted(tables)),
         manifest_path=manifest_path,
         report_path=report_path,
         summary=summary,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -191,6 +191,17 @@ def default_streak_midpoint(n_agents: int, cohort: int) -> int:
     if not 0 < cohort < n_agents:
         raise ValidationError("cohort must satisfy 0 < cohort < n_agents")
     return math.comb(n_agents - 1, cohort)
+
+
+def default_switch(n_agents: int, cohort: int, mode: str) -> SwitchPolicy:
+    """The switch policy a config gets for whatever it leaves unset: a
+    memory window of n_agents - 1 rounds and, in stochastic_sigmoid mode,
+    the streak midpoint C(n_agents-1, cohort)."""
+    policy = SwitchPolicy(mode=mode, window=max(1, n_agents - 1))
+    if mode == "stochastic_sigmoid":
+        midpoint = float(default_streak_midpoint(n_agents, cohort))
+        policy = replace(policy, streak_midpoint=midpoint)
+    return policy
 
 
 def sigmoid_switch_probability(streak: int, policy: SwitchPolicy) -> float:

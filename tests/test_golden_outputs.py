@@ -1,0 +1,79 @@
+"""Every shipped config must keep producing the same bytes.
+
+The SHA-256 of each artifact of each `configs/*.json` run (the CSVs,
+manifest.json and report.md) was recorded before the harness's config
+reader was derived from the dataclasses, with numpy 2.4 on x86-64. A
+refactor that changes any of these bytes must say why and re-pin them.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from coopdyn.harness import load_config, run
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+GOLDEN = {
+    "delta_scan": {
+        "manifest.json": "2124d84d4e0d083dbefaf459067ea310bdef988f77f8473c95c39b14b9a08e0b",
+        "report.md": "df29e9ded599f10c2053092f75a7ed0ebe412de430557b7fa877b3ecf2b183b2",
+        "scan.csv": "c64c42ca03ded08eb91f67e725b9626587c3422887cdd68d01edf05e054a8c59",
+    },
+    "dungeon": {
+        "manifest.json": "84e71583592ab473b8545b5465b86c182bc15e62dfb1f8f56093e7bf1e5f6af3",
+        "report.md": "d22b8d4fff0606cfacb549e9cd1af80ccf99f0b72c9447813b4a65cef249c925",
+        "roles.csv": "c26210de9b77fa22844ab0cead13347878888a09aceb7f90cff2df79bf86770c",
+        "rounds.csv": "cb48b8100c56fffd7223be66f0bd5c7e005d7018fa90c0a55e240088287f5bee",
+    },
+    "ipd_match": {
+        "manifest.json": "3d67c090bd907acf3bdde44c77cb1626121eb3edce564298ba6a1c81ffc3644f",
+        "report.md": "38860b08dd809735784d06d7aa77fc9150d826c5e6191e4e720b917a5527e0be",
+        "trajectory.csv": "90284ba634575c62eb1a2956f3808c0e973903ba699bd63e4e946fd51b119019",
+    },
+    "ipd_tournament": {
+        "manifest.json": "a4015fd46d9aea90b5e9ca157751fb93110258412fb93bdf1350c5be5d6d384a",
+        "report.md": "9c0595d9e1a880b1c0f24983eca60ed00b816352aa10d6d1c43453273e56ccea",
+        "scores.csv": "f981effd72ef98c3d467c92110f0595d1b848fc9a035baff13fde90b62bf0b39",
+    },
+    "mfg_simulate": {
+        "manifest.json": "ae370b8b2c21be078e3c62807d1115312920a8d9a58a8cfe5b9c1c6b34f93509",
+        "report.md": "80e96e24c1c23ab7c5fdc5b5a1711a6c3bb69e21abe66fefd767c05247700f4f",
+        "sim.csv": "d1ecd0767fe2e5f42f1b5f4117d6f149c4624795b02e3fbddc49ec62c9cb52ff",
+    },
+    "mfg_solve": {
+        "diag.csv": "cfe8acca68a21eacffbb88739db05a056a15d9c372211ff6581dfdab0b5c356c",
+        "flow.csv": "cfdd4679b2fff70ed4a2299f3e75ee4d8fc3b9524ce83b3442d69663e65e4f13",
+        "manifest.json": "c93ec225b9457d49734d91f73aa8e79050b4fd3cac77bc2616ed5995d3467130",
+        "policy.csv": "fb97651706bec0beaad6e2154fad981cb9c3726fbc1998852d22e9f1c1dc59b6",
+        "report.md": "8237b74060142bb9b39fafa5ae33566c62622fed56a54b809baaef9cb7baec9f",
+        "values.csv": "600ed28164f1c4f22de83e58298b87f1e372ac7ee2e2dc63a4fa9c69c71e4fc6",
+    },
+    "roles_run": {
+        "manifest.json": "4e33a423951e7d9debf62127c925afdafdce1d42416a3290fd8ec58447ea3260",
+        "report.md": "8fade127bb350c1f942e7d320cea789e6595b8d2f3529e75bb45737050df9137",
+        "roles.csv": "fa4a6b94090d00ec8f9c1c37904b75f3793c9101f7eff206e646dc9440e33245",
+        "rounds.csv": "2bc83d65e26252d79a34a88c1a4291d5cd4484928edac3b14af83dbc20a7201a",
+    },
+    "roles_run_stochastic": {
+        "manifest.json": "51da013ad7c9ce7bfc3bc704c529d0e6dab049d5647f65ae553044e89503cde6",
+        "report.md": "1f5718850e93d99807b3a82eb418c4e2955952f5709f40e6328ca95b5eda2763",
+        "roles.csv": "fdc1e19370f6269dd0d2d759247cd3cfe22fe7bf295418f9d23c9aacaa2db28f",
+        "rounds.csv": "b5d47730932230b40ad6ae078cf9c4cb6081a0e8f650b392f41e7b6ebaab56fb",
+    },
+}
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted(path.stem for path in CONFIGS.glob("*.json")) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shipped_config_outputs_are_byte_identical(tmp_path, name):
+    run(load_config(CONFIGS / f"{name}.json"), out_dir=tmp_path)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert digests == GOLDEN[name]

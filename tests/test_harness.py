@@ -1,9 +1,17 @@
+import copy
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coopdyn.errors import ConfigError
+from coopdyn import cli
+from coopdyn.errors import ConfigError, NumericalIntegrityError
 from coopdyn.harness import (
+    MAX_GRID_POINTS,
     format_value,
     load_config,
     regenerate_report,
@@ -290,3 +298,219 @@ def test_rerun_with_same_out_dir_overwrites_cleanly(tmp_path):
     second = run(delta_scan_config(), out_dir=tmp_path)
     assert (tmp_path / "scan.csv").read_bytes() == before
     assert first.summary == second.summary
+
+
+# ---------------------------------------------------------------------------
+# rejected inputs exit 1 with the key path and leave nothing on disk
+# ---------------------------------------------------------------------------
+
+
+def run_cli(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    command = config["experiment"].replace("_", "-")
+    return cli.main([command, "--config", str(path), "--out", str(out)]), out
+
+
+def formula_solve_config(**params):
+    config = mfg_solve_config()
+    config["params"].update(reward_mode="formula", **params)
+    return config
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        (formula_solve_config(reward_offset=math.inf), "config.params.reward_offset"),
+        (formula_solve_config(consistency_weight=math.nan), "config.params.consistency_weight"),
+        (dict(mfg_solve_config(), solver={"tol": math.inf}), "config.solver.tol"),
+    ],
+)
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, config, key):
+    code, out = run_cli(tmp_path, config)
+    assert code == 1
+    assert f"{key}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        (dict(delta_scan_config(), grid={"values": ["x"]}), "config.grid.values[0]"),
+        (
+            formula_solve_config(initial_distribution=["a"] + [0.0] * 6),
+            "config.params.initial_distribution[0]",
+        ),
+        (roles_config(assignment="static", static_movers=["a"]), "config.static_movers[0]"),
+    ],
+)
+def test_wrong_typed_array_elements_are_rejected(tmp_path, capsys, config, key):
+    code, out = run_cli(tmp_path, config)
+    assert code == 1
+    assert f"{key}: expected a" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_delta_scan_grid_is_rejected_before_it_is_built(tmp_path):
+    config = dict(delta_scan_config(), grid={"start": 0, "stop": 0.99, "step": 1e-9})
+    with pytest.raises(ConfigError, match=f"more than {MAX_GRID_POINTS} points"):
+        run(config, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_streak_midpoint_beyond_float_range_is_a_config_error(tmp_path):
+    config = roles_config(n_agents=2000, threshold=1000, cohort=1000, assignment="stochastic")
+    with pytest.raises(ConfigError, match=r"config\.switch"):
+        run(config, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_result_is_a_numerical_error_and_writes_nothing(tmp_path):
+    # finite payoffs whose discounted sums overflow to inf
+    config = ipd_match_config(
+        payoff={"temptation": 1e308, "reward": 1e307, "punishment": 1, "sucker": 0},
+        players=[{"kind": "all_d"}, {"kind": "all_c"}],
+    )
+    with pytest.raises(NumericalIntegrityError, match="manifest"):
+        run(config, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("assignment", ["rotation", "stochastic"])
+def test_absent_and_empty_switch_blocks_resolve_alike(tmp_path, assignment):
+    absent = run(roles_config(assignment=assignment), out_dir=tmp_path / "absent")
+    empty = run(roles_config(assignment=assignment, switch={}), out_dir=tmp_path / "empty")
+    switches = [
+        json.loads(artifacts.manifest_path.read_text())["config"]["switch"]
+        for artifacts in (absent, empty)
+    ]
+    assert switches[0] == switches[1]
+    assert switches[0]["window"] == 5
+    assert switches[0]["streak_midpoint"] == (10.0 if assignment == "stochastic" else 1.0)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any config exits 0, 1 or 2, and a failed run writes nothing
+# ---------------------------------------------------------------------------
+
+PAYOFF = {"temptation": None, "reward": None, "punishment": None, "sucker": None}
+PARAMS = {
+    "n_agents": None, "threshold": None, "discount": None, "smoothing": None,
+    "reward_offset": None, "consistency_weight": None, "preference_baseline": None,
+    "temperature": None, "horizon": None, "reward_mode": None,
+    "reward_table": {
+        "move_clear": None, "wait_clear": None, "wait_congested": None,
+        "move_congested": None,
+    },
+    "initial_distribution": None,
+}
+SOLVER = {"tol": None, "max_iter": None, "damping": None}
+SWITCH = {"mode": None, "window": None, "streak_midpoint": None, "streak_scale": None}
+IPD = {
+    "payoff": PAYOFF, "horizon": None, "discount": None,
+    "players": [{"kind": None, "parity": None, "punishment_length": None}],
+}
+KNOWN_KEYS = {
+    "ipd_match": IPD,
+    "ipd_tournament": IPD,
+    "delta_scan": {
+        "payoff": PAYOFF, "grid": {"start": None, "stop": None, "step": None, "values": None},
+    },
+    "mfg_solve": {"params": PARAMS, "solver": SOLVER},
+    "mfg_simulate": {"params": PARAMS, "episodes": None, "policy": None, "solver": SOLVER},
+    "roles_run": {
+        "n_agents": None, "threshold": None, "rounds": None, "cohort": None,
+        "assignment": None, "credit_waiters": None, "static_movers": None,
+        "switch": SWITCH, "mfg": PARAMS, "solver": SOLVER,
+    },
+    "dungeon": {
+        "n_agents": None, "rounds": None, "success_reward": None,
+        "sacrifice_cost": None, "switch": SWITCH,
+    },
+}
+# small valid configs; mutating them reaches the checks behind the key checks
+VALID = {
+    "ipd_match": ipd_match_config(),
+    "ipd_tournament": ipd_match_config(
+        experiment="ipd_tournament", players=[{"kind": "alternator"}, {"kind": "all_d"}]
+    ),
+    "delta_scan": delta_scan_config(),
+    "mfg_solve": mfg_solve_config(),
+    "mfg_simulate": dict(
+        mfg_solve_config(), experiment="mfg_simulate", episodes=3, policy="equilibrium"
+    ),
+    "roles_run": roles_config(assignment="stochastic", switch={"mode": "stochastic_sigmoid"}),
+    "dungeon": {"experiment": "dungeon", "n_agents": 3, "rounds": 6, "switch": {}},
+}
+WORDS = [
+    "x", "alternator", "tit_for_tat", "first", "table", "formula", "uniform",
+    "equilibrium", "static", "rotation", "stochastic", "policy",
+    "deterministic_window", "stochastic_sigmoid",
+]
+SCALARS = st.one_of(
+    st.integers(-2, 8),
+    st.sampled_from([-1.0, 0.0, 0.1, 0.5, 0.9, 2.5, math.nan, math.inf]),
+    st.sampled_from(WORDS),
+    st.just({}),
+    st.none(),
+    st.just(True),
+)
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4))
+
+
+def block(spec):
+    """Objects over any subset of spec's keys, sometimes with a stray key."""
+    optional = {key: value_of(sub) for key, sub in spec.items()}
+    return st.fixed_dictionaries({}, optional={**optional, "stray": VALUES})
+
+
+def value_of(spec):
+    if spec is None:
+        return VALUES
+    if isinstance(spec, list):
+        return st.lists(st.one_of(block(spec[0]), VALUES), max_size=3)
+    return st.one_of(block(spec), VALUES)
+
+
+def slots(node):
+    """(container, key) for every value nested in a config."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from slots(child)
+
+
+@st.composite
+def mutants(draw, config):
+    """`config` with one to three values at any depth replaced from the
+    pool or deleted, sometimes with a stray key."""
+    config = copy.deepcopy(config)
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(list(slots(config))))
+        if draw(st.booleans()):
+            container[key] = draw(VALUES)
+        else:
+            del container[key]
+    if draw(st.booleans()):
+        config["stray"] = draw(VALUES)
+    return config
+
+
+@pytest.mark.parametrize("kind", sorted(KNOWN_KEYS))
+def test_fuzzed_configs_exit_cleanly(kind):
+    spec = {**KNOWN_KEYS[kind], "seed": None, "out_dir": None}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(block(spec), mutants(VALID[kind])))
+    def check(config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            out = Path(tmp) / "out"
+            command = kind.replace("_", "-")
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
+            assert code in (0, 1, 2)
+            assert code == 0 or not out.exists()
+
+    check()
