@@ -26,7 +26,6 @@ from .ipd import (
     Strategy,
     TitForTat,
     WinStayLoseShift,
-    classify,
     critical_discount,
     deviate_payoff,
     discount_threshold,
@@ -47,7 +46,6 @@ from .mfg import (
     evolve_distribution,
     exploitability,
     forward_flow,
-    group_reward,
     per_agent_reward,
     simulate_population,
     softmax_policy,

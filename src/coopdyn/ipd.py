@@ -82,10 +82,6 @@ class PayoffMatrix:
         return self.punishment, self.punishment
 
 
-def classify(payoff: PayoffMatrix) -> Regime:
-    return payoff.regime()
-
-
 def _check_discount(delta: float) -> None:
     if not 0.0 <= delta < 1.0:
         raise ValidationError(f"discount factor must lie in [0, 1), got {delta!r}")

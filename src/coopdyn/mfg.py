@@ -13,7 +13,6 @@ Monte Carlo consistency check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -124,6 +123,8 @@ def initial_distribution_array(params: MfgParams) -> np.ndarray:
 
 
 def _check_distribution(dist: np.ndarray, label: str) -> None:
+    if not np.isfinite(dist).all():
+        raise ValidationError(f"{label} has non-finite entries")
     if np.any(dist < -_INPUT_TOL):
         raise ValidationError(f"{label} has negative entries")
     if abs(float(dist.sum()) - 1.0) > _INPUT_TOL:
@@ -135,6 +136,8 @@ def _check_policy_slice(policy: np.ndarray, n_agents: int) -> None:
         raise ValidationError(
             f"policy slice must have shape ({n_agents + 1}, 2), got {policy.shape}"
         )
+    if not np.isfinite(policy).all():
+        raise ValidationError("policy slice has non-finite entries")
     rows = policy.sum(axis=1)
     if np.max(np.abs(rows - 1.0)) > _INPUT_TOL or np.any(policy < -_INPUT_TOL):
         raise ValidationError("policy rows must be probability pairs")
@@ -147,6 +150,8 @@ def _check_policy(policy: np.ndarray, params: MfgParams) -> np.ndarray:
             "policy must have shape (horizon, n_agents + 1, 2); got "
             f"{policy.shape} for horizon {params.horizon}, N {params.n_agents}"
         )
+    if not np.isfinite(policy).all():
+        raise ValidationError("policy has non-finite entries")
     return policy
 
 
@@ -185,20 +190,6 @@ def per_agent_reward(action: int, count: int, params: MfgParams) -> float:
     return _logistic(exponent) + params.reward_offset
 
 
-def group_reward(distribution, action: int, params: MfgParams) -> float:
-    """Expectation of the logistic reward term over the mean field, plus
-    the constant offset."""
-    if action not in (WAIT, MOVE):
-        raise ValidationError(f"action must be {WAIT} (wait) or {MOVE} (move)")
-    dist = np.asarray(distribution, dtype=float)
-    if dist.shape != (params.n_agents + 1,):
-        raise ValidationError("distribution length must be n_agents + 1")
-    _check_distribution(dist, "distribution")
-    counts = np.arange(params.n_agents + 1, dtype=float)
-    terms = _logistic((1 - 2 * action) * (params.threshold - counts) / params.smoothing)
-    return float(dist @ terms) + params.reward_offset
-
-
 def utility(action: int, count: int, params: MfgParams) -> float:
     """Per-agent reward minus the consistency penalty, plus the baseline."""
     base = per_agent_reward(action, count, params)
@@ -226,25 +217,6 @@ def _log_binomial_coefficients(n: int) -> np.ndarray:
     out = log_fact[n] - log_fact - log_fact[::-1]
     out.setflags(write=False)
     return out
-
-
-def _binomial_pmf(n: int, prob: float) -> np.ndarray:
-    if prob <= 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    if prob >= 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-    k = np.arange(n + 1, dtype=float)
-    log_pmf = (
-        _log_binomial_coefficients(n)
-        + k * math.log(prob)
-        + (n - k) * math.log1p(-prob)
-    )
-    pmf = np.exp(log_pmf)
-    return pmf / pmf.sum()
 
 
 def _binomial_pmf_rows(n: int, probs: np.ndarray) -> np.ndarray:
@@ -285,7 +257,7 @@ def transition_distribution(action: int, move_probability: float, n_agents: int)
     if not isinstance(n_agents, int) or n_agents < 2:
         raise ValidationError("n_agents must be an integer >= 2")
     out = np.zeros(n_agents + 1)
-    pmf = _binomial_pmf(n_agents - 1, move_probability)
+    pmf = _binomial_pmf_rows(n_agents - 1, [move_probability])[0]
     out[action : action + n_agents] = pmf
     return out
 
@@ -304,7 +276,7 @@ def evolve_distribution(distribution, policy_slice, params: MfgParams) -> np.nda
     out[:n] += (dist * policy_slice[:, WAIT]) @ kernels
     out[1:] += (dist * policy_slice[:, MOVE]) @ kernels
     drift = abs(float(out.sum()) - 1.0)
-    if drift > _DRIFT_TOL:
+    if not drift <= _DRIFT_TOL:  # a NaN drift fails too
         raise NumericalIntegrityError(
             f"distribution drifted by {drift:.3e} in one evolution step"
         )
@@ -354,6 +326,26 @@ class ActionValueTable:
     v: np.ndarray
 
 
+def _backward(policy: np.ndarray, params: MfgParams, rules: tuple[str, ...]) -> dict:
+    """One backward pass giving {rule: (q, v)} for each backup rule in
+    `rules`: "max" backs up greedy values, "policy" the value of following
+    the policy itself. Each step's kernel is built once for every rule."""
+    n, horizon = params.n_agents, params.horizon
+    utilities = utility_table(params)
+    tables = {rule: (np.zeros((horizon + 1, n + 1, 2)), np.zeros((horizon + 1, n + 1)))
+              for rule in rules}
+    for t in reversed(range(horizon)):
+        kernels = _binomial_pmf_rows(n - 1, policy[t][:, MOVE])
+        for rule, (q, v) in tables.items():
+            q[t, :, WAIT] = utilities[:, WAIT] + params.discount * (kernels @ v[t + 1, :n])
+            q[t, :, MOVE] = utilities[:, MOVE] + params.discount * (kernels @ v[t + 1, 1:])
+            if rule == "max":
+                v[t] = np.maximum(q[t, :, WAIT], q[t, :, MOVE])
+            else:
+                v[t] = policy[t][:, WAIT] * q[t, :, WAIT] + policy[t][:, MOVE] * q[t, :, MOVE]
+    return tables
+
+
 def bellman_backward(policy, params: MfgParams) -> ActionValueTable:
     """Backward action-value recursion against the policy-induced kernels.
 
@@ -362,46 +354,23 @@ def bellman_backward(policy, params: MfgParams) -> ActionValueTable:
     actions. A single exact pass; rerunning on identical inputs is
     bit-identical.
     """
-    policy = _check_policy(policy, params)
-    n, horizon = params.n_agents, params.horizon
-    utilities = utility_table(params)
-    q = np.zeros((horizon + 1, n + 1, 2))
-    v = np.zeros((horizon + 1, n + 1))
-    for t in reversed(range(horizon)):
-        kernels = _binomial_pmf_rows(n - 1, policy[t][:, MOVE])
-        q[t, :, WAIT] = utilities[:, WAIT] + params.discount * (kernels @ v[t + 1, :n])
-        q[t, :, MOVE] = utilities[:, MOVE] + params.discount * (kernels @ v[t + 1, 1:])
-        v[t] = np.maximum(q[t, :, WAIT], q[t, :, MOVE])
+    q, v = _backward(_check_policy(policy, params), params, ("max",))["max"]
     return ActionValueTable(q=q, v=v)
-
-
-def _policy_values(policy: np.ndarray, params: MfgParams) -> np.ndarray:
-    """Value of following the mixed policy itself, per (t, j)."""
-    n, horizon = params.n_agents, params.horizon
-    utilities = utility_table(params)
-    v = np.zeros((horizon + 1, n + 1))
-    for t in reversed(range(horizon)):
-        kernels = _binomial_pmf_rows(n - 1, policy[t][:, MOVE])
-        q_wait = utilities[:, WAIT] + params.discount * (kernels @ v[t + 1, :n])
-        q_move = utilities[:, MOVE] + params.discount * (kernels @ v[t + 1, 1:])
-        v[t] = policy[t][:, WAIT] * q_wait + policy[t][:, MOVE] * q_move
-    return v
 
 
 def best_response_gap(policy, params: MfgParams, initial=None) -> float:
     """How much a single greedy deviator gains over the mixed policy.
 
-    Both values are computed against the kernels the policy induces; the
-    gap is averaged over the initial state distribution. Nonnegative up to
-    rounding for any policy.
+    Both values come from one backward pass against the kernels the policy
+    induces; the gap is averaged over the initial state distribution.
+    Nonnegative up to rounding for any policy.
     """
     policy = _check_policy(policy, params)
     if initial is None:
         initial = initial_distribution_array(params)
     initial = np.asarray(initial, dtype=float)
-    greedy = bellman_backward(policy, params).v[0]
-    mixed = _policy_values(policy, params)[0]
-    return float(initial @ (greedy - mixed))
+    (_, greedy), (_, mixed) = _backward(policy, params, ("max", "policy")).values()
+    return float(initial @ (greedy[0] - mixed[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +443,9 @@ def solve_equilibrium(
             converged = True
             break
 
-    values = bellman_backward(policy, params)
+    # certificate first: its two tables are freed before the greedy one is built
     gap = best_response_gap(policy, params, flow_prev[0])
+    values = bellman_backward(policy, params)
     return EquilibriumResult(
         policy=policy,
         flow=flow_prev,

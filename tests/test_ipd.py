@@ -14,7 +14,6 @@ from coopdyn.ipd import (
     Strategy,
     TitForTat,
     WinStayLoseShift,
-    classify,
     critical_discount,
     deviate_payoff,
     discount_threshold,
@@ -82,7 +81,7 @@ def test_ordering_is_enforced():
     ],
 )
 def test_classify(values, expected):
-    assert classify(PayoffMatrix(*values)) is expected
+    assert PayoffMatrix(*values).regime() is expected
 
 
 def test_action_ordering_for_serialization():

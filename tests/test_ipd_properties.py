@@ -7,7 +7,6 @@ from coopdyn.ipd import (
     Alternator,
     MatchConfig,
     PayoffMatrix,
-    classify,
     critical_discount,
     deviate_payoff,
     play_match,
@@ -41,7 +40,7 @@ def test_classify_invariant_under_positive_affine_maps(payoff, scale, shift):
         scale * payoff.punishment + shift,
         scale * payoff.sucker + shift,
     )
-    assert classify(mapped) is classify(payoff)
+    assert mapped.regime() is payoff.regime()
 
 
 @given(payoff_matrices, st.floats(0.0, 0.99))

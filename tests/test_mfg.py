@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mfg_scratch_oracle as oracle
+from coopdyn import mfg
 from coopdyn.errors import NumericalIntegrityError, ValidationError
 from coopdyn.mfg import (
     MOVE,
@@ -18,7 +19,6 @@ from coopdyn.mfg import (
     evolve_distribution,
     exploitability,
     forward_flow,
-    group_reward,
     initial_distribution_array,
     per_agent_reward,
     simulate_population,
@@ -85,6 +85,47 @@ def test_initial_distribution_defaults_to_everyone_waiting():
     assert dist.sum() == 1.0
 
 
+def with_nan(array, index):
+    out = np.array(array, dtype=float)
+    out[index] = np.nan
+    return out
+
+
+NAN_PARAMS = small_params()
+GOOD_POLICY = uniform_policy(NAN_PARAMS)
+NAN_POLICY = with_nan(GOOD_POLICY, (1, 2, MOVE))
+GOOD_DIST = initial_distribution_array(NAN_PARAMS)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: bellman_backward(NAN_POLICY, NAN_PARAMS), id="bellman_backward"),
+        pytest.param(lambda: best_response_gap(NAN_POLICY, NAN_PARAMS), id="best_response_gap"),
+        pytest.param(lambda: forward_flow(NAN_POLICY, NAN_PARAMS), id="forward_flow"),
+        pytest.param(
+            lambda: evolve_distribution(GOOD_DIST, NAN_POLICY[1], NAN_PARAMS),
+            id="evolve_distribution-policy_slice",
+        ),
+        pytest.param(
+            lambda: evolve_distribution(with_nan(GOOD_DIST, 3), GOOD_POLICY[0], NAN_PARAMS),
+            id="evolve_distribution-distribution",
+        ),
+        pytest.param(
+            lambda: simulate_population(NAN_PARAMS, NAN_POLICY, episodes=2, seed=0),
+            id="simulate_population",
+        ),
+        pytest.param(
+            lambda: small_params(initial_distribution=(np.nan, 1.0, 0.0, 0.0, 0.0)),
+            id="initial_distribution",
+        ),
+    ],
+)
+def test_non_finite_inputs_are_rejected(call):
+    with pytest.raises(ValidationError, match="non-finite"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # rewards and utilities
 # ---------------------------------------------------------------------------
@@ -122,38 +163,6 @@ def test_table_reward_cases():
     assert per_agent_reward(WAIT, 3, params) == table.wait_clear
     assert per_agent_reward(WAIT, 11, params) == table.wait_congested == 0.2
     assert per_agent_reward(MOVE, 11, params) == table.move_congested
-
-
-def test_group_reward_point_mass_at_threshold():
-    params = MfgParams(n_agents=10, threshold=5, reward_mode="formula")
-    dist = np.zeros(11)
-    dist[5] = 1.0
-    assert group_reward(dist, MOVE, params) == pytest.approx(0.5)
-
-
-def test_group_reward_sharp_logistic_counts_mass_below_threshold():
-    n = 10
-    params = MfgParams(
-        n_agents=n, threshold=5, smoothing=1e-9, reward_mode="formula"
-    )
-    dist = np.full(n + 1, 1.0 / (n + 1))
-    expected = (sum(1.0 for j in range(n + 1) if j < 5) + 0.5) / (n + 1)
-    assert group_reward(dist, MOVE, params) == pytest.approx(expected, abs=1e-9)
-
-
-def test_group_reward_flat_logistic_is_offset_plus_half():
-    params = MfgParams(
-        n_agents=8, threshold=4, smoothing=1e12, reward_offset=7.0,
-        reward_mode="formula",
-    )
-    dist = np.full(9, 1.0 / 9.0)
-    assert group_reward(dist, MOVE, params) == pytest.approx(7.5)
-
-
-def test_group_reward_rejects_unnormalized_input():
-    params = small_params()
-    with pytest.raises(ValidationError):
-        group_reward(np.full(5, 0.3), MOVE, params)
 
 
 def test_utility_combines_reward_penalty_and_baseline():
@@ -243,6 +252,12 @@ def test_evolution_output_is_normalized():
     policy = np.stack([1 - moves, moves], axis=1)
     out = evolve_distribution(dist, policy, params)
     assert abs(out.sum() - 1.0) < 1e-12
+
+
+def test_evolution_rejects_unnormalized_distribution():
+    params = small_params()
+    with pytest.raises(ValidationError, match="not normalized"):
+        evolve_distribution(np.full(5, 0.3), np.full((5, 2), 0.5), params)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +414,15 @@ def test_nonconvergence_is_flagged_not_raised():
     assert len(result.residual_history) == 2
 
 
+def test_solver_made_nan_is_a_numerical_integrity_error(monkeypatch):
+    def nan_kernels(n, probs):
+        return np.full((len(probs), n + 1), np.nan)
+
+    monkeypatch.setattr(mfg, "_binomial_pmf_rows", nan_kernels)
+    with pytest.raises(NumericalIntegrityError):
+        solve_equilibrium(small_params(), max_iter=3)
+
+
 def test_residuals_shrink_on_the_default_instance():
     result = solve_equilibrium(default_params(), tol=1e-8, max_iter=500, damping=0.5)
     assert result.converged
@@ -417,17 +441,45 @@ def test_exploitability_is_nonnegative_and_matches_oracle():
     params = MfgParams(n_agents=10, threshold=4, discount=0.9, temperature=0.2, horizon=8)
     result = solve_equilibrium(params, tol=1e-9, max_iter=400, damping=0.5)
     assert result.converged
-    value = exploitability(result, params)
-    assert value >= -1e-9
+    # a seeded random policy is far from equilibrium, so its policy backup
+    # differs from the greedy one by much more than the tolerance
+    moves = np.random.default_rng(7).random((8, 11))
+    off_equilibrium = np.stack([1 - moves, moves], axis=2)
+    spread = np.full(11, 1.0 / 11.0)
+    cases = [
+        (exploitability(result, params), result.policy, result.flow[0]),
+        (best_response_gap(off_equilibrium, params, spread), off_equilibrium, spread),
+    ]
     oracle_params = oracle.make_params(
         10, 4, discount=0.9, temperature=0.2, horizon=8
     )
-    oracle_value = oracle.exploitability(
-        [row.tolist() for row in result.policy],
-        result.flow[0].tolist(),
-        oracle_params,
-    )
-    assert value == pytest.approx(oracle_value, abs=1e-8)
+    for value, policy, initial in cases:
+        assert value >= -1e-9
+        oracle_value = oracle.exploitability(
+            [row.tolist() for row in policy],
+            initial.tolist(),
+            oracle_params,
+        )
+        assert value == pytest.approx(oracle_value, abs=1e-8)
+
+
+def test_each_backward_step_builds_one_kernel(monkeypatch):
+    builds = []
+    build = mfg._binomial_pmf_rows
+
+    def counting(n, probs):
+        builds.append(n)
+        return build(n, probs)
+
+    monkeypatch.setattr(mfg, "_binomial_pmf_rows", counting)
+    params = small_params(horizon=5)
+    best_response_gap(uniform_policy(params), params)
+    assert len(builds) == params.horizon
+    builds.clear()
+    result = solve_equilibrium(params, tol=1e-8, max_iter=100)
+    # initial flow, a backward and a forward pass per sweep, then the
+    # certificate and the final greedy values
+    assert len(builds) == params.horizon * (2 * result.iterations + 3)
 
 
 def test_uniform_policy_is_exploitable_when_actions_separate():
