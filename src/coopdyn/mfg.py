@@ -9,6 +9,11 @@ closure, forward distribution flow, backward action-value recursion with a
 hard max, Boltzmann policy extraction, a damped fixed-point equilibrium
 solver, a best-response exploitability certificate, and a finite-population
 Monte Carlo consistency check.
+
+A time step's kernel is stored as its distinct rows plus a state index:
+states whose policy moves with the same probability share one binomial
+row, so a solver sweep costs O(U*N*H) for U distinct move probabilities
+per step (at most 3 in table mode) instead of O(N^2*H).
 """
 
 from __future__ import annotations
@@ -131,16 +136,22 @@ def _check_distribution(dist: np.ndarray, label: str) -> None:
         raise ValidationError(f"{label} is not normalized (sum={dist.sum()!r})")
 
 
+def _check_probability_pairs(policy: np.ndarray, label: str) -> None:
+    """Every (wait, move) pair along the last axis must be a finite
+    probability distribution."""
+    if not np.isfinite(policy).all():
+        raise ValidationError(f"{label} has non-finite entries")
+    rows = policy.sum(axis=-1)
+    if np.max(np.abs(rows - 1.0)) > _INPUT_TOL or np.any(policy < -_INPUT_TOL):
+        raise ValidationError(f"{label} rows must be probability pairs")
+
+
 def _check_policy_slice(policy: np.ndarray, n_agents: int) -> None:
     if policy.shape != (n_agents + 1, 2):
         raise ValidationError(
             f"policy slice must have shape ({n_agents + 1}, 2), got {policy.shape}"
         )
-    if not np.isfinite(policy).all():
-        raise ValidationError("policy slice has non-finite entries")
-    rows = policy.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > _INPUT_TOL or np.any(policy < -_INPUT_TOL):
-        raise ValidationError("policy rows must be probability pairs")
+    _check_probability_pairs(policy, "policy slice")
 
 
 def _check_policy(policy: np.ndarray, params: MfgParams) -> np.ndarray:
@@ -150,8 +161,7 @@ def _check_policy(policy: np.ndarray, params: MfgParams) -> np.ndarray:
             "policy must have shape (horizon, n_agents + 1, 2); got "
             f"{policy.shape} for horizon {params.horizon}, N {params.n_agents}"
         )
-    if not np.isfinite(policy).all():
-        raise ValidationError("policy has non-finite entries")
+    _check_probability_pairs(policy, "policy")
     return policy
 
 
@@ -197,13 +207,30 @@ def utility(action: int, count: int, params: MfgParams) -> float:
     return base - penalty + params.preference_baseline
 
 
+def _reward_array(params: MfgParams) -> np.ndarray:
+    """`per_agent_reward` as an (n_agents + 1, 2) array indexed by (state,
+    action), with the same arithmetic elementwise."""
+    counts = np.arange(params.n_agents + 1)
+    if params.reward_mode == "table":
+        table = params.reward_table
+        clear = counts <= params.threshold
+        return np.stack(
+            [
+                np.where(clear, table.wait_clear, table.wait_congested),
+                np.where(clear, table.move_clear, table.move_congested),
+            ],
+            axis=1,
+        )
+    signs = 1 - 2 * np.array([WAIT, MOVE])
+    exponents = signs * (params.threshold - counts)[:, None] / params.smoothing
+    return _logistic(exponents) + params.reward_offset
+
+
 def utility_table(params: MfgParams) -> np.ndarray:
-    """Utilities as an (n_agents + 1, 2) array indexed by (state, action)."""
-    out = np.empty((params.n_agents + 1, 2))
-    for j in range(params.n_agents + 1):
-        out[j, WAIT] = utility(WAIT, j, params)
-        out[j, MOVE] = utility(MOVE, j, params)
-    return out
+    """`utility` as an (n_agents + 1, 2) array indexed by (state, action)."""
+    distance = np.abs(np.arange(params.n_agents + 1) - params.threshold)
+    penalty = params.consistency_weight * distance
+    return _reward_array(params) - penalty[:, None] + params.preference_baseline
 
 
 # ---------------------------------------------------------------------------
@@ -220,28 +247,30 @@ def _log_binomial_coefficients(n: int) -> np.ndarray:
 
 
 def _binomial_pmf_rows(n: int, probs: np.ndarray) -> np.ndarray:
-    """Row r holds the Binomial(n, probs[r]) pmf; rows are renormalized.
-
-    Duplicate probabilities (common under near-constant policies) are
-    computed once and scattered back.
-    """
+    """Row r holds the Binomial(n, probs[r]) pmf; rows are renormalized."""
     probs = np.asarray(probs, dtype=float)
-    unique, inverse = np.unique(probs, return_inverse=True)
-    rows = np.empty((unique.size, n + 1))
-    interior = (unique > 0.0) & (unique < 1.0)
+    rows = np.empty((probs.size, n + 1))
+    interior = (probs > 0.0) & (probs < 1.0)
     if np.any(interior):
-        p = unique[interior][:, None]
+        p = probs[interior][:, None]
         k = np.arange(n + 1, dtype=float)[None, :]
         log_pmf = _log_binomial_coefficients(n)[None, :] + k * np.log(p) + (
             n - k
         ) * np.log1p(-p)
         pmf = np.exp(log_pmf)
         rows[interior] = pmf / pmf.sum(axis=1, keepdims=True)
-    rows[unique <= 0.0] = 0.0
-    rows[unique <= 0.0, 0] = 1.0
-    rows[unique >= 1.0] = 0.0
-    rows[unique >= 1.0, n] = 1.0
-    return rows[inverse]
+    rows[probs <= 0.0] = 0.0
+    rows[probs <= 0.0, 0] = 1.0
+    rows[probs >= 1.0] = 0.0
+    rows[probs >= 1.0, n] = 1.0
+    return rows
+
+
+def _kernel(policy_slice: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One step's peer kernel as (rows, index): state j's Binomial(n - 1,
+    p_j) pmf is rows[index[j]], one row per distinct move probability."""
+    probs, index = np.unique(policy_slice[:, MOVE], return_inverse=True)
+    return _binomial_pmf_rows(n - 1, probs), index
 
 
 def transition_distribution(action: int, move_probability: float, n_agents: int) -> np.ndarray:
@@ -271,10 +300,10 @@ def evolve_distribution(distribution, policy_slice, params: MfgParams) -> np.nda
     _check_distribution(dist, "distribution")
     _check_policy_slice(policy_slice, params.n_agents)
     n = params.n_agents
-    kernels = _binomial_pmf_rows(n - 1, policy_slice[:, MOVE])
+    rows, index = _kernel(policy_slice, n)
     out = np.zeros(n + 1)
-    out[:n] += (dist * policy_slice[:, WAIT]) @ kernels
-    out[1:] += (dist * policy_slice[:, MOVE]) @ kernels
+    out[:n] += np.bincount(index, dist * policy_slice[:, WAIT], len(rows)) @ rows
+    out[1:] += np.bincount(index, dist * policy_slice[:, MOVE], len(rows)) @ rows
     drift = abs(float(out.sum()) - 1.0)
     if not drift <= _DRIFT_TOL:  # a NaN drift fails too
         raise NumericalIntegrityError(
@@ -335,10 +364,10 @@ def _backward(policy: np.ndarray, params: MfgParams, rules: tuple[str, ...]) -> 
     tables = {rule: (np.zeros((horizon + 1, n + 1, 2)), np.zeros((horizon + 1, n + 1)))
               for rule in rules}
     for t in reversed(range(horizon)):
-        kernels = _binomial_pmf_rows(n - 1, policy[t][:, MOVE])
+        rows, index = _kernel(policy[t], n)
         for rule, (q, v) in tables.items():
-            q[t, :, WAIT] = utilities[:, WAIT] + params.discount * (kernels @ v[t + 1, :n])
-            q[t, :, MOVE] = utilities[:, MOVE] + params.discount * (kernels @ v[t + 1, 1:])
+            q[t, :, WAIT] = utilities[:, WAIT] + params.discount * (rows @ v[t + 1, :n])[index]
+            q[t, :, MOVE] = utilities[:, MOVE] + params.discount * (rows @ v[t + 1, 1:])[index]
             if rule == "max":
                 v[t] = np.maximum(q[t, :, WAIT], q[t, :, MOVE])
             else:
@@ -495,12 +524,7 @@ def simulate_population(
         raise ValidationError("seed must be a nonnegative integer")
     n, horizon = params.n_agents, params.horizon
     initial = initial_distribution_array(params)
-    move_reward = np.array(
-        [per_agent_reward(MOVE, j, params) for j in range(n + 1)]
-    )
-    wait_reward = np.array(
-        [per_agent_reward(WAIT, j, params) for j in range(n + 1)]
-    )
+    rewards = _reward_array(params)
     frequencies = np.zeros((horizon + 1, n + 1))
     agent_totals = np.zeros(n)
     for episode in range(episodes):
@@ -509,7 +533,7 @@ def simulate_population(
         frequencies[0, state] += 1.0
         for t in range(horizon):
             moves = rng.random(n) < policy[t, state, MOVE]
-            agent_totals += np.where(moves, move_reward[state], wait_reward[state])
+            agent_totals += np.where(moves, rewards[state, MOVE], rewards[state, WAIT])
             state = int(moves.sum())
             frequencies[t + 1, state] += 1.0
     frequencies /= episodes

@@ -126,6 +126,37 @@ def test_non_finite_inputs_are_rejected(call):
         call()
 
 
+NEGATIVE_POLICY = np.array(GOOD_POLICY)
+NEGATIVE_POLICY[:, :, WAIT] = -0.5
+NEGATIVE_POLICY[:, :, MOVE] = 1.5
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: bellman_backward(NEGATIVE_POLICY, NAN_PARAMS), id="bellman_backward"),
+        pytest.param(
+            lambda: best_response_gap(NEGATIVE_POLICY, NAN_PARAMS), id="best_response_gap"
+        ),
+        pytest.param(lambda: forward_flow(NEGATIVE_POLICY, NAN_PARAMS), id="forward_flow"),
+        pytest.param(
+            lambda: simulate_population(NAN_PARAMS, NEGATIVE_POLICY, episodes=2, seed=0),
+            id="simulate_population",
+        ),
+    ],
+)
+def test_policies_that_are_not_probabilities_are_rejected_before_any_work(
+    call, monkeypatch
+):
+    work = []
+    build, make_rng = mfg._binomial_pmf_rows, np.random.default_rng
+    monkeypatch.setattr(mfg, "_binomial_pmf_rows", lambda *a: work.append("kernel") or build(*a))
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: work.append("episode") or make_rng(*a))
+    with pytest.raises(ValidationError, match="probability pairs"):
+        call()
+    assert work == []
+
+
 # ---------------------------------------------------------------------------
 # rewards and utilities
 # ---------------------------------------------------------------------------
@@ -177,11 +208,13 @@ def test_utility_combines_reward_penalty_and_baseline():
 
 
 def test_utility_table_matches_pointwise_calls():
-    params = small_params(consistency_weight=0.3, preference_baseline=0.1)
-    table = utility_table(params)
-    for j in range(params.n_agents + 1):
-        for a in (WAIT, MOVE):
-            assert table[j, a] == pytest.approx(utility(a, j, params))
+    for mode in ("table", "formula"):
+        params = MfgParams(
+            n_agents=30, threshold=11, reward_mode=mode, smoothing=2.5,
+            consistency_weight=0.3, reward_offset=0.25, preference_baseline=0.1,
+        )
+        loop = [[utility(a, j, params) for a in (WAIT, MOVE)] for j in range(31)]
+        assert np.array_equal(utility_table(params), np.array(loop))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +285,62 @@ def test_evolution_output_is_normalized():
     policy = np.stack([1 - moves, moves], axis=1)
     out = evolve_distribution(dist, policy, params)
     assert abs(out.sum() - 1.0) < 1e-12
+
+
+def dense_backward(policy, params):
+    """Reference backward pass over the unfactored (N+1) x N kernel."""
+    n, horizon = params.n_agents, params.horizon
+    utilities = utility_table(params)
+    tables = {}
+    for rule in ("max", "policy"):
+        q = np.zeros((horizon + 1, n + 1, 2))
+        v = np.zeros((horizon + 1, n + 1))
+        for t in reversed(range(horizon)):
+            dense = mfg._binomial_pmf_rows(n - 1, policy[t][:, MOVE])
+            q[t, :, WAIT] = utilities[:, WAIT] + params.discount * (dense @ v[t + 1, :n])
+            q[t, :, MOVE] = utilities[:, MOVE] + params.discount * (dense @ v[t + 1, 1:])
+            if rule == "max":
+                v[t] = q[t].max(axis=1)
+            else:
+                v[t] = (policy[t] * q[t]).sum(axis=1)
+        tables[rule] = (q, v)
+    return tables
+
+
+def policy_with_distinct_moves(n, horizon, distinct, rng):
+    """A policy whose every slice has exactly `distinct` move probabilities,
+    including the point masses 0 and 1 once there are at least three."""
+    levels = rng.random(distinct)
+    if distinct >= 3:
+        levels[:2] = (0.0, 1.0)
+    moves = np.empty((horizon, n + 1))
+    for t in range(horizon):
+        moves[t] = levels[rng.permutation(np.arange(n + 1) % distinct)]
+    return np.stack([1.0 - moves, moves], axis=2)
+
+
+@pytest.mark.parametrize("n_agents", [2, 20, 257])
+@pytest.mark.parametrize("distinct", ["one", "few", "all"])
+def test_factored_kernel_matches_dense_reference(n_agents, distinct):
+    params = MfgParams(n_agents=n_agents, threshold=n_agents // 2, horizon=4,
+                       consistency_weight=0.01)
+    count = {"one": 1, "few": min(3, n_agents + 1), "all": n_agents + 1}[distinct]
+    rng = np.random.default_rng(n_agents)
+    policy = policy_with_distinct_moves(n_agents, params.horizon, count, rng)
+    assert all(np.unique(policy[t][:, MOVE]).size == count for t in range(params.horizon))
+    factored = mfg._backward(policy, params, ("max", "policy"))
+    for rule, (q, v) in dense_backward(policy, params).items():
+        assert np.max(np.abs(factored[rule][0] - q)) < 1e-13
+        assert np.max(np.abs(factored[rule][1] - v)) < 1e-13
+    n = n_agents
+    dist = rng.dirichlet(np.ones(n + 1))
+    for t in range(params.horizon):
+        dense = mfg._binomial_pmf_rows(n - 1, policy[t][:, MOVE])
+        want = np.zeros(n + 1)
+        want[:n] += (dist * policy[t][:, WAIT]) @ dense
+        want[1:] += (dist * policy[t][:, MOVE]) @ dense
+        got = evolve_distribution(dist, policy[t], params)
+        assert np.max(np.abs(got - want / want.sum())) < 1e-13
 
 
 def test_evolution_rejects_unnormalized_distribution():
@@ -463,23 +552,47 @@ def test_exploitability_is_nonnegative_and_matches_oracle():
         assert value == pytest.approx(oracle_value, abs=1e-8)
 
 
-def test_each_backward_step_builds_one_kernel(monkeypatch):
-    builds = []
+def counting_kernel_rows(monkeypatch):
+    """Record the number of pmf rows each kernel build computes, checking
+    that it is the number of distinct move probabilities it was given."""
+    rows = []
     build = mfg._binomial_pmf_rows
 
     def counting(n, probs):
-        builds.append(n)
-        return build(n, probs)
+        out = build(n, probs)
+        assert len(out) == np.unique(probs).size
+        rows.append(len(out))
+        return out
 
     monkeypatch.setattr(mfg, "_binomial_pmf_rows", counting)
+    return rows
+
+
+def test_each_backward_step_builds_one_kernel(monkeypatch):
+    rows = counting_kernel_rows(monkeypatch)
     params = small_params(horizon=5)
-    best_response_gap(uniform_policy(params), params)
-    assert len(builds) == params.horizon
-    builds.clear()
+    # slice t moves with t + 1 distinct probabilities
+    policy = np.stack(
+        [policy_with_distinct_moves(params.n_agents, 1, t + 1, np.random.default_rng(t))[0]
+         for t in range(params.horizon)]
+    )
+    best_response_gap(policy, params)
+    assert rows == [t + 1 for t in reversed(range(params.horizon))]
+    rows.clear()
     result = solve_equilibrium(params, tol=1e-8, max_iter=100)
     # initial flow, a backward and a forward pass per sweep, then the
     # certificate and the final greedy values
-    assert len(builds) == params.horizon * (2 * result.iterations + 3)
+    assert len(rows) == params.horizon * (2 * result.iterations + 3)
+    assert rows[: params.horizon] == [1] * params.horizon  # the uniform start
+
+
+def test_table_mode_solves_large_populations_with_few_kernel_rows(monkeypatch):
+    rows = counting_kernel_rows(monkeypatch)
+    params = MfgParams(n_agents=5000, threshold=2000, temperature=0.2, horizon=30)
+    result = solve_equilibrium(params, tol=1e-8, max_iter=100)
+    assert result.converged
+    assert len(rows) == params.horizon * (2 * result.iterations + 3)
+    assert max(rows) <= 3
 
 
 def test_uniform_policy_is_exploitable_when_actions_separate():
