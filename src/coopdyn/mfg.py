@@ -524,7 +524,7 @@ def simulate_population(
         raise ValidationError("seed must be a nonnegative integer")
     n, horizon = params.n_agents, params.horizon
     initial = initial_distribution_array(params)
-    rewards = _reward_array(params)
+    wait_reward, move_reward = _reward_array(params).T
     frequencies = np.zeros((horizon + 1, n + 1))
     agent_totals = np.zeros(n)
     for episode in range(episodes):
@@ -533,7 +533,7 @@ def simulate_population(
         frequencies[0, state] += 1.0
         for t in range(horizon):
             moves = rng.random(n) < policy[t, state, MOVE]
-            agent_totals += np.where(moves, rewards[state, MOVE], rewards[state, WAIT])
+            agent_totals += np.where(moves, move_reward[state], wait_reward[state])
             state = int(moves.sum())
             frequencies[t + 1, state] += 1.0
     frequencies /= episodes
