@@ -134,10 +134,8 @@ NEGATIVE_POLICY[:, :, MOVE] = 1.5
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda: bellman_backward(NEGATIVE_POLICY, NAN_PARAMS), id="bellman_backward"),
-        pytest.param(
-            lambda: best_response_gap(NEGATIVE_POLICY, NAN_PARAMS), id="best_response_gap"
-        ),
+        pytest.param(lambda: bellman_backward(NEGATIVE_POLICY, NAN_PARAMS), id="bellman"),
+        pytest.param(lambda: best_response_gap(NEGATIVE_POLICY, NAN_PARAMS), id="gap"),
         pytest.param(lambda: forward_flow(NEGATIVE_POLICY, NAN_PARAMS), id="forward_flow"),
         pytest.param(
             lambda: simulate_population(NAN_PARAMS, NEGATIVE_POLICY, episodes=2, seed=0),
@@ -149,9 +147,16 @@ def test_policies_that_are_not_probabilities_are_rejected_before_any_work(
     call, monkeypatch
 ):
     work = []
-    build, make_rng = mfg._binomial_pmf_rows, np.random.default_rng
-    monkeypatch.setattr(mfg, "_binomial_pmf_rows", lambda *a: work.append("kernel") or build(*a))
-    monkeypatch.setattr(np.random, "default_rng", lambda *a: work.append("episode") or make_rng(*a))
+
+    def recording(label, fn):
+        def wrapped(*args):
+            work.append(label)
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(mfg, "_binomial_pmf_rows", recording("kernel", mfg._binomial_pmf_rows))
+    monkeypatch.setattr(np.random, "default_rng", recording("episode", np.random.default_rng))
     with pytest.raises(ValidationError, match="probability pairs"):
         call()
     assert work == []
