@@ -141,8 +141,11 @@ def _check_probability_pairs(policy: np.ndarray, label: str) -> None:
     probability distribution."""
     if not np.isfinite(policy).all():
         raise ValidationError(f"{label} has non-finite entries")
-    rows = policy[..., WAIT] + policy[..., MOVE]  # a sum over the length-2 axis is slower
-    if np.max(np.abs(rows - 1.0)) > _INPUT_TOL or np.any(policy < -_INPUT_TOL):
+    # one temporary, computed in place: a reduction over the length-2 axis is
+    # slow, and extra full-size temporaries raise the simulator's peak memory
+    gap = policy[..., WAIT] + policy[..., MOVE]
+    gap -= 1.0
+    if np.max(np.abs(gap, out=gap)) > _INPUT_TOL or policy.min() < -_INPUT_TOL:
         raise ValidationError(f"{label} rows must be probability pairs")
 
 
@@ -213,14 +216,9 @@ def _reward_array(params: MfgParams) -> np.ndarray:
     counts = np.arange(params.n_agents + 1)
     if params.reward_mode == "table":
         table = params.reward_table
-        clear = counts <= params.threshold
-        return np.stack(
-            [
-                np.where(clear, table.wait_clear, table.wait_congested),
-                np.where(clear, table.move_clear, table.move_congested),
-            ],
-            axis=1,
-        )
+        clear = (counts <= params.threshold)[:, None]
+        return np.where(clear, [table.wait_clear, table.move_clear],
+                        [table.wait_congested, table.move_congested])
     signs = 1 - 2 * np.array([WAIT, MOVE])
     exponents = signs * (params.threshold - counts)[:, None] / params.smoothing
     return _logistic(exponents) + params.reward_offset
