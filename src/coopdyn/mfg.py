@@ -13,7 +13,9 @@ Monte Carlo consistency check.
 A time step's kernel is stored as its distinct rows plus a state index:
 states whose policy moves with the same probability share one binomial
 row, so a solver sweep costs O(U*N*H) for U distinct move probabilities
-per step (at most 3 in table mode) instead of O(N^2*H).
+per step instead of O(N^2*H); table-mode rewards without a consistency
+penalty depend on the state only through j <= threshold, which keeps U at
+3 or fewer.
 """
 
 from __future__ import annotations
