@@ -5,7 +5,8 @@
 Subcommands mirror the experiment kinds (ipd-match, ipd-tournament,
 delta-scan, mfg-solve, mfg-simulate, roles-run, dungeon) plus `report`,
 which rebuilds report.md from an existing run directory or manifest.
-Exit codes: 0 success, 1 validation error, 2 numerical-integrity error.
+Exit codes: 0 success, 1 validation error or a file that cannot be read or
+written, 2 numerical-integrity error.
 """
 
 from __future__ import annotations
@@ -83,6 +84,10 @@ def main(argv=None) -> int:
     except NumericalIntegrityError as exc:
         print(f"numerical-integrity error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # the output directory or an artifact could not be written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

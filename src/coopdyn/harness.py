@@ -4,14 +4,18 @@ Loads a JSON config, validates it strictly (unknown keys are rejected),
 executes one of the seven experiment kinds, and writes deterministic
 artifacts into the output directory: the experiment CSVs, a manifest.json
 holding the fully resolved config, and a human-readable report.md. Nothing
-is written unless validation and execution both succeed. Re-running a
-manifest reproduces the CSVs byte for byte.
+is written unless validation, execution and rendering all succeed; each
+file then goes through a temporary sibling moved into place, so none is
+ever half-written. Unreadable configs and manifests, and range errors such
+as table-mode smoothing or reward_offset, are ConfigErrors with a key path.
+Re-running a manifest reproduces the CSVs byte for byte.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import os
 import sys
 import types
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
@@ -46,23 +50,33 @@ MAX_GRID_POINTS = 1_000_000
 # ---------------------------------------------------------------------------
 
 
-def format_value(value) -> str:
-    """CSV cell formatting: floats at 12 significant digits, '.' decimal
-    point; bools as 1/0; everything else via str."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
+_CELL = {bool: "{:d}", int: "{:d}", float: "{:.12g}", str: "{}"}
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """Write a table whose rows hold plain Python values, one type per
+    column; the first row's types pick the format of every row: bools as
+    1/0, floats at 12 significant digits, strings as they are."""
+    template = ",".join(_CELL[type(value)] for value in rows[0]) if rows else ""
+    lines = [",".join(header), *(template.format(*row) for row in rows)]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write through a temporary sibling moved into place, so `path` always
+    holds either its old or its new complete content."""
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def _rows(*columns):
+    """Equal-length array columns as rows of plain values, made when written."""
+    yield from zip(*(column.tolist() for column in columns), strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +226,10 @@ def _read_ipd(top, seed, problems, exact=None):
 def _run_ipd_match(top, seed, problems):
     payoff, players, match, resolved = _read_ipd(top, seed, problems, exact=2)
     result = play_match(players[0], players[1], payoff, match)
-    rows = []
-    for t, (ax, ay) in enumerate(result.trajectory):
-        px, py = payoff.payoffs(ax, ay)
-        rows.append((t, ax.letter, ay.letter, px, py))
+    rows = [
+        (t, ax.letter, ay.letter, *payoff.payoffs(ax, ay))
+        for t, (ax, ay) in enumerate(result.trajectory)
+    ]
     summary = {
         "regime": payoff.regime().value,
         "total_payoffs": list(result.total_payoffs),
@@ -278,8 +292,7 @@ def _run_delta_scan(top, seed, problems):
         difference = stick - deviate
         sign = (difference > 0) - (difference < 0)
         above_solved = threshold.solved is not None and delta > threshold.solved
-        above_quoted = delta > threshold.quoted
-        rows.append((delta, stick, deviate, sign, above_solved, above_quoted))
+        rows.append((delta, stick, deviate, sign, above_solved, delta > threshold.quoted))
     resolved = {"payoff": asdict(payoff), "grid": {"values": grid}}
     summary = {
         "solved_threshold": threshold.solved,
@@ -292,29 +305,18 @@ def _run_delta_scan(top, seed, problems):
     return resolved, summary, {"scan.csv": (header, rows)}
 
 
-def _solve_tables(result, params) -> dict:
-    horizon, n = params.horizon, params.n_agents
-    policy_rows = [
-        (t, j, result.policy[t, j, 0], result.policy[t, j, 1])
-        for t in range(horizon)
-        for j in range(n + 1)
-    ]
-    flow_rows = [
-        (t, j, result.flow[t, j]) for t in range(horizon + 1) for j in range(n + 1)
-    ]
-    value_rows = [
-        (t, j, result.values.q[t, j, 0], result.values.q[t, j, 1])
-        for t in range(horizon + 1)
-        for j in range(n + 1)
-    ]
-    diag_rows = [
-        (k + 1, res[0], res[1]) for k, res in enumerate(result.residual_history)
-    ]
+def _solve_tables(result) -> dict:
+    # (t, j) of each row; the policy table stops one time step earlier
+    t, j = np.divmod(np.arange(result.flow.size), result.flow.shape[1])
+    policy, q = result.policy.reshape(-1, 2).T, result.values.q.reshape(-1, 2).T
+    size = policy.shape[1]
+    residuals = np.array(result.residual_history).T
+    iters = np.arange(1, residuals.shape[1] + 1)
     return {
-        "policy.csv": (["t", "j", "pi_wait", "pi_move"], policy_rows),
-        "flow.csv": (["t", "j", "prob"], flow_rows),
-        "values.csv": (["t", "j", "q_wait", "q_move"], value_rows),
-        "diag.csv": (["iter", "policy_residual", "dist_residual"], diag_rows),
+        "policy.csv": (["t", "j", "pi_wait", "pi_move"], _rows(t[:size], j[:size], *policy)),
+        "flow.csv": (["t", "j", "prob"], _rows(t, j, result.flow.reshape(-1))),
+        "values.csv": (["t", "j", "q_wait", "q_move"], _rows(t, j, *q)),
+        "diag.csv": (["iter", "policy_residual", "dist_residual"], _rows(iters, *residuals)),
     }
 
 
@@ -323,8 +325,6 @@ def _run_mfg_solve(top, seed, problems):
     _finish_validation(problems)
     params = top["params"]
     result = solve_equilibrium(params, **solver)
-    counts = np.arange(params.n_agents + 1, dtype=float)
-    final_mean = float(result.flow[-1] @ counts)
     last = result.residual_history[-1]
     resolved = {"params": asdict(params), "solver": solver}
     summary = {
@@ -333,9 +333,15 @@ def _run_mfg_solve(top, seed, problems):
         "final_policy_residual": last[0],
         "final_dist_residual": last[1],
         "exploitability": result.exploitability,
-        "mean_count_final_t": final_mean,
+        "mean_count_final_t": float(result.flow[-1] @ np.arange(params.n_agents + 1.0)),
     }
-    return resolved, summary, _solve_tables(result, params)
+    return resolved, summary, _solve_tables(result)
+
+
+def _equilibrium_policy(params, solver):
+    """The solved equilibrium policy and the summary's solve block."""
+    result = solve_equilibrium(params, **solver)
+    return result.policy, {"converged": result.converged, "iterations": result.iterations}
 
 
 def _run_mfg_simulate(top, seed, problems):
@@ -348,23 +354,13 @@ def _run_mfg_simulate(top, seed, problems):
         )
     _finish_validation(problems)
     params, episodes, policy_kind = top["params"], top["episodes"], top["policy"]
-    solve_summary = None
     if policy_kind == "equilibrium":
-        result = solve_equilibrium(params, **solver)
-        policy = result.policy
-        solve_summary = {"converged": result.converged, "iterations": result.iterations}
+        policy, solve_summary = _equilibrium_policy(params, solver)
     else:
-        policy = uniform_policy(params)
+        policy, solve_summary = uniform_policy(params), None
     stats = simulate_population(params, policy, episodes=episodes, seed=seed)
-    rows = [
-        (
-            t,
-            stats.mean_states[t],
-            stats.mf_mean_states[t],
-            abs(stats.mean_states[t] - stats.mf_mean_states[t]) / params.n_agents,
-        )
-        for t in range(params.horizon + 1)
-    ]
+    gap = np.abs(stats.mean_states - stats.mf_mean_states) / params.n_agents
+    rows = _rows(np.arange(params.horizon + 1), stats.mean_states, stats.mf_mean_states, gap)
     resolved = {**top, "params": asdict(params), "solver": solver}
     summary = {
         "episodes": episodes,
@@ -382,15 +378,13 @@ _ROLES_HEADER = [
 
 
 def _roles_csv_rows(rounds, credits):
-    """Rows of round,agent_id,role,streak,cumulative_sacrifices,
-    credited_reward. Credit lands on the final round (delayed)."""
-    rows = []
-    last_round = len(rounds) - 1
-    for r, record in enumerate(rounds):
-        for agent_id, role, streak, cum_sac in record.agent_states:
-            credited = credits.get(agent_id, 0.0) if r == last_round else 0.0
-            rows.append((r, agent_id, role, streak, cum_sac, credited))
-    return rows
+    """Rows of _ROLES_HEADER; credit lands on the final round (delayed)."""
+    last = len(rounds) - 1
+    return [
+        (r, agent_id, role, streak, cum_sac, credits.get(agent_id, 0.0) if r == last else 0.0)
+        for r, record in enumerate(rounds)
+        for agent_id, role, streak, cum_sac in record.agent_states
+    ]
 
 
 def _run_roles(top, seed, problems):
@@ -407,12 +401,9 @@ def _run_roles(top, seed, problems):
     _finish_validation(problems)
     config = _construct(replace, "config", problems, env, switch=switch, params=params)
     _finish_validation(problems)
-    policy = None
-    solve_summary = None
+    policy, solve_summary = None, None
     if config.assignment == "policy":
-        result = solve_equilibrium(params, **solver)
-        policy = result.policy
-        solve_summary = {"converged": result.converged, "iterations": result.iterations}
+        policy, solve_summary = _equilibrium_policy(params, solver)
     episode = intersection_episode(config, policy=policy)
     resolved = {**asdict(config), "solver": solver}
     resolved["mfg"] = resolved.pop("params")
@@ -437,9 +428,7 @@ def _run_dungeon(top, seed, problems):
     config = _construct(DungeonConfig, "config", problems, seed=seed, **top)
     _finish_validation(problems)
     result = run_dungeon(config)
-    sac_counts = {
-        rec.agent_id: rec.times_sacrifice for rec in result.ledger.records
-    }
+    sac_counts = {rec.agent_id: rec.times_sacrifice for rec in result.ledger.records}
     summary = {
         "rounds": config.rounds,
         "sacrifice_counts": sac_counts,
@@ -466,11 +455,7 @@ _KEYS = {
     "ipd_tournament": _IPD_KEYS,
     "delta_scan": {"payoff": (PayoffMatrix, MISSING), "grid": (dict, MISSING)},
     "mfg_solve": _MFG_KEYS,
-    "mfg_simulate": {
-        **_MFG_KEYS,
-        "episodes": (int, MISSING),
-        "policy": (str, "equilibrium"),
-    },
+    "mfg_simulate": {**_MFG_KEYS, "episodes": (int, MISSING), "policy": (str, "equilibrium")},
     "roles_run": {
         **_schema(IntersectionConfig, skip=("params", "switch", "seed")),
         "switch": (dict, {}),
@@ -539,52 +524,54 @@ def run(config: dict, out_dir=None) -> RunArtifacts:
         manifest_text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericalIntegrityError(f"manifest: {exc}") from exc
+    report_text = render_report(manifest)
     out = Path(out_dir if out_dir is not None else configured_out or f"runs/{kind}")
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(manifest_text + "\n", encoding="utf-8")
-    report_path = out / "report.md"
-    report_path.write_text(render_report(manifest), encoding="utf-8")
-    return RunArtifacts(
-        out_dir=out,
-        csv_files=tuple(sorted(tables)),
-        manifest_path=manifest_path,
-        report_path=report_path,
-        summary=summary,
-    )
+        write_csv(out / name, header, list(rows))
+    manifest_path, report_path = out / "manifest.json", out / "report.md"
+    _write_text(manifest_path, manifest_text + "\n")
+    _write_text(report_path, report_text)
+    return RunArtifacts(out, tuple(sorted(tables)), manifest_path, report_path, summary)
 
 
 def load_config(path) -> dict:
+    """The JSON object in a config or manifest file."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError([f"{path}: cannot read ({exc.strerror})"]) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or not JSON
         raise ConfigError([f"{path}: invalid JSON ({exc})"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}: top level must be an object"])
     return raw
 
 
+_MANIFEST = {"config": dict, "outputs": tuple[str, ...], "summary": dict, "version": str}
+
+
+def _load_manifest(path) -> dict:
+    """The manifest at `path`, holding every key a rerun or a report reads."""
+    problems: list[str] = []
+    schema = {key: (tp, MISSING) for key, tp in _MANIFEST.items()}
+    manifest = _read(load_config(path), schema, str(path), problems)
+    _finish_validation(problems)
+    return manifest
+
+
 def run_from_manifest(manifest_path, out_dir=None) -> RunArtifacts:
     """Re-execute the fully resolved config stored in a manifest."""
-    manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if "config" not in manifest:
-        raise ConfigError([f"{manifest_path}: not a run manifest (no 'config' key)"])
-    return run(manifest["config"], out_dir=out_dir)
+    return run(_load_manifest(manifest_path)["config"], out_dir=out_dir)
 
 
 def regenerate_report(run_dir) -> Path:
     """Rebuild report.md from the manifest in an existing run directory."""
     run_dir = Path(run_dir)
     manifest_path = run_dir if run_dir.name == "manifest.json" else run_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError([f"{manifest_path}: manifest not found"])
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     report_path = manifest_path.parent / "report.md"
-    report_path.write_text(render_report(manifest), encoding="utf-8")
+    _write_text(report_path, render_report(_load_manifest(manifest_path)))
     return report_path
 
 

@@ -106,6 +106,12 @@ class MfgParams:
             raise ValidationError("consistency_weight must be nonnegative")
         if self.reward_mode not in ("table", "formula"):
             raise ValidationError("reward_mode must be 'table' or 'formula'")
+        formula_only = {"smoothing": self.smoothing, "reward_offset": self.reward_offset}
+        unused = [key for key, value in formula_only.items() if value != getattr(MfgParams, key)]
+        if self.reward_mode == "table" and unused:
+            raise ValidationError(
+                f"{', '.join(unused)}: used only when reward_mode is 'formula'"
+            )
         if self.initial_distribution is not None:
             dist = np.asarray(self.initial_distribution, dtype=float)
             if dist.shape != (self.n_agents + 1,):
@@ -257,7 +263,8 @@ def _binomial_pmf_rows(n: int, probs: np.ndarray) -> np.ndarray:
         log_pmf = _log_binomial_coefficients(n)[None, :] + k * np.log(p) + (
             n - k
         ) * np.log1p(-p)
-        pmf = np.exp(log_pmf)
+        # entries below -746 underflow to 0.0 anyway, and exp is slow on them
+        pmf = np.exp(log_pmf, out=np.zeros_like(log_pmf), where=log_pmf > -746.0)
         rows[interior] = pmf / pmf.sum(axis=1, keepdims=True)
     rows[probs <= 0.0] = 0.0
     rows[probs <= 0.0, 0] = 1.0

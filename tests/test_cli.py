@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coopdyn import cli, harness
 from coopdyn.errors import NumericalIntegrityError
 
@@ -93,3 +95,50 @@ def test_report_subcommand_rebuilds(tmp_path):
 
 def test_report_on_missing_run_exits_one(tmp_path):
     assert cli.main(["report", "--config", str(tmp_path)]) == 1
+
+
+def _run_dir(tmp_path, manifest_text):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text(manifest_text)
+    return ["report", "--config", str(run_dir)]
+
+
+def _manifest_without_summary(tmp_path):
+    config = write_config(tmp_path, delta_scan_payload())
+    out = tmp_path / "done"
+    assert cli.main(["delta-scan", "--config", str(config), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["summary"]
+    return _run_dir(tmp_path, json.dumps(manifest))
+
+
+def _non_utf8_config(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"grid": {"values": [0.5]}, "note": "café"}'.encode("latin-1"))
+    return ["delta-scan", "--config", str(path)]
+
+
+def _out_below_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    config = write_config(tmp_path, delta_scan_payload())
+    return ["delta-scan", "--config", str(config), "--out", str(tmp_path / "file" / "run")]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda tmp: ["delta-scan", "--config", str(tmp / "absent.json")], "absent.json"),
+        (_non_utf8_config, "latin1.json"),
+        (lambda tmp: _run_dir(tmp, "{not json"), "invalid JSON"),
+        (_manifest_without_summary, "'summary'"),
+        (lambda tmp: _run_dir(tmp, "[]"), "top level must be an object"),
+        (_out_below_a_file, "file/run"),
+    ],
+    ids=["missing", "non-utf8", "corrupt-manifest", "no-summary", "list-manifest", "unwritable"],
+)
+def test_file_level_errors_exit_one_with_a_message(tmp_path, capsys, argv, message):
+    code = cli.main(argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -8,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopdyn import cli
+from coopdyn import cli, harness
 from coopdyn.errors import ConfigError, NumericalIntegrityError
 from coopdyn.harness import (
     MAX_GRID_POINTS,
-    format_value,
     load_config,
     regenerate_report,
     run,
     run_from_manifest,
+    write_csv,
 )
 
 
@@ -75,16 +76,66 @@ def read_lines(path):
 
 
 # ---------------------------------------------------------------------------
-# formatting
+# writing
 # ---------------------------------------------------------------------------
 
 
-def test_format_value_uses_twelve_significant_digits():
-    assert format_value(1 / 3) == "0.333333333333"
-    assert format_value(1.5e-11) == "1.5e-11"
-    assert format_value(7) == "7"
-    assert format_value(True) == "1"
-    assert format_value("abc") == "abc"
+def test_write_csv_uses_twelve_significant_digits(tmp_path):
+    header = ["third", "tiny", "count", "flag", "name", "whole", "zero"]
+    rows = [(1 / 3, 1.5e-11, 7, True, "abc", 2.0, -0.0), (0.5, 1e20, -3, False, "d", 1.0, 0.0)]
+    write_csv(tmp_path / "t.csv", header, rows)
+    assert read_lines(tmp_path / "t.csv") == [
+        "third,tiny,count,flag,name,whole,zero",
+        "0.333333333333,1.5e-11,7,1,abc,2,-0",
+        "0.5,1e+20,-3,0,d,1,0",
+    ]
+    write_csv(tmp_path / "empty.csv", ["a", "b"], [])
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+
+def leftovers(directory):
+    return sorted(path.name for path in directory.glob("*.tmp"))
+
+
+def test_failing_report_writes_nothing_and_keeps_the_previous_run(tmp_path, monkeypatch):
+    previous = tmp_path / "previous"
+    run(delta_scan_config(), out_dir=previous)
+    before = {path.name: path.read_bytes() for path in previous.iterdir()}
+
+    def explode(manifest):
+        raise RuntimeError("report failed")
+
+    monkeypatch.setattr(harness, "render_report", explode)
+    config = dict(delta_scan_config(), grid={"values": [0.5]})
+    for out in (tmp_path / "fresh", previous):
+        with pytest.raises(RuntimeError, match="report failed"):
+            run(config, out_dir=out)
+    assert not (tmp_path / "fresh").exists()
+    assert {path.name: path.read_bytes() for path in previous.iterdir()} == before
+
+
+def test_failed_replace_leaves_earlier_artifacts_whole_and_no_temporary(
+    tmp_path, monkeypatch
+):
+    replaced = []
+    real_replace = os.replace
+
+    def second_fails(src, dst):
+        if replaced:
+            raise OSError(28, "No space left on device", str(dst))
+        real_replace(src, dst)
+        replaced.append(Path(dst).name)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    with pytest.raises(OSError, match="No space left"):
+        run(mfg_solve_config(), out_dir=tmp_path)
+    monkeypatch.undo()
+    assert leftovers(tmp_path) == []
+    assert [path.name for path in tmp_path.iterdir()] == replaced
+    reference = tmp_path / "reference"
+    run(mfg_solve_config(), out_dir=reference)
+    (name,) = replaced
+    assert (tmp_path / name).read_bytes() == (reference / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +400,26 @@ def test_wrong_typed_array_elements_are_rejected(tmp_path, capsys, config, key):
     code, out = run_cli(tmp_path, config)
     assert code == 1
     assert f"{key}: expected a" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            dict(mfg_solve_config(), params={"n_agents": 6, "threshold": 2, "smoothing": 2.0}),
+            "config.params: smoothing: used only when reward_mode is 'formula'",
+        ),
+        (
+            roles_config(assignment="policy", mfg={"reward_offset": 0.5}),
+            "config.mfg: reward_offset: used only when reward_mode is 'formula'",
+        ),
+    ],
+)
+def test_table_mode_rejects_formula_only_keys(tmp_path, capsys, config, message):
+    code, out = run_cli(tmp_path, config)
+    assert code == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -70,6 +70,14 @@ def test_params_validation():
         MfgParams(n_agents=4, threshold=2, reward_mode="other")
 
 
+@pytest.mark.parametrize("key, value", [("smoothing", 2.0), ("reward_offset", 0.25)])
+def test_table_mode_rejects_formula_only_parameters(key, value):
+    with pytest.raises(ValidationError, match=f"{key}: used only when reward_mode is 'formula'"):
+        MfgParams(n_agents=4, threshold=2, **{key: value})
+    params = MfgParams(n_agents=4, threshold=2, reward_mode="formula", **{key: value})
+    assert getattr(params, key) == value
+
+
 def test_reward_table_ordering():
     with pytest.raises(ValidationError):
         RewardTable(0.5, 0.6, 0.2, 0.0)  # move_clear must dominate
@@ -213,10 +221,11 @@ def test_utility_combines_reward_penalty_and_baseline():
 
 
 def test_utility_table_matches_pointwise_calls():
-    for mode in ("table", "formula"):
+    formula_only = {"smoothing": 2.5, "reward_offset": 0.25}
+    for mode, extra in (("table", {}), ("formula", formula_only)):
         params = MfgParams(
-            n_agents=30, threshold=11, reward_mode=mode, smoothing=2.5,
-            consistency_weight=0.3, reward_offset=0.25, preference_baseline=0.1,
+            n_agents=30, threshold=11, reward_mode=mode, consistency_weight=0.3,
+            preference_baseline=0.1, **extra,
         )
         loop = [[utility(a, j, params) for a in (WAIT, MOVE)] for j in range(31)]
         assert np.array_equal(utility_table(params), np.array(loop))
@@ -247,6 +256,17 @@ def test_transition_matches_enumeration(n_agents):
             want = enumerate_transition(n_agents, action, p_move)
             assert np.max(np.abs(got - want)) < 1e-12
             assert abs(got.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 999])
+def test_kernel_rows_skip_only_exp_that_underflows(n):
+    probs = np.array([1e-300, 1e-3, 0.5, 1 - 1e-16])
+    k = np.arange(n + 1)
+    log_pmf = mfg._log_binomial_coefficients(n) + k * np.log(probs[:, None]) + (
+        n - k
+    ) * np.log1p(-probs[:, None])
+    pmf = np.exp(log_pmf)
+    assert np.array_equal(mfg._binomial_pmf_rows(n, probs), pmf / pmf.sum(axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
