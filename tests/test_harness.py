@@ -111,6 +111,7 @@ def test_failing_report_writes_nothing_and_keeps_the_previous_run(tmp_path, monk
         with pytest.raises(RuntimeError, match="report failed"):
             run(config, out_dir=out)
     assert not (tmp_path / "fresh").exists()
+    assert leftovers(previous) == []
     assert {path.name: path.read_bytes() for path in previous.iterdir()} == before
 
 
