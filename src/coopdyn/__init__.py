@@ -43,7 +43,6 @@ from .mfg import (
     bellman_backward,
     best_response_gap,
     default_params,
-    evolve_distribution,
     exploitability,
     forward_flow,
     per_agent_reward,

@@ -15,17 +15,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, NumericalIntegrityError, ValidationError
-from .harness import load_config, regenerate_report, run
-
-_RUN_COMMANDS = (
-    "ipd-match",
-    "ipd-tournament",
-    "delta-scan",
-    "mfg-solve",
-    "mfg-simulate",
-    "roles-run",
-    "dungeon",
-)
+from .harness import EXPERIMENT_KINDS, load_config, regenerate_report, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,8 +25,8 @@ def build_parser() -> argparse.ArgumentParser:
         "dilemma, mean-field intersection equilibria, and role rotation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUN_COMMANDS:
-        cmd = sub.add_parser(name, help=f"run a {name.replace('-', '_')} experiment")
+    for kind in EXPERIMENT_KINDS:
+        cmd = sub.add_parser(kind.replace("_", "-"), help=f"run a {kind} experiment")
         cmd.add_argument("--config", required=True, help="path to a JSON config file")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="override the output directory")

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .mfg import MOVE, WAIT, MfgParams, initial_distribution_array, per_agent_reward
+from .mfg import MOVE, MfgParams, initial_distribution_array, reward_array
 from .roles import (
     PRIMARY,
     SACRIFICE,
@@ -232,6 +232,7 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> Intersectio
         if config.static_movers is not None
         else frozenset(range(config.cohort))
     )
+    rewards_by_count = reward_array(params).tolist()
     rows = []
     assignments: list[RoleAssignment] = []
     for round_index in range(config.rounds):
@@ -252,8 +253,9 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> Intersectio
         movers = assignment.primaries
         n_moved = len(movers)
         passed = n_moved <= config.threshold
+        wait_reward, move_reward = rewards_by_count[n_moved]
         rewards = tuple(
-            per_agent_reward(MOVE if agent in movers else WAIT, n_moved, params)
+            move_reward if agent in movers else wait_reward
             for agent in range(config.n_agents)
         )
         if config.assignment == "policy":

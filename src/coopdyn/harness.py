@@ -497,8 +497,8 @@ class RunArtifacts:
 _COMMON = {"seed": (int, 0), "out_dir": (str | None, None)}
 
 
-def run(config: dict, out_dir=None) -> RunArtifacts:
-    """Validate and execute one experiment config, then write all artifacts."""
+def _read_config(config) -> tuple[str, dict]:
+    """The experiment kind and the checked top-level values of a config."""
     if not isinstance(config, dict):
         raise ConfigError(["config: expected a JSON object"])
     kind = config.get("experiment")
@@ -512,8 +512,14 @@ def run(config: dict, out_dir=None) -> RunArtifacts:
     if top is not None and top["seed"] < 0:
         problems.append("config.seed: must be >= 0")
     _finish_validation(problems)
+    return kind, top
+
+
+def run(config: dict, out_dir=None) -> RunArtifacts:
+    """Validate and execute one experiment config, then write all artifacts."""
+    kind, top = _read_config(config)
     seed, configured_out = top.pop("seed"), top.pop("out_dir")
-    resolved, summary, tables = _RUNNERS[kind](top, seed, problems)
+    resolved, summary, tables = _RUNNERS[kind](top, seed, [])
     manifest = {
         "config": {"experiment": kind, "seed": seed, **resolved},
         "version": __version__,
@@ -553,11 +559,12 @@ _MANIFEST = {"config": dict, "outputs": tuple[str, ...], "summary": dict, "versi
 
 
 def _load_manifest(path) -> dict:
-    """The manifest at `path`, holding every key a rerun or a report reads."""
+    """The manifest at `path`, its top-level keys and config checked as `run` does."""
     problems: list[str] = []
     schema = {key: (tp, MISSING) for key, tp in _MANIFEST.items()}
     manifest = _read(load_config(path), schema, str(path), problems)
     _finish_validation(problems)
+    _read_config(manifest["config"])
     return manifest
 
 

@@ -4,11 +4,13 @@ The shared state j in {0..N} is how many agents moved last round. Each
 agent picks wait (0) or move (1); the other N-1 agents are modelled as
 moving i.i.d. with the population policy's move probability at the current
 state, so the next count is own action + Binomial(N-1, p). The module
-provides the reward/utility evaluation, the exact binomial transition
-closure, forward distribution flow, backward action-value recursion with a
-hard max, Boltzmann policy extraction, a damped fixed-point equilibrium
-solver, a best-response exploitability certificate, and a finite-population
-Monte Carlo consistency check.
+provides the reward/utility evaluation (one array formula; the scalar
+readers index it), the exact binomial transition closure, forward
+distribution flow (policy checked once, every step run in its loop),
+backward action-value recursion with a hard max, Boltzmann policy
+extraction, a damped fixed-point equilibrium solver, a best-response
+exploitability certificate, and a finite-population Monte Carlo
+consistency check.
 
 A time step's kernel is stored as its distinct rows plus a state index:
 states whose policy moves with the same probability share one binomial
@@ -20,7 +22,8 @@ penalty depend on the state only through j <= threshold, which keeps U at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +37,13 @@ MOVE = 1
 _DRIFT_TOL = 1e-12
 # inputs are allowed a looser slack: callers may have accumulated rounding
 _INPUT_TOL = 1e-9
+
+
+def _check_finite_fields(instance) -> None:
+    for field in fields(instance):
+        value = getattr(instance, field.name)
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise ValidationError(f"{field.name} is non-finite: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +61,7 @@ class RewardTable:
     move_congested: float = 0.0
 
     def __post_init__(self):
+        _check_finite_fields(self)
         ok = (
             self.move_clear > self.wait_clear >= self.wait_congested
             > self.move_congested
@@ -90,6 +101,7 @@ class MfgParams:
     initial_distribution: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        _check_finite_fields(self)
         if not isinstance(self.n_agents, int) or self.n_agents < 2:
             raise ValidationError("n_agents must be an integer >= 2")
         if not isinstance(self.threshold, int) or not 0 < self.threshold < self.n_agents:
@@ -118,7 +130,7 @@ class MfgParams:
                 raise ValidationError(
                     "initial_distribution must have n_agents + 1 entries"
                 )
-            _check_distribution(dist, "initial_distribution")
+            _check_distribution(dist)
 
 
 def default_params() -> MfgParams:
@@ -135,44 +147,32 @@ def initial_distribution_array(params: MfgParams) -> np.ndarray:
     return dist / dist.sum()
 
 
-def _check_distribution(dist: np.ndarray, label: str) -> None:
+def _check_distribution(dist: np.ndarray) -> None:
     if not np.isfinite(dist).all():
-        raise ValidationError(f"{label} has non-finite entries")
+        raise ValidationError("initial_distribution has non-finite entries")
     if np.any(dist < -_INPUT_TOL):
-        raise ValidationError(f"{label} has negative entries")
+        raise ValidationError("initial_distribution has negative entries")
     if abs(float(dist.sum()) - 1.0) > _INPUT_TOL:
-        raise ValidationError(f"{label} is not normalized (sum={dist.sum()!r})")
+        raise ValidationError(f"initial_distribution is not normalized (sum={dist.sum()!r})")
 
 
-def _check_probability_pairs(policy: np.ndarray, label: str) -> None:
-    """Every (wait, move) pair along the last axis must be a finite
-    probability distribution."""
-    if not np.isfinite(policy).all():
-        raise ValidationError(f"{label} has non-finite entries")
-    # one temporary, computed in place: a reduction over the length-2 axis is
-    # slow, and extra full-size temporaries raise the simulator's peak memory
-    gap = policy[..., WAIT] + policy[..., MOVE]
-    gap -= 1.0
-    if np.max(np.abs(gap, out=gap)) > _INPUT_TOL or policy.min() < -_INPUT_TOL:
-        raise ValidationError(f"{label} rows must be probability pairs")
-
-
-def _check_policy_slice(policy: np.ndarray, n_agents: int) -> None:
-    if policy.shape != (n_agents + 1, 2):
-        raise ValidationError(
-            f"policy slice must have shape ({n_agents + 1}, 2), got {policy.shape}"
-        )
-    _check_probability_pairs(policy, "policy slice")
-
-
-def _check_policy(policy: np.ndarray, params: MfgParams) -> np.ndarray:
+def _check_policy(policy, params: MfgParams) -> np.ndarray:
+    """The policy as a float array of shape (horizon, n_agents + 1, 2) whose
+    every (wait, move) pair is a finite probability distribution."""
     policy = np.asarray(policy, dtype=float)
     if policy.shape != (params.horizon, params.n_agents + 1, 2):
         raise ValidationError(
             "policy must have shape (horizon, n_agents + 1, 2); got "
             f"{policy.shape} for horizon {params.horizon}, N {params.n_agents}"
         )
-    _check_probability_pairs(policy, "policy")
+    if not np.isfinite(policy).all():
+        raise ValidationError("policy has non-finite entries")
+    # one temporary, computed in place: a reduction over the length-2 axis is
+    # slow, and extra full-size temporaries raise the simulator's peak memory
+    gap = policy[..., WAIT] + policy[..., MOVE]
+    gap -= 1.0
+    if np.max(np.abs(gap, out=gap)) > _INPUT_TOL or policy.min() < -_INPUT_TOL:
+        raise ValidationError("policy rows must be probability pairs")
     return policy
 
 
@@ -181,12 +181,31 @@ def _check_policy(policy: np.ndarray, params: MfgParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _logistic(x):
+def _logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(x)), overflow-safe, elementwise."""
-    x = np.asarray(x, dtype=float)
     shrink = np.exp(-np.abs(x))
-    out = np.where(x >= 0.0, shrink / (1.0 + shrink), 1.0 / (1.0 + shrink))
-    return out if out.ndim else float(out)
+    return np.where(x >= 0.0, shrink / (1.0 + shrink), 1.0 / (1.0 + shrink))
+
+
+def reward_array(params: MfgParams) -> np.ndarray:
+    """Per-agent reward indexed by (state, action): the four-case table, or
+    1 / (1 + exp((1 - 2a)(threshold - j) / smoothing)) + reward_offset."""
+    counts = np.arange(params.n_agents + 1)
+    if params.reward_mode == "table":
+        table = params.reward_table
+        clear = (counts <= params.threshold)[:, None]
+        return np.where(clear, [table.wait_clear, table.move_clear],
+                        [table.wait_congested, table.move_congested])
+    signs = 1 - 2 * np.array([WAIT, MOVE])
+    exponents = signs * (params.threshold - counts)[:, None] / params.smoothing
+    return _logistic(exponents) + params.reward_offset
+
+
+def utility_table(params: MfgParams) -> np.ndarray:
+    """`reward_array` minus consistency_weight * |j - threshold|, plus the baseline."""
+    distance = np.abs(np.arange(params.n_agents + 1) - params.threshold)
+    penalty = params.consistency_weight * distance
+    return reward_array(params) - penalty[:, None] + params.preference_baseline
 
 
 def _check_action_state(action: int, count: int, params: MfgParams) -> None:
@@ -201,42 +220,13 @@ def _check_action_state(action: int, count: int, params: MfgParams) -> None:
 def per_agent_reward(action: int, count: int, params: MfgParams) -> float:
     """Reward for one agent given its action and the current mover count."""
     _check_action_state(action, count, params)
-    if params.reward_mode == "table":
-        table = params.reward_table
-        clear = count <= params.threshold
-        if action == MOVE:
-            return table.move_clear if clear else table.move_congested
-        return table.wait_clear if clear else table.wait_congested
-    exponent = (1 - 2 * action) * (params.threshold - count) / params.smoothing
-    return _logistic(exponent) + params.reward_offset
+    return float(reward_array(params)[count, action])
 
 
 def utility(action: int, count: int, params: MfgParams) -> float:
     """Per-agent reward minus the consistency penalty, plus the baseline."""
-    base = per_agent_reward(action, count, params)
-    penalty = params.consistency_weight * abs(count - params.threshold)
-    return base - penalty + params.preference_baseline
-
-
-def _reward_array(params: MfgParams) -> np.ndarray:
-    """`per_agent_reward` as an (n_agents + 1, 2) array indexed by (state,
-    action), with the same arithmetic elementwise."""
-    counts = np.arange(params.n_agents + 1)
-    if params.reward_mode == "table":
-        table = params.reward_table
-        clear = (counts <= params.threshold)[:, None]
-        return np.where(clear, [table.wait_clear, table.move_clear],
-                        [table.wait_congested, table.move_congested])
-    signs = 1 - 2 * np.array([WAIT, MOVE])
-    exponents = signs * (params.threshold - counts)[:, None] / params.smoothing
-    return _logistic(exponents) + params.reward_offset
-
-
-def utility_table(params: MfgParams) -> np.ndarray:
-    """`utility` as an (n_agents + 1, 2) array indexed by (state, action)."""
-    distance = np.abs(np.arange(params.n_agents + 1) - params.threshold)
-    penalty = params.consistency_weight * distance
-    return _reward_array(params) - penalty[:, None] + params.preference_baseline
+    _check_action_state(action, count, params)
+    return float(utility_table(params)[count, action])
 
 
 # ---------------------------------------------------------------------------
@@ -298,34 +288,22 @@ def transition_distribution(action: int, move_probability: float, n_agents: int)
     return out
 
 
-def evolve_distribution(distribution, policy_slice, params: MfgParams) -> np.ndarray:
-    """One forward step of the mean-field distribution under a policy slice."""
-    dist = np.asarray(distribution, dtype=float)
-    policy_slice = np.asarray(policy_slice, dtype=float)
-    if dist.shape != (params.n_agents + 1,):
-        raise ValidationError("distribution length must be n_agents + 1")
-    _check_distribution(dist, "distribution")
-    _check_policy_slice(policy_slice, params.n_agents)
-    n = params.n_agents
-    rows, index = _kernel(policy_slice, n)
-    out = np.zeros(n + 1)
-    out[:n] += np.bincount(index, dist * policy_slice[:, WAIT], len(rows)) @ rows
-    out[1:] += np.bincount(index, dist * policy_slice[:, MOVE], len(rows)) @ rows
-    drift = abs(float(out.sum()) - 1.0)
-    if not drift <= _DRIFT_TOL:  # a NaN drift fails too
-        raise NumericalIntegrityError(
-            f"distribution drifted by {drift:.3e} in one evolution step"
-        )
-    return out / out.sum()
-
-
 def forward_flow(policy, params: MfgParams) -> np.ndarray:
-    """Distribution at every t in {0..horizon} under the given policy."""
+    """Distribution at every t in {0..horizon} under the given policy, with
+    each step's total mass checked for drift."""
     policy = _check_policy(policy, params)
-    flow = np.empty((params.horizon + 1, params.n_agents + 1))
+    n = params.n_agents
+    flow = np.zeros((params.horizon + 1, n + 1))
     flow[0] = initial_distribution_array(params)
     for t in range(params.horizon):
-        flow[t + 1] = evolve_distribution(flow[t], policy[t], params)
+        rows, index = _kernel(policy[t], n)
+        out = flow[t + 1]
+        out[:n] += np.bincount(index, flow[t] * policy[t, :, WAIT], len(rows)) @ rows
+        out[1:] += np.bincount(index, flow[t] * policy[t, :, MOVE], len(rows)) @ rows
+        drift = abs(float(out.sum()) - 1.0)
+        if not drift <= _DRIFT_TOL:  # a NaN drift fails too
+            raise NumericalIntegrityError(f"distribution drifted by {drift:.3e} at step {t}")
+        out /= out.sum()
     return flow
 
 
@@ -531,7 +509,7 @@ def simulate_population(
         raise ValidationError("seed must be a nonnegative integer")
     n, horizon = params.n_agents, params.horizon
     initial = initial_distribution_array(params)
-    wait_reward, move_reward = _reward_array(params).T
+    wait_reward, move_reward = reward_array(params).T
     frequencies = np.zeros((horizon + 1, n + 1))
     agent_totals = np.zeros(n)
     for episode in range(episodes):

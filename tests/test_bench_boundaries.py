@@ -1,0 +1,40 @@
+"""The bench wraps program functions by (module, attribute); a refactor that
+renames or stops exporting one would make its per-layer metrics silently
+absent. These tests load `bench/tracing.py` from its path, without
+installing its wrappers, and check that every boundary still resolves."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from coopdyn import mfg
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_bench_boundary_resolves(tracing):
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _name, _counts in tracing.BOUNDARIES
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []
+
+
+def test_kernel_rows_are_an_ndarray_for_the_bench_counts():
+    rows = mfg._binomial_pmf_rows(4, np.array([0.0, 0.3, 1.0]))
+    assert isinstance(rows, np.ndarray) and rows.shape == (3, 5)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -70,6 +71,13 @@ def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
 
 
+def test_subcommands_are_the_experiment_kinds_plus_report():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    kinds = [kind.replace("_", "-") for kind in harness.EXPERIMENT_KINDS]
+    assert list(sub.choices) == [*kinds, "report"]
+
+
 def test_numerical_integrity_exits_two(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path, delta_scan_payload())
 
@@ -113,6 +121,11 @@ def _manifest_without_summary(tmp_path):
     return _run_dir(tmp_path, json.dumps(manifest))
 
 
+def _manifest_with_config(config):
+    manifest = {"config": config, "outputs": [], "summary": {}, "version": "0.1.0"}
+    return lambda tmp_path: _run_dir(tmp_path, json.dumps(manifest))
+
+
 def _non_utf8_config(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"grid": {"values": [0.5]}, "note": "café"}'.encode("latin-1"))
@@ -134,8 +147,14 @@ def _out_below_a_file(tmp_path):
         (_manifest_without_summary, "'summary'"),
         (lambda tmp: _run_dir(tmp, "[]"), "top level must be an object"),
         (_out_below_a_file, "file/run"),
+        (_manifest_with_config({}), "config.experiment: must be one of"),
+        (_manifest_with_config({"experiment": "ipd_match"}),
+         "config: missing required key 'payoff'"),
+        (_manifest_with_config({"experiment": "ipd_match", "payoff": {"temptation": 5}}),
+         "config.payoff: missing required key 'reward'"),
     ],
-    ids=["missing", "non-utf8", "corrupt-manifest", "no-summary", "list-manifest", "unwritable"],
+    ids=["missing", "non-utf8", "corrupt-manifest", "no-summary", "list-manifest", "unwritable",
+         "empty-config", "config-without-payoff", "partial-payoff"],
 )
 def test_file_level_errors_exit_one_with_a_message(tmp_path, capsys, argv, message):
     code = cli.main(argv(tmp_path))

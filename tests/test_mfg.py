@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -16,7 +17,6 @@ from coopdyn.mfg import (
     bellman_backward,
     best_response_gap,
     default_params,
-    evolve_distribution,
     exploitability,
     forward_flow,
     initial_distribution_array,
@@ -106,31 +106,42 @@ GOOD_DIST = initial_distribution_array(NAN_PARAMS)
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, match",
     [
-        pytest.param(lambda: bellman_backward(NAN_POLICY, NAN_PARAMS), id="bellman_backward"),
-        pytest.param(lambda: best_response_gap(NAN_POLICY, NAN_PARAMS), id="best_response_gap"),
-        pytest.param(lambda: forward_flow(NAN_POLICY, NAN_PARAMS), id="forward_flow"),
-        pytest.param(
-            lambda: evolve_distribution(GOOD_DIST, NAN_POLICY[1], NAN_PARAMS),
-            id="evolve_distribution-policy_slice",
-        ),
-        pytest.param(
-            lambda: evolve_distribution(with_nan(GOOD_DIST, 3), GOOD_POLICY[0], NAN_PARAMS),
-            id="evolve_distribution-distribution",
-        ),
+        pytest.param(lambda: bellman_backward(NAN_POLICY, NAN_PARAMS), "non-finite",
+                     id="bellman_backward"),
+        pytest.param(lambda: best_response_gap(NAN_POLICY, NAN_PARAMS), "non-finite",
+                     id="best_response_gap"),
+        pytest.param(lambda: forward_flow(NAN_POLICY, NAN_PARAMS), "non-finite",
+                     id="forward_flow"),
         pytest.param(
             lambda: simulate_population(NAN_PARAMS, NAN_POLICY, episodes=2, seed=0),
+            "non-finite",
             id="simulate_population",
         ),
         pytest.param(
             lambda: small_params(initial_distribution=(np.nan, 1.0, 0.0, 0.0, 0.0)),
+            "non-finite",
             id="initial_distribution",
         ),
+        pytest.param(lambda: small_params(consistency_weight=np.nan),
+                     "consistency_weight is non-finite", id="consistency_weight"),
+        pytest.param(lambda: small_params(preference_baseline=np.inf),
+                     "preference_baseline is non-finite", id="preference_baseline"),
+        pytest.param(lambda: small_params(reward_mode="formula", reward_offset=np.nan),
+                     "reward_offset is non-finite", id="reward_offset"),
+        pytest.param(lambda: small_params(temperature=np.inf),
+                     "temperature is non-finite", id="temperature"),
+        pytest.param(lambda: small_params(discount=np.nan),
+                     "discount is non-finite", id="discount"),
+        pytest.param(lambda: RewardTable(move_clear=np.inf),
+                     "move_clear is non-finite", id="reward_table-move_clear"),
+        pytest.param(lambda: RewardTable(wait_congested=np.nan),
+                     "wait_congested is non-finite", id="reward_table-wait_congested"),
     ],
 )
-def test_non_finite_inputs_are_rejected(call):
-    with pytest.raises(ValidationError, match="non-finite"):
+def test_non_finite_inputs_are_rejected(call, match):
+    with pytest.raises(ValidationError, match=match):
         call()
 
 
@@ -221,14 +232,16 @@ def test_utility_combines_reward_penalty_and_baseline():
 
 
 def test_utility_table_matches_pointwise_calls():
+    # `utility` reads `utility_table`, so the independent check is the oracle
     formula_only = {"smoothing": 2.5, "reward_offset": 0.25}
     for mode, extra in (("table", {}), ("formula", formula_only)):
-        params = MfgParams(
-            n_agents=30, threshold=11, reward_mode=mode, consistency_weight=0.3,
-            preference_baseline=0.1, **extra,
-        )
-        loop = [[utility(a, j, params) for a in (WAIT, MOVE)] for j in range(31)]
+        shared = dict(reward_mode=mode, consistency_weight=0.3, preference_baseline=0.1,
+                      **extra)
+        params = MfgParams(n_agents=30, threshold=11, **shared)
+        reference = oracle.make_params(30, 11, **shared)
+        loop = [[oracle.utility(a, j, reference) for a in (WAIT, MOVE)] for j in range(31)]
         assert np.array_equal(utility_table(params), np.array(loop))
+        assert utility(MOVE, 4, params) == loop[4][MOVE]
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +287,23 @@ def test_kernel_rows_skip_only_exp_that_underflows(n):
 # ---------------------------------------------------------------------------
 
 
+def step(dist, policy_slice, params):
+    """One forward step from `dist`: `forward_flow` over a one-step horizon."""
+    one_step = dataclasses.replace(params, horizon=1, initial_distribution=tuple(dist))
+    return forward_flow(np.asarray(policy_slice)[None], one_step)[1]
+
+
 def test_evolution_everyone_waits_or_moves():
     params = small_params()
     n = params.n_agents
     dist = np.full(n + 1, 1.0 / (n + 1))
     stay = np.zeros((n + 1, 2))
     stay[:, WAIT] = 1.0
-    out = evolve_distribution(dist, stay, params)
+    out = step(dist, stay, params)
     assert out[0] == pytest.approx(1.0)
     go = np.zeros((n + 1, 2))
     go[:, MOVE] = 1.0
-    out = evolve_distribution(dist, go, params)
+    out = step(dist, go, params)
     assert out[n] == pytest.approx(1.0)
 
 
@@ -293,7 +312,7 @@ def test_evolution_matches_enumeration():
     n = params.n_agents
     dist = np.full(n + 1, 1.0 / (n + 1))
     policy = np.full((n + 1, 2), 0.5)
-    got = evolve_distribution(dist, policy, params)
+    got = step(dist, policy, params)
     want = np.zeros(n + 1)
     for j_prev in range(n + 1):
         for action in (WAIT, MOVE):
@@ -308,7 +327,7 @@ def test_evolution_output_is_normalized():
     dist /= dist.sum()
     moves = rng.random(10)
     policy = np.stack([1 - moves, moves], axis=1)
-    out = evolve_distribution(dist, policy, params)
+    out = step(dist, policy, params)
     assert abs(out.sum() - 1.0) < 1e-12
 
 
@@ -359,19 +378,21 @@ def test_factored_kernel_matches_dense_reference(n_agents, distinct):
         assert np.max(np.abs(factored[rule][1] - v)) < 1e-13
     n = n_agents
     dist = rng.dirichlet(np.ones(n + 1))
+    flow = forward_flow(policy, dataclasses.replace(params, initial_distribution=tuple(dist)))
+    want = dist / dist.sum()
+    assert np.array_equal(flow[0], want)
     for t in range(params.horizon):
         dense = mfg._binomial_pmf_rows(n - 1, policy[t][:, MOVE])
-        want = np.zeros(n + 1)
-        want[:n] += (dist * policy[t][:, WAIT]) @ dense
-        want[1:] += (dist * policy[t][:, MOVE]) @ dense
-        got = evolve_distribution(dist, policy[t], params)
-        assert np.max(np.abs(got - want / want.sum())) < 1e-13
+        after = np.zeros(n + 1)
+        after[:n] += (want * policy[t][:, WAIT]) @ dense
+        after[1:] += (want * policy[t][:, MOVE]) @ dense
+        want = after / after.sum()
+        assert np.max(np.abs(flow[t + 1] - want)) < 1e-13
 
 
 def test_evolution_rejects_unnormalized_distribution():
-    params = small_params()
     with pytest.raises(ValidationError, match="not normalized"):
-        evolve_distribution(np.full(5, 0.3), np.full((5, 2), 0.5), params)
+        small_params(initial_distribution=(0.3,) * 5)
 
 
 # ---------------------------------------------------------------------------

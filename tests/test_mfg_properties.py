@@ -7,14 +7,13 @@ from coopdyn.mfg import (
     MOVE,
     WAIT,
     MfgParams,
-    evolve_distribution,
     forward_flow,
     simulate_population,
     softmax_policy,
     transition_distribution,
 )
 
-from test_mfg import enumerate_transition
+from test_mfg import enumerate_transition, step
 
 
 @given(
@@ -43,7 +42,7 @@ def test_evolution_preserves_normalization(data):
     )
     policy = np.stack([1.0 - moves, moves], axis=1)
     params = MfgParams(n_agents=n, threshold=max(1, n // 2))
-    out = evolve_distribution(dist, policy, params)
+    out = step(dist, policy, params)
     assert abs(out.sum() - 1.0) < 1e-12
     assert np.all(out >= 0.0)
 
