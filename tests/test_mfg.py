@@ -102,7 +102,6 @@ def with_nan(array, index):
 NAN_PARAMS = small_params()
 GOOD_POLICY = uniform_policy(NAN_PARAMS)
 NAN_POLICY = with_nan(GOOD_POLICY, (1, 2, MOVE))
-GOOD_DIST = initial_distribution_array(NAN_PARAMS)
 
 
 @pytest.mark.parametrize(
