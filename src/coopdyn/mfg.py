@@ -12,6 +12,11 @@ extraction, a damped fixed-point equilibrium solver, a best-response
 exploitability certificate, and a finite-population Monte Carlo
 consistency check.
 
+The Monte Carlo check steps a batch of episodes together, so Python loops
+over batches and time steps only. Each episode still draws from its own
+generator seeded by (seed, episode), in the order a one-episode-at-a-time
+loop would, so its path does not depend on the batch it ran in.
+
 A time step's kernel is stored as its distinct rows plus a state index:
 states whose policy moves with the same probability share one binomial
 row, so a solver sweep costs O(U*N*H) for U distinct move probabilities
@@ -37,6 +42,13 @@ MOVE = 1
 _DRIFT_TOL = 1e-12
 # inputs are allowed a looser slack: callers may have accumulated rounding
 _INPUT_TOL = 1e-9
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """`value` must be an int >= low; bools are rejected although
+    `isinstance(True, int)` holds."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_finite_fields(instance) -> None:
@@ -102,9 +114,9 @@ class MfgParams:
 
     def __post_init__(self):
         _check_finite_fields(self)
-        if not isinstance(self.n_agents, int) or self.n_agents < 2:
-            raise ValidationError("n_agents must be an integer >= 2")
-        if not isinstance(self.threshold, int) or not 0 < self.threshold < self.n_agents:
+        _check_count("n_agents", self.n_agents, 2)
+        _check_count("threshold", self.threshold, 1)
+        if not self.threshold < self.n_agents:
             raise ValidationError("threshold must satisfy 0 < threshold < n_agents")
         if not 0.0 <= self.discount < 1.0:
             raise ValidationError("discount must lie in [0, 1)")
@@ -112,8 +124,7 @@ class MfgParams:
             raise ValidationError("smoothing must be positive")
         if not self.temperature > 0.0:
             raise ValidationError("temperature must be positive")
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ValidationError("horizon must be a positive integer")
+        _check_count("horizon", self.horizon, 1)
         if self.consistency_weight < 0.0:
             raise ValidationError("consistency_weight must be nonnegative")
         if self.reward_mode not in ("table", "formula"):
@@ -143,7 +154,9 @@ def initial_distribution_array(params: MfgParams) -> np.ndarray:
         dist = np.zeros(params.n_agents + 1)
         dist[0] = 1.0
         return dist
-    dist = np.asarray(params.initial_distribution, dtype=float)
+    # entries down to -_INPUT_TOL are accepted; clipping them keeps the law
+    # (and the simulator's start-state CDF) a true distribution
+    dist = np.clip(np.asarray(params.initial_distribution, dtype=float), 0.0, None)
     return dist / dist.sum()
 
 
@@ -280,8 +293,7 @@ def transition_distribution(action: int, move_probability: float, n_agents: int)
         raise ValidationError(f"action must be {WAIT} (wait) or {MOVE} (move)")
     if not 0.0 <= move_probability <= 1.0:
         raise ValidationError("move_probability must lie in [0, 1]")
-    if not isinstance(n_agents, int) or n_agents < 2:
-        raise ValidationError("n_agents must be an integer >= 2")
+    _check_count("n_agents", n_agents, 2)
     out = np.zeros(n_agents + 1)
     pmf = _binomial_pmf_rows(n_agents - 1, [move_probability])[0]
     out[action : action + n_agents] = pmf
@@ -434,8 +446,7 @@ def solve_equilibrium(
         raise ValidationError("tol must be nonnegative")
     if not 0.0 < damping <= 1.0:
         raise ValidationError("damping must lie in (0, 1]")
-    if not isinstance(max_iter, int) or max_iter < 1:
-        raise ValidationError("max_iter must be a positive integer")
+    _check_count("max_iter", max_iter, 1)
 
     policy = uniform_policy(params)
     flow_prev = forward_flow(policy, params)
@@ -494,44 +505,67 @@ class EmpiricalStats:
     episodes: int
 
 
+def _initial_cdf(params: MfgParams) -> np.ndarray:
+    """The normalized CDF `Generator.choice(p=initial)` searches: one
+    `rng.random()` searched with side="right" draws the start state."""
+    cdf = np.cumsum(initial_distribution_array(params))
+    cdf /= cdf[-1]
+    return cdf
+
+
 def simulate_population(
     params: MfgParams, policy, episodes: int, seed: int
 ) -> EmpiricalStats:
     """Simulate N discrete agents sampling actions from the policy.
 
-    Episode e uses a generator derived from (seed, e), so episodes are
-    reproducible individually and the run is deterministic as a whole.
+    Episode e uses its own generator derived from (seed, e), which draws
+    the start state and then the whole (horizon, N) block of uniforms, so
+    episodes are reproducible individually and the run is deterministic as
+    a whole. Episodes are stepped together in batches sized from N and the
+    horizon alone (a uniform buffer of at most 512 KiB, or one episode's
+    block when that is larger), so reruns are bit-identical.
     """
     policy = _check_policy(policy, params)
-    if not isinstance(episodes, int) or episodes < 1:
-        raise ValidationError("episodes must be a positive integer")
-    if not isinstance(seed, int) or seed < 0:
-        raise ValidationError("seed must be a nonnegative integer")
+    _check_count("episodes", episodes, 1)
+    _check_count("seed", seed, 0)
     n, horizon = params.n_agents, params.horizon
-    initial = initial_distribution_array(params)
-    wait_reward, move_reward = reward_array(params).T
-    frequencies = np.zeros((horizon + 1, n + 1))
-    agent_totals = np.zeros(n)
-    for episode in range(episodes):
-        rng = np.random.default_rng((seed, episode))
-        state = int(rng.choice(n + 1, p=initial))
-        frequencies[0, state] += 1.0
-        for t in range(horizon):
-            moves = rng.random(n) < policy[t, state, MOVE]
-            agent_totals += np.where(moves, move_reward[state], wait_reward[state])
-            state = int(moves.sum())
-            frequencies[t + 1, state] += 1.0
-    frequencies /= episodes
     counts = np.arange(n + 1, dtype=float)
+    # the flow first: its kernel temporaries are freed before the buffers exist
+    mf_mean_states = forward_flow(policy, params) @ counts
+    cdf = _initial_cdf(params)
+    wait_reward, move_reward = reward_array(params).T
+    gain = move_reward - wait_reward
+    batch = max(1, min(episodes, 2**19 // (8 * horizon * n)))
+    u = np.empty((batch, horizon, n))
+    # paths[k, t] is batch episode k's state at t; frequencies counts
+    # visits per (t, state) until the division at the end
+    paths = np.empty((batch, horizon + 1), dtype=np.intp)
+    steps = np.arange(horizon + 1)
+    frequencies = np.zeros((horizon + 1, n + 1))
+    gain_totals = np.zeros(n)
+    for first in range(0, episodes, batch):
+        b = min(batch, episodes - first)
+        for k in range(b):
+            rng = np.random.default_rng((seed, first + k))
+            paths[k, 0] = cdf.searchsorted(rng.random(), side="right")
+            rng.random(out=u[k])
+        for t in range(horizon):
+            states = paths[:b, t]
+            moves = u[:b, t] < policy[t, states, MOVE][:, None]
+            paths[:b, t + 1] = moves.sum(1)
+            gain_totals += gain[states] @ moves
+        np.add.at(frequencies, (steps, paths[:b]), 1.0)
+    # every agent collects the wait reward of each state it passes through,
+    # and movers the gain on top
+    agent_rewards = (frequencies[:horizon].sum(0) @ wait_reward + gain_totals) / episodes
+    frequencies /= episodes
     mean_states = frequencies @ counts
-    flow = forward_flow(policy, params)
-    mf_mean_states = flow @ counts
     deviation = float(np.max(np.abs(mean_states - mf_mean_states)) / n)
     return EmpiricalStats(
         state_frequencies=frequencies,
         mean_states=mean_states,
         mf_mean_states=mf_mean_states,
         deviation=deviation,
-        agent_rewards=agent_totals / episodes,
+        agent_rewards=agent_rewards,
         episodes=episodes,
     )

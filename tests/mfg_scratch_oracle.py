@@ -3,7 +3,9 @@
 Written against the model definition before the production module and kept
 deliberately separate from it: plain lists, dicts and math only, no numpy,
 no package imports. Used to certify the production solver on desk-scale
-instances.
+instances. The one exception is `simulate_population`, the per-episode
+reference for the batched simulator: it must draw numpy's generator
+streams, so it imports numpy inside.
 
 Model summary. State j in {0..N} is last round's mover count. An agent
 picks wait (0) or move (1); the other N-1 agents move i.i.d. with the
@@ -199,3 +201,29 @@ def exploitability(policy, initial, p):
     v_br = best_response_value(policy, p)
     v_pi = policy_value(policy, p)
     return sum(initial[j] * (v_br[j] - v_pi[j]) for j in range(p["n_agents"] + 1))
+
+
+def simulate_population(policy, initial, wait_reward, move_reward, episodes, seed):
+    """Per-episode Monte Carlo reference: (state frequencies, per-agent mean
+    total reward).
+
+    The one part of this module that uses numpy: it must draw the same
+    streams as the production simulator, so episode e runs its own
+    `numpy.random.default_rng((seed, e))` one step at a time, drawing the
+    start state with `choice(p=initial)` and then `random(N)` per step.
+    """
+    import numpy as np
+
+    horizon, n = len(policy), len(wait_reward) - 1
+    frequencies = np.zeros((horizon + 1, n + 1))
+    agent_totals = np.zeros(n)
+    for episode in range(episodes):
+        rng = np.random.default_rng((seed, episode))
+        state = int(rng.choice(n + 1, p=initial))
+        frequencies[0, state] += 1.0
+        for t in range(horizon):
+            moves = rng.random(n) < policy[t][state][1]
+            agent_totals += np.where(moves, move_reward[state], wait_reward[state])
+            state = int(moves.sum())
+            frequencies[t + 1, state] += 1.0
+    return frequencies / episodes, agent_totals / episodes

@@ -101,6 +101,22 @@ def test_report_subcommand_rebuilds(tmp_path):
     assert report.read_bytes() == original
 
 
+def test_initial_law_with_tiny_negative_entries_simulates(tmp_path, capsys):
+    # entries down to -1e-9 pass validation; the simulator must sample the
+    # law the solver uses instead of failing inside the generator
+    initial = [1 + 1e-10, -1e-10] + [0.0] * 19
+    payload = {
+        "experiment": "mfg_simulate",
+        "params": {"n_agents": 20, "threshold": 8, "horizon": 5,
+                   "initial_distribution": initial},
+        "episodes": 20,
+    }
+    config = write_config(tmp_path, payload)
+    code = cli.main(["mfg-simulate", "--config", str(config), "--out", str(tmp_path / "r")])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_report_on_missing_run_exits_one(tmp_path):
     assert cli.main(["report", "--config", str(tmp_path)]) == 1
 
