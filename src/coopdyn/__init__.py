@@ -67,9 +67,8 @@ from .roles import (
 )
 from .envs import (
     DungeonConfig,
-    DungeonResult,
+    EpisodeResult,
     IntersectionConfig,
-    IntersectionResult,
     intersection_episode,
     run_dungeon,
 )

@@ -3,8 +3,9 @@
 Two abstract settings: a dungeon where one agent per round sacrifices
 itself so the others escape, and a threshold intersection where up to
 `threshold` movers pass per round. Both log per-round roles and rewards,
-keep a rotation ledger, and credit group outcomes back to the sacrificing
-side when the episode ends.
+keep a rotation ledger, and end in one shared step: each round's group
+outcome is credited back to that round's sacrificing side, and the ledger's
+fairness is tallied into an `EpisodeResult`.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .mfg import MOVE, MfgParams, initial_distribution_array, reward_array
+from .errors import ValidationError, _check_count
+from .mfg import MOVE, MfgParams, _check_policy, initial_distribution_array, reward_array
 from .roles import (
     PRIMARY,
     SACRIFICE,
@@ -47,10 +48,9 @@ class DungeonConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_agents, int) or self.n_agents < 2:
-            raise ValidationError("dungeon needs at least two agents")
-        if not isinstance(self.rounds, int) or self.rounds < 1:
-            raise ValidationError("rounds must be a positive integer")
+        _check_count("n_agents", self.n_agents, 2)
+        _check_count("rounds", self.rounds, 1)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -63,27 +63,37 @@ class DungeonRound:
 
 
 @dataclass(frozen=True)
-class DungeonResult:
-    rounds: tuple[DungeonRound, ...]
+class EpisodeResult:
+    """One episode of either environment: its round log, the ledger after
+    the last round, its fairness tally and the credits paid at the end."""
+
+    rounds: tuple[DungeonRound, ...] | tuple[IntersectionRound, ...]
     ledger: RotationLedger
     fairness: FairnessStats
     credits: dict[int, float]
 
 
-def run_dungeon(config: DungeonConfig) -> DungeonResult:
+def _end_episode(rows, ledger: RotationLedger, outcomes) -> EpisodeResult:
+    """Credit each (assignment, group outcome) pair to that round's
+    sacrificing side, then tally the ledger's fairness."""
+    credits: dict[int, float] = {}
+    for assignment, outcome in outcomes:
+        for agent, amount in delayed_credit([assignment], outcome).items():
+            credits[agent] = credits.get(agent, 0.0) + amount
+    ledger.apply_credits(credits)
+    return EpisodeResult(tuple(rows), ledger, fairness_report(ledger), credits)
+
+
+def run_dungeon(config: DungeonConfig) -> EpisodeResult:
     """Play the dungeon for the configured rounds.
 
-    Deterministic mode rotates the sacrifice via the memory window;
+    Deterministic mode rotates the sacrifice to the least-served agent;
     stochastic mode draws volunteers by streak-keyed sigmoid flips, then
     resolves to exactly one sacrificer with the deterministic priority so
     a round can never fail for lack of a volunteer.
     """
     switch = config.switch or default_switch(config.n_agents, 1, "deterministic_window")
-    ledger = RotationLedger(
-        config.n_agents,
-        window=switch.window if switch.mode == "deterministic_window" else None,
-        rotated_role=SACRIFICE,
-    )
+    ledger = RotationLedger(config.n_agents)
     rng = random.Random(config.seed)
     stochastic = switch.mode == "stochastic_sigmoid"
     if stochastic:
@@ -112,17 +122,7 @@ def run_dungeon(config: DungeonConfig) -> DungeonResult:
         )
         assignments.append(assignment)
     escapes_value = config.success_reward * (config.n_agents - 1)
-    credits: dict[int, float] = {}
-    for assignment in assignments:
-        for agent, amount in delayed_credit([assignment], escapes_value).items():
-            credits[agent] = credits.get(agent, 0.0) + amount
-    ledger.apply_credits(credits)
-    return DungeonResult(
-        rounds=tuple(rows),
-        ledger=ledger,
-        fairness=fairness_report(ledger),
-        credits=credits,
-    )
+    return _end_episode(rows, ledger, ((a, escapes_value) for a in assignments))
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +150,20 @@ class IntersectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_agents, int) or self.n_agents < 2:
-            raise ValidationError("intersection needs at least two agents")
-        if not isinstance(self.threshold, int) or not 0 < self.threshold < self.n_agents:
+        _check_count("n_agents", self.n_agents, 2)
+        _check_count("threshold", self.threshold, 1)
+        if self.threshold >= self.n_agents:
             raise ValidationError("threshold must satisfy 0 < threshold < n_agents")
-        if not isinstance(self.rounds, int) or self.rounds < 1:
-            raise ValidationError("rounds must be a positive integer")
+        _check_count("rounds", self.rounds, 1)
+        _check_count("seed", self.seed, 0)
         if self.assignment not in ASSIGNMENT_MODES:
             raise ValidationError(
                 f"assignment must be one of {ASSIGNMENT_MODES}, got {self.assignment!r}"
             )
         if self.cohort is None:
             object.__setattr__(self, "cohort", self.threshold)
-        if not 1 <= self.cohort < self.n_agents:
+        _check_count("cohort", self.cohort, 1)
+        if self.cohort >= self.n_agents:
             raise ValidationError("cohort must satisfy 1 <= cohort < n_agents")
         if self.params is not None:
             if self.params.n_agents != self.n_agents:
@@ -185,14 +186,6 @@ class IntersectionRound:
     agent_states: tuple[tuple[int, str, int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
-    rounds: tuple[IntersectionRound, ...]
-    ledger: RotationLedger
-    fairness: FairnessStats
-    credits: dict[int, float]
-
-
 def _sample_categorical(rng: random.Random, probs) -> int:
     u = rng.random()
     acc = 0.0
@@ -203,14 +196,15 @@ def _sample_categorical(rng: random.Random, probs) -> int:
     return len(probs) - 1
 
 
-def intersection_episode(config: IntersectionConfig, policy=None) -> IntersectionResult:
+def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResult:
     """Run one intersection episode under the configured mover source.
 
     static keeps one mover set forever (the stagnation case); rotation and
     stochastic rotate it through the ledger; policy samples each agent's
-    action from a solved policy table given the previous realized count.
-    When rounds pass, the movers' combined haul is credited to that
-    round's waiters in equal shares at episode end.
+    action from a solved policy table, checked as mfg checks a policy,
+    given the previous realized count. When rounds pass, the movers'
+    combined haul is credited to that round's waiters in equal shares at
+    episode end.
     """
     params = config.params or MfgParams(
         n_agents=config.n_agents, threshold=config.threshold
@@ -225,7 +219,7 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> Intersectio
     if config.assignment == "policy":
         if policy is None:
             raise ValidationError("policy assignment needs a policy table")
-        horizon = policy.shape[0]
+        policy = _check_policy(policy, params)
         state = _sample_categorical(rng, initial_distribution_array(params))
     statics = (
         frozenset(config.static_movers)
@@ -243,7 +237,7 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> Intersectio
         elif config.assignment == "stochastic":
             assignment = ledger.record_round(stochastic_selection(ledger, switch, rng))
         else:
-            t = min(round_index, horizon - 1)
+            t = min(round_index, params.horizon - 1)
             movers = {
                 agent
                 for agent in range(config.n_agents)
@@ -271,18 +265,9 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> Intersectio
             )
         )
         assignments.append(assignment)
-    credits: dict[int, float] = {}
-    if config.credit_waiters:
-        for row, assignment in zip(rows, assignments):
-            if not row.passed or not assignment.sacrificers:
-                continue
-            haul = sum(row.rewards[agent] for agent in row.movers)
-            for agent, amount in delayed_credit([assignment], haul).items():
-                credits[agent] = credits.get(agent, 0.0) + amount
-    ledger.apply_credits(credits)
-    return IntersectionResult(
-        rounds=tuple(rows),
-        ledger=ledger,
-        fairness=fairness_report(ledger),
-        credits=credits,
-    )
+    hauls = [
+        (assignment, sum(row.rewards[agent] for agent in row.movers))
+        for row, assignment in zip(rows, assignments)
+        if config.credit_waiters and row.passed and assignment.sacrificers
+    ]
+    return _end_episode(rows, ledger, hauls)

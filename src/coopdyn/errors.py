@@ -18,3 +18,10 @@ class ConfigError(ValidationError):
 
 class NumericalIntegrityError(ArithmeticError):
     """An internal numerical guarantee (normalization, finiteness) broke."""
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """`value` must be an int >= low; bools are rejected although
+    `isinstance(True, int)` holds."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -530,7 +530,8 @@ def run(config: dict, out_dir=None) -> RunArtifacts:
         manifest_text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericalIntegrityError(f"manifest: {exc}") from exc
-    report_text = render_report(manifest)
+    # rendered from the written text, as `regenerate_report` renders it
+    report_text = render_report(json.loads(manifest_text))
     out = Path(out_dir if out_dir is not None else configured_out or f"runs/{kind}")
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 
 
 class ActionPD(IntEnum):
@@ -235,8 +235,8 @@ class Alternator(Strategy):
     def __init__(self, parity: str | None = None, punishment_length: int | None = None):
         if parity not in (None, "first", "second"):
             raise ValidationError(f"parity must be 'first' or 'second', got {parity!r}")
-        if punishment_length is not None and punishment_length < 1:
-            raise ValidationError("punishment_length must be >= 1 round or None")
+        if punishment_length is not None:
+            _check_count("punishment_length", punishment_length, 1)
         self.parity = parity
         self.punishment_length = punishment_length
 
@@ -272,11 +272,9 @@ class MatchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ValidationError(f"horizon must be a positive integer, got {self.horizon!r}")
+        _check_count("horizon", self.horizon, 1)
         _check_discount(self.discount)
-        if not isinstance(self.seed, int):
-            raise ValidationError("seed must be an integer")
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalIntegrityError, ValidationError
+from .errors import NumericalIntegrityError, ValidationError, _check_count
 
 WAIT = 0
 MOVE = 1
@@ -42,13 +42,6 @@ MOVE = 1
 _DRIFT_TOL = 1e-12
 # inputs are allowed a looser slack: callers may have accumulated rounding
 _INPUT_TOL = 1e-9
-
-
-def _check_count(name: str, value, low: int) -> None:
-    """`value` must be an int >= low; bools are rejected although
-    `isinstance(True, int)` holds."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_finite_fields(instance) -> None:

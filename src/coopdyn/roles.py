@@ -2,8 +2,8 @@
 
 A round-based scheduler hands the scarce role (the dungeon sacrificer, the
 intersection mover cohort) to k agents per round. Deterministic mode picks
-the least-served eligible agents, where eligible means not having held the
-role within a sliding memory window; stochastic mode lets every agent flip
+the least-served agents, so from a fresh ledger the role goes round the
+agents in id order, k at a time; stochastic mode lets every agent flip
 roles independently with a sigmoid probability of its streak length.
 Group outcomes produced by the sacrificing side are credited back to it
 when the episode ends (delayed credit).
@@ -12,11 +12,10 @@ when the episode ends (delayed credit).
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 
 SACRIFICE = "sacrifice"
 PRIMARY = "primary"
@@ -28,13 +27,11 @@ CREDIT_RULES = ("equal_split", "full_outcome_each")
 class AgentRecord:
     """Per-agent rotation memory.
 
-    `window` holds flags for the most recent rounds, True where the agent
-    held the rotated role. `streak` counts consecutive earlier rounds spent
-    in the current role and resets to 0 whenever the role changes.
+    `streak` counts consecutive earlier rounds spent in the current role
+    and resets to 0 whenever the role changes.
     """
 
     agent_id: int
-    window: deque = field(repr=False)
     streak: int = 0
     times_primary: int = 0
     times_sacrifice: int = 0
@@ -58,25 +55,15 @@ class RotationLedger:
     "primary" for intersection-style selection of who gets to move.
     """
 
-    def __init__(self, n_agents: int, window: int | None = None,
-                 rotated_role: str = SACRIFICE):
-        if not isinstance(n_agents, int) or n_agents < 1:
-            raise ValidationError("n_agents must be a positive integer")
-        if window is None:
-            window = max(1, n_agents - 1)
-        if not isinstance(window, int) or window < 1:
-            raise ValidationError("window must be a positive integer")
+    def __init__(self, n_agents: int, rotated_role: str = SACRIFICE):
+        _check_count("n_agents", n_agents, 1)
         if rotated_role not in (SACRIFICE, PRIMARY):
             raise ValidationError(
                 f"rotated_role must be {SACRIFICE!r} or {PRIMARY!r}"
             )
         self.n_agents = n_agents
-        self.window_length = window
         self.rotated_role = rotated_role
-        self.records = [
-            AgentRecord(agent_id=i, window=deque(maxlen=window))
-            for i in range(n_agents)
-        ]
+        self.records = [AgentRecord(agent_id=i) for i in range(n_agents)]
         self.rounds_completed = 0
 
     def initialize_roles(self, selected: Iterable[int]) -> None:
@@ -97,7 +84,6 @@ class RotationLedger:
             role_now = self.rotated_role if now_selected else other
             record.streak = record.streak + 1 if record.role == role_now else 0
             record.role = role_now
-            record.window.append(now_selected)
             if role_now == SACRIFICE:
                 record.times_sacrifice += 1
             else:
@@ -144,32 +130,30 @@ def rotation_priority(record: AgentRecord, rotated_role: str):
 
 
 def deterministic_assign(ledger: RotationLedger, k: int) -> RoleAssignment:
-    """Hand the rotated role to the k least-served eligible agents.
+    """Hand the rotated role to the k least-served agents: fewest times
+    served, then longest since last serving, then lowest id.
 
-    Eligible agents have not held the role within their memory window;
-    ties break by fewest times served, then longest since last serving,
-    then lowest id. If fewer than k agents are eligible the same ordering
-    is applied to everyone rather than deadlocking.
+    From a fresh ledger this is the cycle 0..n-1, k agents a round, so no
+    agent serves again before every other agent has served once.
     """
-    if not isinstance(k, int) or not 1 <= k < ledger.n_agents:
-        raise ValidationError(
-            f"cohort size must satisfy 1 <= k < n_agents, got {k!r}"
-        )
-    eligible = [rec for rec in ledger.records if not any(rec.window)]
-    pool = eligible if len(eligible) >= k else ledger.records
-    chosen = sorted(pool, key=lambda rec: rotation_priority(rec, ledger.rotated_role))[:k]
+    _check_count("cohort size", k, 1)
+    if k >= ledger.n_agents:
+        raise ValidationError(f"cohort size must be < n_agents = {ledger.n_agents}, got {k}")
+    chosen = sorted(
+        ledger.records, key=lambda rec: rotation_priority(rec, ledger.rotated_role)
+    )[:k]
     return ledger.record_round({rec.agent_id for rec in chosen})
 
 
 @dataclass(frozen=True)
 class SwitchPolicy:
-    """How roles rotate: a deterministic memory window, or stochastic
-    sigmoid switching with midpoint `streak_midpoint` (conventionally the
-    binomial count of possible mover cohorts excluding oneself) and scale
+    """How roles rotate: deterministic least-served rotation (the mode keeps
+    its historical name `deterministic_window`), or stochastic sigmoid
+    switching with midpoint `streak_midpoint` (conventionally the binomial
+    count of possible mover cohorts excluding oneself) and scale
     `streak_scale`."""
 
     mode: str
-    window: int = 1
     streak_midpoint: float = 1.0
     streak_scale: float = 1.0
 
@@ -178,8 +162,6 @@ class SwitchPolicy:
             raise ValidationError(
                 "mode must be 'deterministic_window' or 'stochastic_sigmoid'"
             )
-        if not isinstance(self.window, int) or self.window < 1:
-            raise ValidationError("window must be a positive integer")
         if self.streak_midpoint < 1:
             raise ValidationError("streak_midpoint must be >= 1")
         if not self.streak_scale > 0:
@@ -194,14 +176,12 @@ def default_streak_midpoint(n_agents: int, cohort: int) -> int:
 
 
 def default_switch(n_agents: int, cohort: int, mode: str) -> SwitchPolicy:
-    """The switch policy a config gets for whatever it leaves unset: a
-    memory window of n_agents - 1 rounds and, in stochastic_sigmoid mode,
-    the streak midpoint C(n_agents-1, cohort)."""
-    policy = SwitchPolicy(mode=mode, window=max(1, n_agents - 1))
+    """The switch policy a config gets for whatever it leaves unset: in
+    stochastic_sigmoid mode, the streak midpoint C(n_agents-1, cohort)."""
+    midpoint = 1.0
     if mode == "stochastic_sigmoid":
         midpoint = float(default_streak_midpoint(n_agents, cohort))
-        policy = replace(policy, streak_midpoint=midpoint)
-    return policy
+    return SwitchPolicy(mode=mode, streak_midpoint=midpoint)
 
 
 def sigmoid_switch_probability(streak: int, policy: SwitchPolicy) -> float:

@@ -8,8 +8,9 @@ from coopdyn.envs import (
     run_dungeon,
 )
 from coopdyn.errors import ValidationError
+from coopdyn.ipd import Alternator, MatchConfig
 from coopdyn.mfg import MOVE, MfgParams
-from coopdyn.roles import SwitchPolicy
+from coopdyn.roles import RotationLedger, SwitchPolicy, deterministic_assign
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +159,20 @@ def test_intersection_config_validation():
         intersection_episode(config)  # policy mode needs a policy
 
 
+@pytest.mark.parametrize("policy", [
+    np.full((3, 4, 2), 0.5),  # wrong shape
+    np.full((4, 7, 2), 2.0),  # not probability pairs
+    np.full((4, 7), 0.5),  # 2-D
+], ids=["shape", "entries", "2d"])
+def test_policy_episode_rejects_a_bad_policy(policy):
+    params = MfgParams(n_agents=6, threshold=2, horizon=4)
+    config = IntersectionConfig(
+        n_agents=6, threshold=2, rounds=5, assignment="policy", params=params
+    )
+    with pytest.raises(ValidationError, match="policy"):
+        intersection_episode(config, policy=policy)
+
+
 def test_stochastic_intersection_is_seed_deterministic():
     switch = SwitchPolicy(mode="stochastic_sigmoid", streak_midpoint=2, streak_scale=0.5)
     config = IntersectionConfig(
@@ -169,3 +184,31 @@ def test_stochastic_intersection_is_seed_deterministic():
     assert [tuple(sorted(r.movers)) for r in first.rounds] == [
         tuple(sorted(r.movers)) for r in second.rounds
     ]
+
+
+# ---------------------------------------------------------------------------
+# integer arguments: one rule everywhere, bools and floats rejected
+# ---------------------------------------------------------------------------
+
+COUNT_SITES = {
+    "MatchConfig.horizon": lambda v: MatchConfig(horizon=v),
+    "MatchConfig.seed": lambda v: MatchConfig(horizon=3, seed=v),
+    "Alternator.punishment_length": lambda v: Alternator(punishment_length=v),
+    "RotationLedger.n_agents": lambda v: RotationLedger(v),
+    "deterministic_assign.k": lambda v: deterministic_assign(RotationLedger(4), v),
+    "DungeonConfig.n_agents": lambda v: DungeonConfig(n_agents=v),
+    "DungeonConfig.rounds": lambda v: DungeonConfig(rounds=v),
+    "DungeonConfig.seed": lambda v: DungeonConfig(seed=v),
+    "IntersectionConfig.n_agents": lambda v: IntersectionConfig(v, 1, 3),
+    "IntersectionConfig.threshold": lambda v: IntersectionConfig(4, v, 3),
+    "IntersectionConfig.rounds": lambda v: IntersectionConfig(4, 2, v),
+    "IntersectionConfig.cohort": lambda v: IntersectionConfig(4, 2, 3, cohort=v),
+    "IntersectionConfig.seed": lambda v: IntersectionConfig(4, 2, 3, seed=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.5])
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_counts_reject_bools_and_floats(site, value):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        COUNT_SITES[site](value)

@@ -458,8 +458,37 @@ def test_absent_and_empty_switch_blocks_resolve_alike(tmp_path, assignment):
         for artifacts in (absent, empty)
     ]
     assert switches[0] == switches[1]
-    assert switches[0]["window"] == 5
+    assert set(switches[0]) == {"mode", "streak_midpoint", "streak_scale"}
     assert switches[0]["streak_midpoint"] == (10.0 if assignment == "stochastic" else 1.0)
+
+
+def _run_with_window_key(tmp_path, config):
+    """A finished run whose manifest's switch block carries the `window`
+    key that manifests recorded before the rotation memory window went."""
+    out = tmp_path / "old"
+    manifest_path = run(config, out_dir=out).manifest_path
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["switch"]["window"] = 2
+    manifest_path.write_text(json.dumps(manifest))
+    return out
+
+
+@pytest.mark.parametrize("config", [
+    roles_config(),
+    {"experiment": "dungeon", "n_agents": 3, "rounds": 6},
+])
+def test_manifest_with_a_window_key_cannot_be_rerun(tmp_path, config):
+    out = _run_with_window_key(tmp_path, config)
+    with pytest.raises(ConfigError, match="config.switch: unknown keys: window"):
+        run_from_manifest(out / "manifest.json", out_dir=tmp_path / "rerun")
+    assert not (tmp_path / "rerun").exists()
+
+
+def test_report_on_a_manifest_with_a_window_key_exits_zero(tmp_path):
+    out = _run_with_window_key(tmp_path, roles_config())
+    (out / "report.md").unlink()
+    assert cli.main(["report", "--config", str(out)]) == 0
+    assert (out / "report.md").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +507,7 @@ PARAMS = {
     "initial_distribution": None,
 }
 SOLVER = {"tol": None, "max_iter": None, "damping": None}
-SWITCH = {"mode": None, "window": None, "streak_midpoint": None, "streak_scale": None}
+SWITCH = {"mode": None, "streak_midpoint": None, "streak_scale": None}
 IPD = {
     "payoff": PAYOFF, "horizon": None, "discount": None,
     "players": [{"kind": None, "parity": None, "punishment_length": None}],

@@ -1,10 +1,13 @@
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
 from coopdyn.errors import ValidationError
 from coopdyn.roles import (
+    PRIMARY,
+    SACRIFICE,
     FairnessStats,
     RotationLedger,
     SwitchPolicy,
@@ -17,12 +20,13 @@ from coopdyn.roles import (
 )
 
 
-def run_deterministic(n_agents, k, rounds, window=None):
-    ledger = RotationLedger(n_agents, window=window)
+def run_deterministic(n_agents, k, rounds, rotated_role=SACRIFICE):
+    ledger = RotationLedger(n_agents, rotated_role=rotated_role)
     picks = []
     for _ in range(rounds):
         assignment = deterministic_assign(ledger, k)
-        picks.append(sorted(assignment.sacrificers))
+        held = assignment.sacrificers if rotated_role == SACRIFICE else assignment.primaries
+        picks.append(sorted(held))
     return ledger, picks
 
 
@@ -46,8 +50,10 @@ def test_rotation_cycles_after_warmup():
 
 
 def test_window_blocks_recent_sacrificers():
+    # least-served rotation never repeats an agent picked in the last
+    # `window` rounds while another agent is free
     n, window = 4, 2
-    ledger = RotationLedger(n, window=window)
+    ledger = RotationLedger(n)
     history = []
     for _ in range(12):
         assignment = deterministic_assign(ledger, 1)
@@ -56,6 +62,21 @@ def test_window_blocks_recent_sacrificers():
         eligible_others = set(range(n)) - recent - {chosen}
         assert chosen not in recent or not eligible_others
         history.append([chosen])
+
+
+@pytest.mark.parametrize("rotated_role", [SACRIFICE, PRIMARY])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_fresh_ledger_rotates_in_a_cycle(n, rotated_role):
+    for k in range(1, n):
+        _, picks = run_deterministic(n, k, 3 * n, rotated_role)
+        for r, pick in enumerate(picks):
+            assert pick == sorted((r * k + i) % n for i in range(k)), (k, r)
+
+
+def test_switch_policy_has_no_window():
+    assert [f.name for f in fields(SwitchPolicy)] == ["mode", "streak_midpoint", "streak_scale"]
+    with pytest.raises(TypeError):
+        RotationLedger(4, window=2)
 
 
 def test_two_mover_cohorts_share_evenly():
@@ -112,7 +133,7 @@ def test_sigmoid_is_monotone_and_bounded():
 
 
 def test_sigmoid_requires_stochastic_mode():
-    policy = SwitchPolicy(mode="deterministic_window", window=2)
+    policy = SwitchPolicy(mode="deterministic_window")
     with pytest.raises(ValidationError):
         sigmoid_switch_probability(3, policy)
 
