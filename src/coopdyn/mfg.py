@@ -17,12 +17,17 @@ over batches and time steps only. Each episode still draws from its own
 generator seeded by (seed, episode), in the order a one-episode-at-a-time
 loop would, so its path does not depend on the batch it ran in.
 
-A time step's kernel is stored as its distinct rows plus a state index:
-states whose policy moves with the same probability share one binomial
-row, so a solver sweep costs O(U*N*H) for U distinct move probabilities
-per step instead of O(N^2*H); table-mode rewards without a consistency
-penalty depend on the state only through j <= threshold, which keeps U at
-3 or fewer.
+A policy's kernels are stored as one stack: its distinct binomial rows
+plus a (horizon, N+1) index, so every (t, j) whose policy moves with the
+same probability shares one row. The rows are built a block of about
+2**16 cells at a time, which bounds the build's temporaries. For U
+distinct move probabilities in the whole policy, a stack costs O(U*N) to
+build and a sweep O(U*N*H), instead of O(N^2*H); table-mode rewards
+without a consistency penalty depend on the state only through
+j <= threshold, which keeps U at 3 per step or fewer.
+The solver builds one stack per policy, shared by that policy's forward
+flow, the next backward pass and the final certificate, so a solve
+builds iterations + 1 stacks.
 """
 
 from __future__ import annotations
@@ -165,7 +170,12 @@ def _check_distribution(dist: np.ndarray) -> None:
 def _check_policy(policy, params: MfgParams) -> np.ndarray:
     """The policy as a float array of shape (horizon, n_agents + 1, 2) whose
     every (wait, move) pair is a finite probability distribution."""
-    policy = np.asarray(policy, dtype=float)
+    try:
+        policy = np.asarray(policy, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"policy must be a numeric array of shape (horizon, n_agents + 1, 2): {exc}"
+        ) from exc
     if policy.shape != (params.horizon, params.n_agents + 1, 2):
         raise ValidationError(
             "policy must have shape (horizon, n_agents + 1, 2); got "
@@ -269,11 +279,30 @@ def _binomial_pmf_rows(n: int, probs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _kernel(policy_slice: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One step's peer kernel as (rows, index): state j's Binomial(n - 1,
-    p_j) pmf is rows[index[j]], one row per distinct move probability."""
-    probs, index = np.unique(policy_slice[:, MOVE], return_inverse=True)
-    return _binomial_pmf_rows(n - 1, probs), index
+def _kernel(policy: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A whole policy's peer kernels as one stack (rows, index): the
+    Binomial(n - 1, p) pmf of state j at step t is rows[index[t, j]], one
+    row per distinct move probability in the policy. Rows are built a
+    block at a time, so the log-pmf temporaries stay about 2**16 cells."""
+    probs, index = np.unique(policy[:, :, MOVE], return_inverse=True)
+    rows = np.empty((probs.size, n))
+    block = max(1, 2**16 // n)
+    for start in range(0, probs.size, block):
+        rows[start : start + block] = _binomial_pmf_rows(n - 1, probs[start : start + block])
+    return rows, index.reshape(policy.shape[:2])
+
+
+def _policy_kernel(policy: np.ndarray, n: int, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """`kernel`, the stack a caller built for this policy, or the policy's
+    own stack when it is None."""
+    if kernel is None:
+        return _kernel(policy, n)
+    if np.shape(kernel[1]) != policy.shape[:2]:
+        raise ValidationError(
+            f"kernel index must have the policy's shape {policy.shape[:2]}, "
+            f"got {np.shape(kernel[1])}"
+        )
+    return kernel
 
 
 def transition_distribution(action: int, move_probability: float, n_agents: int) -> np.ndarray:
@@ -293,18 +322,19 @@ def transition_distribution(action: int, move_probability: float, n_agents: int)
     return out
 
 
-def forward_flow(policy, params: MfgParams) -> np.ndarray:
+def forward_flow(policy, params: MfgParams, *, kernel=None) -> np.ndarray:
     """Distribution at every t in {0..horizon} under the given policy, with
-    each step's total mass checked for drift."""
+    each step's total mass checked for drift. `kernel` may pass the
+    policy's `_kernel` stack when the caller already holds it."""
     policy = _check_policy(policy, params)
     n = params.n_agents
+    rows, index = _policy_kernel(policy, n, kernel)
     flow = np.zeros((params.horizon + 1, n + 1))
     flow[0] = initial_distribution_array(params)
     for t in range(params.horizon):
-        rows, index = _kernel(policy[t], n)
         out = flow[t + 1]
-        out[:n] += np.bincount(index, flow[t] * policy[t, :, WAIT], len(rows)) @ rows
-        out[1:] += np.bincount(index, flow[t] * policy[t, :, MOVE], len(rows)) @ rows
+        out[:n] += np.bincount(index[t], flow[t] * policy[t, :, WAIT], len(rows)) @ rows
+        out[1:] += np.bincount(index[t], flow[t] * policy[t, :, MOVE], len(rows)) @ rows
         drift = abs(float(out.sum()) - 1.0)
         if not drift <= _DRIFT_TOL:  # a NaN drift fails too
             raise NumericalIntegrityError(f"distribution drifted by {drift:.3e} at step {t}")
@@ -345,19 +375,20 @@ class ActionValueTable:
     v: np.ndarray
 
 
-def _backward(policy: np.ndarray, params: MfgParams, rules: tuple[str, ...]) -> dict:
+def _backward(policy: np.ndarray, params: MfgParams, rules: tuple[str, ...],
+              kernel=None) -> dict:
     """One backward pass giving {rule: (q, v)} for each backup rule in
     `rules`: "max" backs up greedy values, "policy" the value of following
-    the policy itself. Each step's kernel is built once for every rule."""
+    the policy itself. Every rule reads the one kernel stack."""
     n, horizon = params.n_agents, params.horizon
+    rows, index = _policy_kernel(policy, n, kernel)
     utilities = utility_table(params)
     tables = {rule: (np.zeros((horizon + 1, n + 1, 2)), np.zeros((horizon + 1, n + 1)))
               for rule in rules}
     for t in reversed(range(horizon)):
-        rows, index = _kernel(policy[t], n)
         for rule, (q, v) in tables.items():
-            q[t, :, WAIT] = utilities[:, WAIT] + params.discount * (rows @ v[t + 1, :n])[index]
-            q[t, :, MOVE] = utilities[:, MOVE] + params.discount * (rows @ v[t + 1, 1:])[index]
+            q[t, :, WAIT] = utilities[:, WAIT] + params.discount * (rows @ v[t + 1, :n])[index[t]]
+            q[t, :, MOVE] = utilities[:, MOVE] + params.discount * (rows @ v[t + 1, 1:])[index[t]]
             if rule == "max":
                 v[t] = np.maximum(q[t, :, WAIT], q[t, :, MOVE])
             else:
@@ -365,30 +396,31 @@ def _backward(policy: np.ndarray, params: MfgParams, rules: tuple[str, ...]) -> 
     return tables
 
 
-def bellman_backward(policy, params: MfgParams) -> ActionValueTable:
+def bellman_backward(policy, params: MfgParams, *, kernel=None) -> ActionValueTable:
     """Backward action-value recursion against the policy-induced kernels.
 
     q[t, j, a] = U(a, j) + discount * E[v[t+1, j']] where j' = a +
     Binomial(N-1, policy move probability at (t, j)) and v = max over
     actions. A single exact pass; rerunning on identical inputs is
-    bit-identical.
+    bit-identical. `kernel` may pass the policy's `_kernel` stack.
     """
-    q, v = _backward(_check_policy(policy, params), params, ("max",))["max"]
+    q, v = _backward(_check_policy(policy, params), params, ("max",), kernel)["max"]
     return ActionValueTable(q=q, v=v)
 
 
-def best_response_gap(policy, params: MfgParams, initial=None) -> float:
+def best_response_gap(policy, params: MfgParams, initial=None, *, kernel=None) -> float:
     """How much a single greedy deviator gains over the mixed policy.
 
     Both values come from one backward pass against the kernels the policy
-    induces; the gap is averaged over the initial state distribution.
-    Nonnegative up to rounding for any policy.
+    induces (`kernel` may pass its `_kernel` stack); the gap is averaged
+    over the initial state distribution. Nonnegative up to rounding for
+    any policy.
     """
     policy = _check_policy(policy, params)
     if initial is None:
         initial = initial_distribution_array(params)
     initial = np.asarray(initial, dtype=float)
-    (_, greedy), (_, mixed) = _backward(policy, params, ("max", "policy")).values()
+    (_, greedy), (_, mixed) = _backward(policy, params, ("max", "policy"), kernel).values()
     return float(initial @ (greedy[0] - mixed[0]))
 
 
@@ -429,7 +461,10 @@ def solve_equilibrium(
 
     Starting from the uniform policy, each sweep recomputes action values
     against the current policy's kernels, extracts the Boltzmann target,
-    and moves the policy a `damping` fraction toward it. The policy
+    and moves the policy a `damping` fraction toward it. Each policy's
+    kernel stack is built once and serves its forward flow, the next
+    sweep's backward pass and, for the last policy, the certificate and
+    the final values: `iterations + 1` stacks per solve. The policy
     residual is the max-norm gap between policy and target; the
     distribution residual is the max-norm change of the forward flow
     between sweeps. Convergence requires both below tol. tol=0 disables
@@ -442,16 +477,19 @@ def solve_equilibrium(
     _check_count("max_iter", max_iter, 1)
 
     policy = uniform_policy(params)
-    flow_prev = forward_flow(policy, params)
+    kernel = _kernel(policy, params.n_agents)
+    flow_prev = forward_flow(policy, params, kernel=kernel)
     history: list[tuple[float, float]] = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        table = bellman_backward(policy, params)
+        table = bellman_backward(policy, params, kernel=kernel)
+        kernel = None  # the updated policy gets its own stack; free this one first
         target = softmax_policy(table.q[: params.horizon], params.temperature)
         policy_residual = float(np.max(np.abs(target - policy)))
         policy = (1.0 - damping) * policy + damping * target
-        flow = forward_flow(policy, params)
+        kernel = _kernel(policy, params.n_agents)
+        flow = forward_flow(policy, params, kernel=kernel)
         dist_residual = float(np.max(np.abs(flow - flow_prev)))
         flow_prev = flow
         if not (np.isfinite(policy).all() and np.isfinite(flow).all()):
@@ -461,9 +499,11 @@ def solve_equilibrium(
             converged = True
             break
 
-    # certificate first: its two tables are freed before the greedy one is built
-    gap = best_response_gap(policy, params, flow_prev[0])
-    values = bellman_backward(policy, params)
+    # the last sweep's table and target go before the certificate's tables
+    # are built, and the certificate's before the greedy one is
+    del table, target
+    gap = best_response_gap(policy, params, flow_prev[0], kernel=kernel)
+    values = bellman_backward(policy, params, kernel=kernel)
     return EquilibriumResult(
         policy=policy,
         flow=flow_prev,

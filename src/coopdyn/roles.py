@@ -170,7 +170,8 @@ class SwitchPolicy:
 
 def default_streak_midpoint(n_agents: int, cohort: int) -> int:
     """Number of possible cohorts among the other agents: C(n-1, cohort)."""
-    if not 0 < cohort < n_agents:
+    _check_count("cohort", cohort, 1)
+    if not cohort < n_agents:
         raise ValidationError("cohort must satisfy 0 < cohort < n_agents")
     return math.comb(n_agents - 1, cohort)
 

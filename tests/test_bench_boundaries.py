@@ -38,3 +38,34 @@ def test_every_bench_boundary_resolves(tracing):
 def test_kernel_rows_are_an_ndarray_for_the_bench_counts():
     rows = mfg._binomial_pmf_rows(4, np.array([0.0, 0.3, 1.0]))
     assert isinstance(rows, np.ndarray) and rows.shape == (3, 5)
+
+
+def test_the_solver_calls_through_every_traced_mfg_boundary(monkeypatch):
+    # The bench counts these calls at the module attributes; a caller that
+    # bound a function directly would bypass the wrapper and its metrics.
+    calls = {}
+
+    def counting(name):
+        fn = getattr(mfg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    names = ("forward_flow", "bellman_backward", "best_response_gap", "softmax_policy",
+             "_binomial_pmf_rows")
+    for name in names:
+        monkeypatch.setattr(mfg, name, counting(name))
+    result = mfg.solve_equilibrium(mfg.default_params())
+    sweeps = result.iterations
+    assert result.converged
+    # one stack per policy, each one block of rows at N=20
+    assert calls == {
+        "forward_flow": sweeps + 1,
+        "bellman_backward": sweeps + 1,
+        "best_response_gap": 1,
+        "softmax_policy": sweeps,
+        "_binomial_pmf_rows": sweeps + 1,
+    }

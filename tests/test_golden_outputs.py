@@ -6,7 +6,11 @@ reader was derived from the dataclasses, with numpy 2.4 on x86-64. The
 mfg_solve flow.csv, diag.csv and manifest.json and the mfg_simulate
 sim.csv and manifest.json were re-pinned when the transition kernel was
 stored as its distinct rows: reordered float sums moved their last
-printed digit (at most 7.1e-15). The dungeon, roles_run and
+printed digit (at most 7.1e-15). The mfg_solve diag.csv, manifest.json
+and report.md and the mfg_simulate sim.csv and manifest.json were
+re-pinned when one kernel stack began to serve a whole policy: the
+matrix-vector products run over the stack's height, which moved their
+last printed digit again (at most 5.3e-15). The dungeon, roles_run and
 roles_run_stochastic manifest.json were re-pinned when the rotation memory
 window, which changed no assignment, was deleted: `config.switch` lost its
 `window` key. The dungeon report.md was re-pinned when `run` began to
@@ -47,16 +51,16 @@ GOLDEN = {
         "scores.csv": "f981effd72ef98c3d467c92110f0595d1b848fc9a035baff13fde90b62bf0b39",
     },
     "mfg_simulate": {
-        "manifest.json": "9c62a0ddf19a8fbd567a0b0c63d0b39458644f6f29600e465de54da251e41cec",
+        "manifest.json": "afe78b6c4d4844151bb1834568fc7e09784a876a856f11738f53281c7828c058",
         "report.md": "80e96e24c1c23ab7c5fdc5b5a1711a6c3bb69e21abe66fefd767c05247700f4f",
-        "sim.csv": "7c00f96bf4502dd526f014ef4091038e916aa94607bea4db0660b7c3d89aad8f",
+        "sim.csv": "d1ecd0767fe2e5f42f1b5f4117d6f149c4624795b02e3fbddc49ec62c9cb52ff",
     },
     "mfg_solve": {
-        "diag.csv": "09b140edc7c67cef14bef26b3a784c32eda5af16db7d6600f3959d8531aef528",
+        "diag.csv": "3284c2e0409ee4acce041cd646eb7a47b31858f1a5a1590d708a83dbad9ee43d",
         "flow.csv": "8a8085d426b615fe9809a86741d391ccc88fd4e466e4980367ffd5ba6445e83b",
-        "manifest.json": "1d6dddefca9ab4d30b6db99bc937c4ae8880fd8f7c1f5d23487ee368d4812d8b",
+        "manifest.json": "23095b1ed0eae426230ee7043cceadd79ac5578b3b682edcc80e8205ee288c7d",
         "policy.csv": "fb97651706bec0beaad6e2154fad981cb9c3726fbc1998852d22e9f1c1dc59b6",
-        "report.md": "8237b74060142bb9b39fafa5ae33566c62622fed56a54b809baaef9cb7baec9f",
+        "report.md": "5d39ea06a8870db01ac3f1127123aa3edb911ac9fc837c01d724709c95787e1d",
         "values.csv": "600ed28164f1c4f22de83e58298b87f1e372ac7ee2e2dc63a4fa9c69c71e4fc6",
     },
     "roles_run": {

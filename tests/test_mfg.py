@@ -8,6 +8,7 @@ import pytest
 
 import mfg_scratch_oracle as oracle
 from coopdyn import mfg
+from coopdyn.envs import IntersectionConfig, intersection_episode
 from coopdyn.errors import NumericalIntegrityError, ValidationError
 from coopdyn.mfg import (
     MOVE,
@@ -198,6 +199,33 @@ def test_policies_that_are_not_probabilities_are_rejected_before_any_work(
     with pytest.raises(ValidationError, match="probability pairs"):
         call()
     assert work == []
+
+
+ONE_STEP = MfgParams(n_agents=2, threshold=1, horizon=1)
+
+
+def policy_mode_episode(policy):
+    config = IntersectionConfig(n_agents=2, threshold=1, rounds=1, assignment="policy",
+                                params=ONE_STEP)
+    return intersection_episode(config, policy)
+
+
+@pytest.mark.parametrize("policy", [[[[0.5, 0.5], [1, 0]], [[1]]], "abc"],
+                         ids=["ragged", "text"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda policy: forward_flow(policy, ONE_STEP), id="forward_flow"),
+        pytest.param(lambda policy: bellman_backward(policy, ONE_STEP), id="bellman_backward"),
+        pytest.param(lambda policy: best_response_gap(policy, ONE_STEP), id="best_response_gap"),
+        pytest.param(lambda policy: simulate_population(ONE_STEP, policy, episodes=1, seed=0),
+                     id="simulate_population"),
+        pytest.param(policy_mode_episode, id="intersection_episode"),
+    ],
+)
+def test_policies_that_are_not_numeric_arrays_are_validation_errors(call, policy):
+    with pytest.raises(ValidationError, match="policy must be a numeric array"):
+        call(policy)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +437,54 @@ def test_factored_kernel_matches_dense_reference(n_agents, distinct):
         assert np.max(np.abs(flow[t + 1] - want)) < 1e-13
 
 
+@pytest.mark.parametrize("n_agents", [2, 257])
+@pytest.mark.parametrize("distinct", ["one", "few", "all"])
+def test_kernel_stack_changes_no_values(n_agents, distinct):
+    # at N=257 an all-distinct policy has 1032 move probabilities, which the
+    # stack builds in five blocks
+    params = MfgParams(n_agents=n_agents, threshold=n_agents // 2, horizon=4,
+                       consistency_weight=0.01)
+    count = {"one": 1, "few": min(3, n_agents + 1), "all": n_agents + 1}[distinct]
+    policy = policy_with_distinct_moves(n_agents, params.horizon, count,
+                                        np.random.default_rng(n_agents))
+    kernel = mfg._kernel(policy, n_agents)
+    rows, index = kernel
+    assert index.shape == policy.shape[:2]
+    assert len(rows) == np.unique(policy[:, :, MOVE]).size
+    for t in range(params.horizon):
+        want = mfg._binomial_pmf_rows(n_agents - 1, policy[t][:, MOVE])
+        assert np.max(np.abs(rows[index[t]] - want)) <= 1e-15
+    assert np.array_equal(forward_flow(policy, params, kernel=kernel),
+                          forward_flow(policy, params))
+    shared, own = bellman_backward(policy, params, kernel=kernel), bellman_backward(policy, params)
+    assert np.array_equal(shared.q, own.q) and np.array_equal(shared.v, own.v)
+    assert best_response_gap(policy, params, kernel=kernel) == best_response_gap(policy, params)
+
+
+@pytest.mark.parametrize("call", [forward_flow, bellman_backward, best_response_gap],
+                         ids=lambda call: call.__name__)
+def test_a_kernel_stack_of_another_shape_is_rejected(call):
+    params = small_params()
+    other = mfg._kernel(uniform_policy(small_params(horizon=params.horizon + 1)),
+                        params.n_agents)
+    with pytest.raises(ValidationError, match="kernel index"):
+        call(uniform_policy(params), params, kernel=other)
+
+
+def test_formula_mode_solve_keeps_a_small_traced_peak():
+    # The stack is built in blocks of about 2**16 cells; built in one piece
+    # its log-pmf temporaries took this solve's peak to about 21 MiB.
+    params = MfgParams(n_agents=1000, threshold=400, temperature=0.2, horizon=30,
+                       reward_mode="formula")
+    tracemalloc.start()
+    try:
+        solve_equilibrium(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_evolution_rejects_unnormalized_distribution():
     with pytest.raises(ValidationError, match="not normalized"):
         small_params(initial_distribution=(0.3,) * 5)
@@ -617,47 +693,57 @@ def test_exploitability_is_nonnegative_and_matches_oracle():
         assert value == pytest.approx(oracle_value, abs=1e-8)
 
 
-def counting_kernel_rows(monkeypatch):
-    """Record the number of pmf rows each kernel build computes, checking
-    that it is the number of distinct move probabilities it was given."""
+def counting_stacks(monkeypatch):
+    """Record the number of rows in each kernel stack built, checking that
+    it is the number of distinct move probabilities in the whole policy and
+    that no block of the build computes a row twice."""
     rows = []
-    build = mfg._binomial_pmf_rows
+    build_rows, build_stack = mfg._binomial_pmf_rows, mfg._kernel
 
-    def counting(n, probs):
-        out = build(n, probs)
+    def checked_rows(n, probs):
+        out = build_rows(n, probs)
         assert len(out) == np.unique(probs).size
-        rows.append(len(out))
         return out
 
-    monkeypatch.setattr(mfg, "_binomial_pmf_rows", counting)
+    def counting_stack(policy, n):
+        out = build_stack(policy, n)
+        assert len(out[0]) == np.unique(policy[:, :, MOVE]).size
+        rows.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(mfg, "_binomial_pmf_rows", checked_rows)
+    monkeypatch.setattr(mfg, "_kernel", counting_stack)
     return rows
 
 
-def test_each_backward_step_builds_one_kernel(monkeypatch):
-    rows = counting_kernel_rows(monkeypatch)
+def test_each_policy_builds_one_kernel_stack(monkeypatch):
+    rows = counting_stacks(monkeypatch)
     params = small_params(horizon=5)
     # slice t moves with t + 1 distinct probabilities
     policy = np.stack(
         [policy_with_distinct_moves(params.n_agents, 1, t + 1, np.random.default_rng(t))[0]
          for t in range(params.horizon)]
     )
+    distinct = np.unique(policy[:, :, MOVE]).size
     best_response_gap(policy, params)
-    assert rows == [t + 1 for t in reversed(range(params.horizon))]
+    forward_flow(policy, params)
+    assert rows == [distinct, distinct]
     rows.clear()
     result = solve_equilibrium(params, tol=1e-8, max_iter=100)
-    # initial flow, a backward and a forward pass per sweep, then the
-    # certificate and the final greedy values
-    assert len(rows) == params.horizon * (2 * result.iterations + 3)
-    assert rows[: params.horizon] == [1] * params.horizon  # the uniform start
+    # the uniform start, then one stack per damped update, each serving its
+    # forward flow, the next backward pass and, last, the certificate and
+    # the final greedy values
+    assert len(rows) == result.iterations + 1
+    assert rows[0] == 1  # the uniform start
 
 
 def test_table_mode_solves_large_populations_with_few_kernel_rows(monkeypatch):
-    rows = counting_kernel_rows(monkeypatch)
+    rows = counting_stacks(monkeypatch)
     params = MfgParams(n_agents=5000, threshold=2000, temperature=0.2, horizon=30)
     result = solve_equilibrium(params, tol=1e-8, max_iter=100)
     assert result.converged
-    assert len(rows) == params.horizon * (2 * result.iterations + 3)
-    assert max(rows) <= 3
+    assert len(rows) == result.iterations + 1
+    assert max(rows) <= 3 * params.horizon
 
 
 def test_uniform_policy_is_exploitable_when_actions_separate():

@@ -122,6 +122,12 @@ def test_default_streak_midpoint_is_a_binomial_coefficient():
     assert default_streak_midpoint(9, 3) == math.comb(8, 3)
 
 
+@pytest.mark.parametrize("cohort", [True, 1.5, 0, 4])
+def test_default_streak_midpoint_rejects_cohorts_that_are_not_counts_below_n(cohort):
+    with pytest.raises(ValidationError, match="cohort"):
+        default_streak_midpoint(4, cohort)
+
+
 def test_sigmoid_is_monotone_and_bounded():
     policy = SwitchPolicy(mode="stochastic_sigmoid", streak_midpoint=5, streak_scale=0.8)
     previous = -1.0
