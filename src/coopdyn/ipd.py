@@ -61,6 +61,12 @@ class PayoffMatrix:
                 raise ValidationError(
                     f"payoff ordering violated: {label} fails ({hi!r} <= {lo!r})"
                 )
+        t, r, p, s = self.temptation, self.reward, self.punishment, self.sucker
+        # Keyed by the actions' int values, so plain 0/1 read like the enum;
+        # kept out of the dataclass fields, which the run manifest records.
+        table = {(COOPERATE, COOPERATE): (r, r), (COOPERATE, DEFECT): (s, t),
+                 (DEFECT, COOPERATE): (t, s), (DEFECT, DEFECT): (p, p)}
+        object.__setattr__(self, "_table", table)
 
     def regime(self) -> Regime:
         """Classify by the sign of 2R - (T + S)."""
@@ -72,14 +78,13 @@ class PayoffMatrix:
         return Regime.BOUNDARY
 
     def payoffs(self, mine: ActionPD, theirs: ActionPD) -> tuple[float, float]:
-        """Payoff pair (mine, theirs) for one round."""
-        if mine is COOPERATE:
-            if theirs is COOPERATE:
-                return self.reward, self.reward
-            return self.sucker, self.temptation
-        if theirs is COOPERATE:
-            return self.temptation, self.sucker
-        return self.punishment, self.punishment
+        """Payoff pair (mine, theirs) for one round; actions are 0 or 1."""
+        try:
+            return self._table[mine, theirs]
+        except (KeyError, TypeError):
+            raise ValidationError(
+                f"actions must be 0 (cooperate) or 1 (defect), got {mine!r}, {theirs!r}"
+            ) from None
 
 
 def _check_discount(delta: float) -> None:
@@ -163,7 +168,14 @@ def critical_discount(payoff: PayoffMatrix) -> CriticalDiscount:
 
 
 class Strategy:
-    """Deterministic decision rule over the two visible action histories."""
+    """Deterministic decision rule over the two visible action histories.
+
+    `play_match` binds each seat once and plays only the instance `bind`
+    returns. A bound instance belongs to one seat of one match: it may keep
+    what it has already read of the histories, which makes every built-in
+    kind O(1) amortised per round. An instance that was never bound answers
+    any pair of histories from scratch.
+    """
 
     kind = "strategy"
 
@@ -199,10 +211,33 @@ class TitForTat(Strategy):
 
 
 class GrimTrigger(Strategy):
+    """Cooperates until the opponent's first defection, then defects forever.
+
+    A bound instance keeps how many opponent rounds it has read and whether
+    one was a defection.
+    """
+
     kind = "grim_trigger"
 
+    def __init__(self):
+        self._scanned: int | None = None  # None: unbound, read from round 0
+        self._triggered = False
+
+    def bind(self, position: int) -> "GrimTrigger":
+        bound = GrimTrigger()
+        bound._scanned = 0
+        return bound
+
     def act(self, own, opponent):
-        return DEFECT if DEFECT in opponent else COOPERATE
+        seen = len(opponent)
+        if self._scanned is not None and self._scanned <= seen:
+            start, triggered = self._scanned, self._triggered
+        else:
+            start, triggered = 0, False
+        triggered = triggered or DEFECT in opponent[start:]
+        if self._scanned is not None:
+            self._scanned, self._triggered = seen, triggered
+        return DEFECT if triggered else COOPERATE
 
 
 class WinStayLoseShift(Strategy):
@@ -213,9 +248,9 @@ class WinStayLoseShift(Strategy):
             return COOPERATE
         # Outcomes paying T or R are exactly those where the opponent
         # cooperated, so stay iff the opponent's last action was Cooperate.
-        if opponent[-1] is COOPERATE:
+        if opponent[-1] == COOPERATE:
             return own[-1]
-        return COOPERATE if own[-1] is DEFECT else DEFECT
+        return COOPERATE if own[-1] == DEFECT else DEFECT
 
 
 class Alternator(Strategy):
@@ -228,6 +263,12 @@ class Alternator(Strategy):
     `punishment_length` rounds of defection (None = forever); afterwards
     play resumes on the original round-parity schedule. Repeats observed
     while a punishment is already running do not extend it.
+
+    `bind` returns a fresh instance for every seat. It resumes its scan of
+    the partner's history where the last round stopped, and restarts it when
+    the history is shorter than what it has read, so a round is O(1)
+    amortised. An unbound instance with a set parity scans the whole history
+    on every call.
     """
 
     kind = "alternator"
@@ -239,11 +280,14 @@ class Alternator(Strategy):
             _check_count("punishment_length", punishment_length, 1)
         self.parity = parity
         self.punishment_length = punishment_length
+        self._scanned: int | None = None  # None: unbound, scan from round 0
+        self._punish_until: float = 0.0
 
     def bind(self, position: int) -> "Alternator":
-        if self.parity is not None:
-            return self
-        return Alternator("first" if position == 0 else "second", self.punishment_length)
+        parity = self.parity or ("first" if position == 0 else "second")
+        bound = Alternator(parity, self.punishment_length)
+        bound._scanned = 0
+        return bound
 
     def _pattern(self, round_index: int) -> ActionPD:
         defect_now = (round_index % 2 == 0) == (self.parity == "first")
@@ -252,13 +296,19 @@ class Alternator(Strategy):
     def act(self, own, opponent):
         if self.parity is None:
             raise ValidationError("alternator parity unresolved; set it or call bind()")
-        punish_until: float = 0.0
-        for t in range(1, len(opponent)):
+        seen = len(opponent)
+        if self._scanned is not None and self._scanned <= seen:
+            start, punish_until = self._scanned, self._punish_until
+        else:
+            start, punish_until = 0, 0.0
+        for t in range(max(start, 1), seen):
             if t >= punish_until and opponent[t] == opponent[t - 1]:
                 if self.punishment_length is None:
                     punish_until = math.inf
                 else:
                     punish_until = t + 1 + self.punishment_length
+        if self._scanned is not None:
+            self._scanned, self._punish_until = seen, punish_until
         this_round = len(own)
         if this_round < punish_until:
             return DEFECT
@@ -285,12 +335,26 @@ class MatchResult:
     group_payoff_per_round: float
 
 
+def _as_action(value) -> ActionPD:
+    try:
+        return ActionPD(value)
+    except ValueError:
+        raise ValidationError(
+            f"a strategy must act 0 (cooperate) or 1 (defect), got {value!r}"
+        ) from None
+
+
 def play_match(
     first: Strategy, second: Strategy, payoff: PayoffMatrix, config: MatchConfig
 ) -> MatchResult:
     """Run one match of `config.horizon` rounds.
 
-    Both strategies see the full histories each round. group payoff is the
+    Each seat plays the instance its strategy's `bind` returns, which
+    belongs to that seat of this match, so one object may fill both seats;
+    every built-in kind is O(1) amortised per round. Both strategies see the
+    full histories each round. Each action is coerced once through
+    `ActionPD`, so plain 0/1 work and any other value raises
+    ValidationError. group payoff is the
     mean per-agent per-round raw payoff, the natural scale for comparing a
     turn-taking pair against mutual cooperation's R.
     """
@@ -305,6 +369,9 @@ def play_match(
     for _ in range(config.horizon):
         ax = player_x.act(hist_x, hist_y)
         ay = player_y.act(hist_y, hist_x)
+        # ActionPD(member) is the member itself but costs an enum lookup
+        if type(ax) is not ActionPD or type(ay) is not ActionPD:
+            ax, ay = _as_action(ax), _as_action(ay)
         vx, vy = payoff.payoffs(ax, ay)
         rounds.append((ax, ay))
         hist_x.append(ax)

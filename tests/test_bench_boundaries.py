@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coopdyn import mfg
+from coopdyn import ipd, mfg
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -69,3 +69,22 @@ def test_the_solver_calls_through_every_traced_mfg_boundary(monkeypatch):
         "softmax_policy": sweeps,
         "_binomial_pmf_rows": sweeps + 1,
     }
+
+
+def test_a_tournament_calls_through_the_traced_ipd_boundary(monkeypatch):
+    # The bench times and counts matches at `ipd.play_match`, and counts
+    # rounds as len(trajectory); a tournament that bound the function
+    # directly would leave ipd.matches and ipd.rounds_played absent.
+    results = []
+    play = ipd.play_match
+
+    def counted(*args, **kwargs):
+        results.append(play(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ipd, "play_match", counted)
+    entrants = [ipd.make_strategy(kind) for kind in ipd.STRATEGY_KINDS]
+    config = ipd.MatchConfig(horizon=12)
+    ipd.tournament(entrants, ipd.PayoffMatrix(5, 2, 1, 0), config)
+    assert len(results) == len(entrants) ** 2
+    assert all(len(result.trajectory) == config.horizon for result in results)

@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 
 from coopdyn.errors import ValidationError
 from coopdyn.ipd import (
     COOPERATE,
     DEFECT,
+    STRATEGY_KINDS,
+    ActionPD,
     AllCooperate,
     AllDefect,
     Alternator,
@@ -17,10 +21,13 @@ from coopdyn.ipd import (
     critical_discount,
     deviate_payoff,
     discount_threshold,
+    make_strategy,
     play_match,
     stick_payoff,
     tournament,
 )
+
+from ipd_scan_oracle import FullScanAlternator, FullScanGrimTrigger
 
 C, D = COOPERATE, DEFECT
 
@@ -82,6 +89,20 @@ def test_ordering_is_enforced():
 )
 def test_classify(values, expected):
     assert PayoffMatrix(*values).regime() is expected
+
+
+def test_payoffs_read_plain_int_actions_like_the_enum():
+    payoff = PayoffMatrix(5, 2, 1, 0)
+    assert payoff.payoffs(0, 0) == payoff.payoffs(C, C) == (2, 2)
+    assert payoff.payoffs(0, 1) == payoff.payoffs(C, D) == (0, 5)
+    assert payoff.payoffs(1, 0) == payoff.payoffs(D, C) == (5, 0)
+    assert payoff.payoffs(1, 1) == payoff.payoffs(D, D) == (1, 1)
+
+
+@pytest.mark.parametrize("bad", [2, -1, "C", None])
+def test_payoffs_reject_values_that_are_not_actions(bad):
+    with pytest.raises(ValidationError, match="0 \\(cooperate\\) or 1 \\(defect\\)"):
+        PayoffMatrix(5, 2, 1, 0).payoffs(bad, C)
 
 
 def test_action_ordering_for_serialization():
@@ -184,6 +205,11 @@ def test_wsls_truth_table():
     assert wsls.act([C], [D]) is D
     assert wsls.act([D], [D]) is C
     assert wsls.act([], []) is C
+    # plain ints read like the enum
+    assert wsls.act([0], [0]) == C
+    assert wsls.act([1], [0]) == D
+    assert wsls.act([0], [1]) == D
+    assert wsls.act([1], [1]) == C
 
 
 def test_wsls_pair_locks_into_cooperation():
@@ -268,6 +294,27 @@ def test_discounted_payoffs_recompute_from_trajectory():
         assert abs(total - result.discounted_payoffs[side]) < 1e-12
 
 
+@pytest.mark.parametrize("opponent", [AllDefect, TitForTat, WinStayLoseShift, GrimTrigger])
+def test_strategies_acting_in_plain_ints_play_like_the_enum(opponent):
+    script = [0, 1, 1, 0, 0, 1, 0, 0]
+    payoff = PayoffMatrix(5, 2, 1, 0)
+    config = MatchConfig(horizon=len(script), discount=0.5)
+    ints, enums = Scripted(script), Scripted(ActionPD(a) for a in script)
+    assert play_match(ints, opponent(), payoff, config) == play_match(
+        enums, opponent(), payoff, config
+    )
+    assert play_match(opponent(), ints, payoff, config) == play_match(
+        opponent(), enums, payoff, config
+    )
+
+
+@pytest.mark.parametrize("bad", [2, -1, "C", None])
+def test_an_action_that_is_not_zero_or_one_is_rejected(bad):
+    config = MatchConfig(horizon=3)
+    with pytest.raises(ValidationError, match="must act 0 \\(cooperate\\) or 1"):
+        play_match(Scripted([C, bad, C]), AllCooperate(), PayoffMatrix(5, 2, 1, 0), config)
+
+
 def test_match_config_validation():
     with pytest.raises(ValidationError):
         MatchConfig(horizon=0)
@@ -311,3 +358,86 @@ def test_tournament_is_deterministic():
     first = tournament(pool, payoff, config)
     second = tournament(pool, payoff, config)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# per-seat scan state against the full-scan oracle
+# ---------------------------------------------------------------------------
+
+FULL_SCAN = {"grim_trigger": FullScanGrimTrigger, "alternator": FullScanAlternator}
+
+ALTERNATOR_OPTIONS = [
+    {"parity": parity, "punishment_length": length}
+    for parity in (None, "first", "second")
+    for length in (None, 1, 3)
+]
+# The oracle rescans its history every round, so an alternator seat costs
+# O(H^2): the long horizon takes one option set per parity, which still
+# covers each punishment length ([0::4] is the diagonal).
+ORACLE_CASES = [(h, o) for h in (1, 2, 8, 30) for o in ALTERNATOR_OPTIONS] + [
+    (2000, o) for o in ALTERNATOR_OPTIONS[0::4]
+]
+
+
+def both(kind, options):
+    """The production strategy of `kind` and its full-scan reference; kinds
+    without a rescan are their own reference."""
+    options = options if kind == "alternator" else {}
+    return make_strategy(kind, **options), FULL_SCAN.get(kind, STRATEGY_KINDS[kind])(**options)
+
+
+@pytest.mark.parametrize(
+    "horizon,options",
+    ORACLE_CASES,
+    ids=[f"H{h}-{o['parity']}-{o['punishment_length']}" for h, o in ORACLE_CASES],
+)
+def test_every_pair_plays_like_the_full_scan_oracle(horizon, options):
+    payoff = PayoffMatrix(5, 2, 1, 0)
+    config = MatchConfig(horizon=horizon, discount=0.9)
+    for kind_x, kind_y in itertools.product(STRATEGY_KINDS, repeat=2):
+        x, oracle_x = both(kind_x, options)
+        # a mirror match puts one object in both seats, as a tournament does
+        y, oracle_y = (x, oracle_x) if kind_x == kind_y else both(kind_y, options)
+        assert play_match(x, y, payoff, config) == play_match(
+            oracle_x, oracle_y, payoff, config
+        ), (kind_x, kind_y)
+
+
+@pytest.mark.parametrize("values", [(5, 3, 1, 0), (5, 2, 1, 0)])
+@pytest.mark.parametrize("length", [None, 1, 4])
+def test_tournament_plays_like_the_full_scan_oracle(values, length):
+    def entrants(alternator, grim):
+        return [
+            alternator(),
+            alternator("first", length),
+            AllCooperate(),
+            AllDefect(),
+            TitForTat(),
+            grim(),
+            WinStayLoseShift(),
+        ]
+
+    payoff = PayoffMatrix(*values)
+    config = MatchConfig(horizon=200, discount=0.95)
+    ours = tournament(entrants(Alternator, GrimTrigger), payoff, config)
+    oracle = tournament(entrants(FullScanAlternator, FullScanGrimTrigger), payoff, config)
+    assert ours == oracle
+
+
+@pytest.mark.parametrize(
+    "strategy,oracle",
+    [
+        (Alternator(), FullScanAlternator()),
+        (Alternator("first", 2), FullScanAlternator("first", 2)),
+        (GrimTrigger(), FullScanGrimTrigger()),
+    ],
+    ids=["alternator", "alternator-first", "grim_trigger"],
+)
+def test_bind_gives_each_seat_its_own_instance(strategy, oracle):
+    seats = strategy.bind(0), strategy.bind(1)
+    assert seats[0] is not seats[1] and strategy not in seats
+    payoff = PayoffMatrix(5, 2, 1, 0)
+    config = MatchConfig(horizon=40)
+    assert play_match(strategy, strategy, payoff, config) == play_match(
+        oracle, oracle, payoff, config
+    )

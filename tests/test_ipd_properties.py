@@ -1,10 +1,13 @@
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopdyn.ipd import (
+    COOPERATE,
+    DEFECT,
     Alternator,
+    GrimTrigger,
     MatchConfig,
     PayoffMatrix,
     critical_discount,
@@ -13,7 +16,8 @@ from coopdyn.ipd import (
     stick_payoff,
 )
 
-from test_ipd import geometric_stream, constant_tail_stream
+from ipd_scan_oracle import FullScanAlternator, FullScanGrimTrigger
+from test_ipd import Scripted, constant_tail_stream, geometric_stream
 
 
 # Payoffs are drawn as a base plus three strictly positive gaps so the
@@ -88,3 +92,58 @@ def test_complementary_alternators_never_collide(horizon, delta):
     result = play_match(Alternator(), Alternator(), PayoffMatrix(5, 2, 1, 0), config)
     for ax, ay in result.trajectory:
         assert ax != ay
+
+
+C, D = COOPERATE, DEFECT
+moves = st.lists(st.sampled_from([C, D]), max_size=60)
+
+
+def drive(strategy, opponent_moves):
+    """The actions `strategy` takes, round by round through `act`, against
+    a fixed sequence of opponent moves."""
+    own, seen = [], []
+    for move in opponent_moves:
+        own.append(strategy.act(own, seen))
+        seen.append(move)
+    return own
+
+
+@given(
+    parity=st.sampled_from([None, "first", "second"]),
+    length=st.none() | st.integers(1, 5),
+    seat=st.integers(0, 1),
+    first=moves,
+    second=moves,
+    unrelated=st.lists(st.tuples(st.sampled_from([C, D]), st.sampled_from([C, D])),
+                       max_size=40),
+)
+# the repeats at rounds 3 and 4 fall inside the punishment round 2's starts
+@example(parity="first", length=3, seat=0, first=[C, D, D, D, D, C, D, C, C, C, D],
+         second=[], unrelated=[])
+def test_alternator_answers_like_the_full_scan_oracle(
+    parity, length, seat, first, second, unrelated
+):
+    alternator = Alternator(parity, length)
+    oracle = FullScanAlternator(parity, length)
+    if first:
+        config = MatchConfig(horizon=len(first))
+        payoff = PayoffMatrix(5, 2, 1, 0)
+        seats = (alternator, Scripted(first)) if seat == 0 else (Scripted(first), alternator)
+        oracle_seats = (oracle, Scripted(first)) if seat == 0 else (Scripted(first), oracle)
+        assert play_match(*seats, payoff, config) == play_match(*oracle_seats, payoff, config)
+
+    # one bound instance, reused for a second, shorter match, restarts its scan
+    bound, reference = alternator.bind(seat), oracle.bind(seat)
+    assert drive(bound, first) == drive(reference, first)
+    shorter = second[: len(first) // 2]
+    assert drive(bound, shorter) == drive(reference, shorter)
+    grim = GrimTrigger().bind(seat)
+    assert drive(grim, first) == drive(FullScanGrimTrigger(), first)
+    assert drive(grim, shorter) == drive(FullScanGrimTrigger(), shorter)
+
+    # an unbound instance reads whatever histories it is handed
+    unbound = Alternator(bound.parity, length)
+    own = [mine for mine, _ in unrelated]
+    theirs = [other for _, other in unrelated]
+    for cut in (len(unrelated), len(unrelated) // 3, len(unrelated) // 2):
+        assert unbound.act(own[:cut], theirs[:cut]) == reference.act(own[:cut], theirs[:cut])
