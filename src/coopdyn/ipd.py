@@ -32,6 +32,12 @@ COOPERATE = ActionPD.COOPERATE
 DEFECT = ActionPD.DEFECT
 
 
+def _is_action(value) -> bool:
+    """An ActionPD member or a plain int 0 or 1; bools and floats are not
+    actions, although True == 1 and 1.0 == 1 hold."""
+    return isinstance(value, int) and not isinstance(value, bool) and value in (0, 1)
+
+
 class Regime(Enum):
     CLASSIC = "classic"
     ALTERNATION_FAVORING = "alternation_favoring"
@@ -79,12 +85,11 @@ class PayoffMatrix:
 
     def payoffs(self, mine: ActionPD, theirs: ActionPD) -> tuple[float, float]:
         """Payoff pair (mine, theirs) for one round; actions are 0 or 1."""
-        try:
-            return self._table[mine, theirs]
-        except (KeyError, TypeError):
+        if not (_is_action(mine) and _is_action(theirs)):
             raise ValidationError(
                 f"actions must be 0 (cooperate) or 1 (defect), got {mine!r}, {theirs!r}"
-            ) from None
+            )
+        return self._table[mine, theirs]
 
 
 def _check_discount(delta: float) -> None:
@@ -133,9 +138,12 @@ def discount_threshold(
 ) -> CriticalDiscount:
     """Locate the stick/deviate break-even discount for raw payoff values.
 
-    Accepts degenerate orderings (e.g. punishment == sucker) that the
-    PayoffMatrix constructor rejects.
+    Accepts orderings that the PayoffMatrix constructor rejects, such as
+    punishment == sucker or reward == punishment, except temptation ==
+    reward: the quoted form divides by T - R.
     """
+    if temptation == reward:
+        raise ValidationError("temptation == reward: the quoted form (P - S)/(T - R) is undefined")
     quoted = (punishment - sucker) / (temptation - reward)
 
     def gap(delta: float) -> float:
@@ -336,12 +344,9 @@ class MatchResult:
 
 
 def _as_action(value) -> ActionPD:
-    try:
-        return ActionPD(value)
-    except ValueError:
-        raise ValidationError(
-            f"a strategy must act 0 (cooperate) or 1 (defect), got {value!r}"
-        ) from None
+    if not _is_action(value):
+        raise ValidationError(f"a strategy must act 0 (cooperate) or 1 (defect), got {value!r}")
+    return ActionPD(value)
 
 
 def play_match(
@@ -353,8 +358,8 @@ def play_match(
     belongs to that seat of this match, so one object may fill both seats;
     every built-in kind is O(1) amortised per round. Both strategies see the
     full histories each round. Each action is coerced once through
-    `ActionPD`, so plain 0/1 work and any other value raises
-    ValidationError. group payoff is the
+    `ActionPD`, so plain 0/1 work and any other value (a bool or a float
+    too) raises ValidationError. group payoff is the
     mean per-agent per-round raw payoff, the natural scale for comparing a
     turn-taking pair against mutual cooperation's R.
     """
@@ -366,13 +371,15 @@ def play_match(
     disc_x = disc_y = 0.0
     tot_x = tot_y = 0.0
     weight = 1.0
+    # the actions are members once coerced, so the table needs no recheck
+    table = payoff._table
     for _ in range(config.horizon):
         ax = player_x.act(hist_x, hist_y)
         ay = player_y.act(hist_y, hist_x)
         # ActionPD(member) is the member itself but costs an enum lookup
         if type(ax) is not ActionPD or type(ay) is not ActionPD:
             ax, ay = _as_action(ax), _as_action(ay)
-        vx, vy = payoff.payoffs(ax, ay)
+        vx, vy = table[ax, ay]
         rounds.append((ax, ay))
         hist_x.append(ax)
         hist_y.append(ay)

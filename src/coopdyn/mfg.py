@@ -134,12 +134,7 @@ class MfgParams:
                 f"{', '.join(unused)}: used only when reward_mode is 'formula'"
             )
         if self.initial_distribution is not None:
-            dist = np.asarray(self.initial_distribution, dtype=float)
-            if dist.shape != (self.n_agents + 1,):
-                raise ValidationError(
-                    "initial_distribution must have n_agents + 1 entries"
-                )
-            _check_distribution(dist)
+            _check_distribution(self.initial_distribution, self.n_agents, "initial_distribution")
 
 
 def default_params() -> MfgParams:
@@ -158,13 +153,19 @@ def initial_distribution_array(params: MfgParams) -> np.ndarray:
     return dist / dist.sum()
 
 
-def _check_distribution(dist: np.ndarray) -> None:
+def _check_distribution(dist, n_agents: int, name: str) -> np.ndarray:
+    """`dist` as a float array of n_agents + 1 finite entries, each at least
+    -_INPUT_TOL, that sum to 1 within _INPUT_TOL."""
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != (n_agents + 1,):
+        raise ValidationError(f"{name} must have n_agents + 1 entries")
     if not np.isfinite(dist).all():
-        raise ValidationError("initial_distribution has non-finite entries")
+        raise ValidationError(f"{name} has non-finite entries")
     if np.any(dist < -_INPUT_TOL):
-        raise ValidationError("initial_distribution has negative entries")
+        raise ValidationError(f"{name} has negative entries")
     if abs(float(dist.sum()) - 1.0) > _INPUT_TOL:
-        raise ValidationError(f"initial_distribution is not normalized (sum={dist.sum()!r})")
+        raise ValidationError(f"{name} is not normalized (sum={dist.sum()!r})")
+    return dist
 
 
 def _check_policy(policy, params: MfgParams) -> np.ndarray:
@@ -413,13 +414,15 @@ def best_response_gap(policy, params: MfgParams, initial=None, *, kernel=None) -
 
     Both values come from one backward pass against the kernels the policy
     induces (`kernel` may pass its `_kernel` stack); the gap is averaged
-    over the initial state distribution. Nonnegative up to rounding for
-    any policy.
+    over the initial state distribution, which `initial` may replace with
+    a law of n_agents + 1 entries. Nonnegative up to rounding for any
+    policy.
     """
     policy = _check_policy(policy, params)
     if initial is None:
         initial = initial_distribution_array(params)
-    initial = np.asarray(initial, dtype=float)
+    else:
+        initial = _check_distribution(initial, params.n_agents, "initial")
     (_, greedy), (_, mixed) = _backward(policy, params, ("max", "policy"), kernel).values()
     return float(initial @ (greedy[0] - mixed[0]))
 
@@ -526,16 +529,13 @@ class EmpiricalStats:
 
     state_frequencies[t, j] is the fraction of episodes whose state at t
     was j; deviation is sup_t |empirical mean count - mean-field mean
-    count| / N; agent_rewards holds each agent's per-episode mean total
-    reward (undiscounted).
+    count| / N.
     """
 
     state_frequencies: np.ndarray
     mean_states: np.ndarray
     mf_mean_states: np.ndarray
     deviation: float
-    agent_rewards: np.ndarray
-    episodes: int
 
 
 def _initial_cdf(params: MfgParams) -> np.ndarray:
@@ -566,8 +566,6 @@ def simulate_population(
     # the flow first: its kernel temporaries are freed before the buffers exist
     mf_mean_states = forward_flow(policy, params) @ counts
     cdf = _initial_cdf(params)
-    wait_reward, move_reward = reward_array(params).T
-    gain = move_reward - wait_reward
     batch = max(1, min(episodes, 2**19 // (8 * horizon * n)))
     u = np.empty((batch, horizon, n))
     # paths[k, t] is batch episode k's state at t; frequencies counts
@@ -575,7 +573,6 @@ def simulate_population(
     paths = np.empty((batch, horizon + 1), dtype=np.intp)
     steps = np.arange(horizon + 1)
     frequencies = np.zeros((horizon + 1, n + 1))
-    gain_totals = np.zeros(n)
     for first in range(0, episodes, batch):
         b = min(batch, episodes - first)
         for k in range(b):
@@ -583,14 +580,9 @@ def simulate_population(
             paths[k, 0] = cdf.searchsorted(rng.random(), side="right")
             rng.random(out=u[k])
         for t in range(horizon):
-            states = paths[:b, t]
-            moves = u[:b, t] < policy[t, states, MOVE][:, None]
+            moves = u[:b, t] < policy[t, paths[:b, t], MOVE][:, None]
             paths[:b, t + 1] = moves.sum(1)
-            gain_totals += gain[states] @ moves
         np.add.at(frequencies, (steps, paths[:b]), 1.0)
-    # every agent collects the wait reward of each state it passes through,
-    # and movers the gain on top
-    agent_rewards = (frequencies[:horizon].sum(0) @ wait_reward + gain_totals) / episodes
     frequencies /= episodes
     mean_states = frequencies @ counts
     deviation = float(np.max(np.abs(mean_states - mf_mean_states)) / n)
@@ -599,6 +591,4 @@ def simulate_population(
         mean_states=mean_states,
         mf_mean_states=mf_mean_states,
         deviation=deviation,
-        agent_rewards=agent_rewards,
-        episodes=episodes,
     )

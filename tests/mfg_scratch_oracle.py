@@ -203,9 +203,8 @@ def exploitability(policy, initial, p):
     return sum(initial[j] * (v_br[j] - v_pi[j]) for j in range(p["n_agents"] + 1))
 
 
-def simulate_population(policy, initial, wait_reward, move_reward, episodes, seed):
-    """Per-episode Monte Carlo reference: (state frequencies, per-agent mean
-    total reward).
+def simulate_population(policy, initial, n_agents, episodes, seed):
+    """Per-episode Monte Carlo reference: the state frequencies.
 
     The one part of this module that uses numpy: it must draw the same
     streams as the production simulator, so episode e runs its own
@@ -214,16 +213,13 @@ def simulate_population(policy, initial, wait_reward, move_reward, episodes, see
     """
     import numpy as np
 
-    horizon, n = len(policy), len(wait_reward) - 1
+    horizon, n = len(policy), n_agents
     frequencies = np.zeros((horizon + 1, n + 1))
-    agent_totals = np.zeros(n)
     for episode in range(episodes):
         rng = np.random.default_rng((seed, episode))
         state = int(rng.choice(n + 1, p=initial))
         frequencies[0, state] += 1.0
         for t in range(horizon):
-            moves = rng.random(n) < policy[t][state][1]
-            agent_totals += np.where(moves, move_reward[state], wait_reward[state])
-            state = int(moves.sum())
+            state = int((rng.random(n) < policy[t][state][1]).sum())
             frequencies[t + 1, state] += 1.0
-    return frequencies / episodes, agent_totals / episodes
+    return frequencies / episodes

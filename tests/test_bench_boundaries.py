@@ -40,9 +40,12 @@ def test_kernel_rows_are_an_ndarray_for_the_bench_counts():
     assert isinstance(rows, np.ndarray) and rows.shape == (3, 5)
 
 
-def test_the_solver_calls_through_every_traced_mfg_boundary(monkeypatch):
-    # The bench counts these calls at the module attributes; a caller that
-    # bound a function directly would bypass the wrapper and its metrics.
+MFG_BOUNDARIES = ("forward_flow", "bellman_backward", "best_response_gap", "softmax_policy",
+                  "_binomial_pmf_rows")
+
+
+def counting_mfg_calls(monkeypatch):
+    """Count the calls that go through each traced `mfg` attribute."""
     calls = {}
 
     def counting(name):
@@ -54,10 +57,15 @@ def test_the_solver_calls_through_every_traced_mfg_boundary(monkeypatch):
 
         return counted
 
-    names = ("forward_flow", "bellman_backward", "best_response_gap", "softmax_policy",
-             "_binomial_pmf_rows")
-    for name in names:
+    for name in MFG_BOUNDARIES:
         monkeypatch.setattr(mfg, name, counting(name))
+    return calls
+
+
+def test_the_solver_calls_through_every_traced_mfg_boundary(monkeypatch):
+    # The bench counts these calls at the module attributes; a caller that
+    # bound a function directly would bypass the wrapper and its metrics.
+    calls = counting_mfg_calls(monkeypatch)
     result = mfg.solve_equilibrium(mfg.default_params())
     sweeps = result.iterations
     assert result.converged
@@ -69,6 +77,17 @@ def test_the_solver_calls_through_every_traced_mfg_boundary(monkeypatch):
         "softmax_policy": sweeps,
         "_binomial_pmf_rows": sweeps + 1,
     }
+
+
+def test_the_simulator_calls_through_the_traced_mfg_boundaries(monkeypatch):
+    # `population`'s kernel counts include the simulator's one mean-field
+    # flow; a simulator that bound forward_flow directly would drop it.
+    params = mfg.default_params()
+    policy = mfg.uniform_policy(params)
+    calls = counting_mfg_calls(monkeypatch)
+    mfg.simulate_population(params, policy, episodes=3, seed=0)
+    # one flow, whose stack is one block of rows at N=20
+    assert calls == {"forward_flow": 1, "_binomial_pmf_rows": 1}
 
 
 def test_a_tournament_calls_through_the_traced_ipd_boundary(monkeypatch):

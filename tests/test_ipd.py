@@ -99,10 +99,12 @@ def test_payoffs_read_plain_int_actions_like_the_enum():
     assert payoff.payoffs(1, 1) == payoff.payoffs(D, D) == (1, 1)
 
 
-@pytest.mark.parametrize("bad", [2, -1, "C", None])
+@pytest.mark.parametrize("bad", [2, -1, "C", None, True, False, 1.0, 0.0])
 def test_payoffs_reject_values_that_are_not_actions(bad):
     with pytest.raises(ValidationError, match="0 \\(cooperate\\) or 1 \\(defect\\)"):
         PayoffMatrix(5, 2, 1, 0).payoffs(bad, C)
+    with pytest.raises(ValidationError, match="0 \\(cooperate\\) or 1 \\(defect\\)"):
+        PayoffMatrix(5, 2, 1, 0).payoffs(D, bad)
 
 
 def test_action_ordering_for_serialization():
@@ -168,6 +170,12 @@ def test_threshold_degenerate_when_punishment_equals_sucker():
     assert result.solved == 0.0
     for delta in (0.05, 0.3, 0.7, 0.95):
         assert stick_payoff(5, 1, delta) > deviate_payoff(5, 1, delta)
+
+
+def test_threshold_rejects_temptation_equal_to_reward():
+    # T = R leaves the quoted form (P - S)/(T - R) undefined
+    with pytest.raises(ValidationError, match="temptation == reward"):
+        discount_threshold(5, 5, 1, 0)
 
 
 def test_threshold_unreachable_below_one():
@@ -308,7 +316,7 @@ def test_strategies_acting_in_plain_ints_play_like_the_enum(opponent):
     )
 
 
-@pytest.mark.parametrize("bad", [2, -1, "C", None])
+@pytest.mark.parametrize("bad", [2, -1, "C", None, True, False, 1.0, 0.0])
 def test_an_action_that_is_not_zero_or_one_is_rejected(bad):
     config = MatchConfig(horizon=3)
     with pytest.raises(ValidationError, match="must act 0 \\(cooperate\\) or 1"):

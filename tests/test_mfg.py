@@ -693,6 +693,23 @@ def test_exploitability_is_nonnegative_and_matches_oracle():
         assert value == pytest.approx(oracle_value, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "initial, match",
+    [
+        (np.full(12, 1.0 / 12.0), "initial must have n_agents \\+ 1 entries"),
+        (np.full(10, 0.1), "initial must have n_agents \\+ 1 entries"),
+        (np.r_[np.nan, np.full(10, 0.1)], "initial has non-finite entries"),
+        (np.r_[-0.5, 1.5, np.zeros(9)], "initial has negative entries"),
+        (np.full(11, 0.5), "initial is not normalized"),
+    ],
+    ids=["too-long", "too-short", "nan", "negative", "unnormalized"],
+)
+def test_certificate_rejects_an_initial_law_that_is_not_one(initial, match):
+    params = MfgParams(n_agents=10, threshold=4, horizon=3)
+    with pytest.raises(ValidationError, match=match):
+        best_response_gap(uniform_policy(params), params, initial)
+
+
 def counting_stacks(monkeypatch):
     """Record the number of rows in each kernel stack built, checking that
     it is the number of distinct move probabilities in the whole policy and
@@ -791,9 +808,6 @@ def test_two_agent_population_matches_hand_tally():
     stats = simulate_population(params, policy, episodes=5, seed=21)
     # states visit 0 -> 2 -> 0 -> 2 -> 0
     assert stats.mean_states == pytest.approx([0, 2, 0, 2, 0])
-    # rewards: move at clear state (1.0), then wait at congested (0.2), ...
-    per_agent = 1.0 + 0.2 + 1.0 + 0.2
-    assert stats.agent_rewards == pytest.approx([per_agent, per_agent])
     assert stats.deviation < 1e-12
 
 
@@ -839,16 +853,13 @@ def test_batched_simulator_matches_per_episode_oracle(case):
     params, levels, episodes = case
     policy = _random_policy(params, 11, levels)
     stats = simulate_population(params, policy, episodes=episodes, seed=13)
-    wait_reward, move_reward = mfg.reward_array(params).T
-    frequencies, agent_rewards = oracle.simulate_population(
-        policy.tolist(), initial_distribution_array(params),
-        wait_reward.tolist(), move_reward.tolist(), episodes, 13,
+    frequencies = oracle.simulate_population(
+        policy.tolist(), initial_distribution_array(params), params.n_agents, episodes, 13,
     )
     assert np.array_equal(stats.state_frequencies, frequencies)
     counts = np.arange(params.n_agents + 1)
     deviation = np.max(np.abs(frequencies @ counts - stats.mf_mean_states)) / params.n_agents
     assert stats.deviation == float(deviation)
-    np.testing.assert_allclose(stats.agent_rewards, agent_rewards, rtol=1e-12, atol=0.0)
 
 
 def test_simulator_cases_cover_the_batch_edges():
