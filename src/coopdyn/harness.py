@@ -50,15 +50,17 @@ MAX_GRID_POINTS = 1_000_000
 # ---------------------------------------------------------------------------
 
 
-_CELL = {bool: "{:d}", int: "{:d}", float: "{:.12g}", str: "{}"}
+_CELL = {bool: "%d", int: "%d", float: "%.12g", str: "%s"}
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    """Write a table whose rows hold plain Python values, one type per
-    column; the first row's types pick the format of every row: bools as
-    1/0, floats at 12 significant digits, strings as they are."""
+    """Write a table whose rows are tuples of plain Python values, one type
+    per column; the first row's types pick the `%` format of every row:
+    bools as 1/0, floats at 12 significant digits, strings as they are.
+    The solver's policy and value tables give each (t, j) state one row,
+    whose last two cells run over the (wait, move) pair."""
     template = ",".join(_CELL[type(value)] for value in rows[0]) if rows else ""
-    lines = [",".join(header), *(template.format(*row) for row in rows)]
+    lines = [",".join(header), *map(template.__mod__, rows)]
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -156,7 +156,10 @@ def initial_distribution_array(params: MfgParams) -> np.ndarray:
 def _check_distribution(dist, n_agents: int, name: str) -> np.ndarray:
     """`dist` as a float array of n_agents + 1 finite entries, each at least
     -_INPUT_TOL, that sum to 1 within _INPUT_TOL."""
-    dist = np.asarray(dist, dtype=float)
+    try:
+        dist = np.asarray(dist, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a numeric array: {exc}") from exc
     if dist.shape != (n_agents + 1,):
         raise ValidationError(f"{name} must have n_agents + 1 entries")
     if not np.isfinite(dist).all():
@@ -349,16 +352,26 @@ def forward_flow(policy, params: MfgParams, *, kernel=None) -> np.ndarray:
 
 
 def softmax_policy(values, temperature: float) -> np.ndarray:
-    """Boltzmann probabilities over the last axis, max-subtracted for
-    stability; temperature 1 reproduces the plain exponential weighting."""
-    if not temperature > 0.0:
-        raise ValidationError("temperature must be positive")
-    q = np.asarray(values, dtype=float)
+    """Boltzmann probabilities over the (wait, move) pair on the last axis,
+    max-subtracted for stability; temperature 1 reproduces the plain
+    exponential weighting."""
+    if (not isinstance(temperature, (int, float, np.integer, np.floating))
+            or isinstance(temperature, bool) or not temperature > 0.0):
+        raise ValidationError(f"temperature must be a positive number, got {temperature!r}")
+    try:
+        q = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"softmax values must be a numeric array: {exc}") from exc
+    if q.shape[-1:] != (2,):
+        raise ValidationError(f"softmax values must end in a (wait, move) axis; got shape {q.shape}")
     if not np.isfinite(q).all():
         raise NumericalIntegrityError("softmax input contains non-finite values")
-    z = (q - q.max(axis=-1, keepdims=True)) / temperature
+    # elementwise over the pair: a numpy reduction over a length-2 axis is
+    # slow, and the exact max and two-term sum give the reduction's bits
+    m = np.maximum(q[..., WAIT], q[..., MOVE])
+    z = (q - m[..., None]) / temperature
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / (e[..., WAIT] + e[..., MOVE])[..., None]
 
 
 def uniform_policy(params: MfgParams) -> np.ndarray:

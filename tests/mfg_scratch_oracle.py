@@ -3,9 +3,10 @@
 Written against the model definition before the production module and kept
 deliberately separate from it: plain lists, dicts and math only, no numpy,
 no package imports. Used to certify the production solver on desk-scale
-instances. The one exception is `simulate_population`, the per-episode
-reference for the batched simulator: it must draw numpy's generator
-streams, so it imports numpy inside.
+instances. The two exceptions import numpy inside: `simulate_population`,
+the per-episode reference for the batched simulator, must draw numpy's
+generator streams, and `softmax_reduce`, the bit-level reference for the
+production softmax, must use numpy's exp.
 
 Model summary. State j in {0..N} is last round's mover count. An agent
 picks wait (0) or move (1); the other N-1 agents move i.i.d. with the
@@ -223,3 +224,15 @@ def simulate_population(policy, initial, n_agents, episodes, seed):
             state = int((rng.random(n) < policy[t][state][1]).sum())
             frequencies[t + 1, state] += 1.0
     return frequencies / episodes
+
+
+def softmax_reduce(values, temperature):
+    """Boltzmann probabilities over the last axis by numpy reductions, the
+    general-axis formula the production pair softmax must match bit for bit.
+    """
+    import numpy as np
+
+    q = np.asarray(values, dtype=float)
+    z = (q - q.max(axis=-1, keepdims=True)) / temperature
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)

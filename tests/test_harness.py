@@ -93,6 +93,38 @@ def test_write_csv_uses_twelve_significant_digits(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
 
 
+def test_write_csv_pins_special_floats_and_keeps_template_characters_in_cells(tmp_path):
+    header = ["nan", "inf", "ninf", "zero", "big", "percent", "braces"]
+    rows = [(math.nan, math.inf, -math.inf, -0.0, 10**20, "5% %d %s %%", "{} {0} {:d}")]
+    write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"nan,inf,ninf,zero,big,percent,braces\n"
+        b"nan,inf,-inf,-0,100000000000000000000,5% %d %s %%,{} {0} {:d}\n"
+    )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_shipped_tables_hold_one_python_type_per_column(tmp_path, monkeypatch, path):
+    # write_csv picks every row's format from the first row's types, and %d
+    # would print a float in an int column truncated instead of failing
+    written = {}
+    original = harness.write_csv
+
+    def recording(target, header, rows):
+        written[target.name] = rows
+        original(target, header, rows)
+
+    monkeypatch.setattr(harness, "write_csv", recording)
+    run(load_config(path), out_dir=tmp_path)
+    assert written
+    for name, rows in written.items():
+        assert all(type(row) is tuple for row in rows), name
+        assert len({tuple(map(type, row)) for row in rows}) <= 1, name
+
+
 def leftovers(directory):
     return sorted(path.name for path in directory.glob("*.tmp"))
 

@@ -228,6 +228,21 @@ def test_policies_that_are_not_numeric_arrays_are_validation_errors(call, policy
         call(policy)
 
 
+@pytest.mark.parametrize("law", [("a", 0, 0), [[1.0], [0.0, 0.0], 0.0]], ids=["text", "ragged"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda law: MfgParams(n_agents=2, threshold=1, initial_distribution=law),
+                     id="MfgParams"),
+        pytest.param(lambda law: best_response_gap(uniform_policy(ONE_STEP), ONE_STEP, initial=law),
+                     id="best_response_gap"),
+    ],
+)
+def test_initial_laws_that_are_not_numeric_arrays_are_validation_errors(call, law):
+    with pytest.raises(ValidationError, match="must be a numeric array"):
+        call(law)
+
+
 # ---------------------------------------------------------------------------
 # rewards and utilities
 # ---------------------------------------------------------------------------
@@ -510,6 +525,26 @@ def test_softmax_is_overflow_safe():
 def test_softmax_rejects_non_finite_values():
     with pytest.raises(NumericalIntegrityError):
         softmax_policy(np.array([np.nan, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize("values", [[[1.0, 2.0, 3.0]], [1.0], 3.0, np.zeros((2, 3)), np.zeros((0,))],
+                         ids=["three-actions", "one-action", "scalar", "pair-on-first-axis", "empty"])
+def test_softmax_rejects_a_last_axis_that_is_not_the_pair(values):
+    with pytest.raises(ValidationError, match="wait, move"):
+        softmax_policy(values, 1.0)
+
+
+@pytest.mark.parametrize("values", [["a", "b"], [[0.0, 1.0], [0.0]]], ids=["text", "ragged"])
+def test_softmax_rejects_values_that_are_not_numeric_arrays(values):
+    with pytest.raises(ValidationError, match="numeric array"):
+        softmax_policy(values, 1.0)
+
+
+@pytest.mark.parametrize("temperature", [None, "0.2", True, [0.2], 0.0, -1.0, np.nan],
+                         ids=["none", "text", "bool", "list", "zero", "negative", "nan"])
+def test_softmax_rejects_temperatures_that_are_not_positive_numbers(temperature):
+    with pytest.raises(ValidationError, match="temperature must be a positive number"):
+        softmax_policy([0.0, 1.0], temperature)
 
 
 def test_softmax_low_temperature_approaches_argmax():

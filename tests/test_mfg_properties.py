@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfg_scratch_oracle as oracle
 from coopdyn.mfg import (
     MOVE,
     WAIT,
     MfgParams,
+    bellman_backward,
     forward_flow,
     simulate_population,
     softmax_policy,
     transition_distribution,
+    uniform_policy,
 )
 
 from test_mfg import enumerate_transition, step
@@ -69,6 +72,54 @@ def test_softmax_sharpens_to_one_hot_as_temperature_vanishes():
         assert prob > previous
         previous = prob
     assert previous > 1.0 - 1e-10
+
+
+# a gap of 746 temperatures puts the smaller exponent below -745.13, where
+# float64 exp underflows to exactly 0
+UNDERFLOW_GAP = 746.0
+
+
+@st.composite
+def action_value_arrays(draw):
+    """(q, temperature, kinds): q of shape (2,), (k, 2) or (H, N+1, 2) whose
+    pairs are free, tied, or a gap of at least UNDERFLOW_GAP temperatures."""
+    lead = draw(st.one_of(st.just(()), st.tuples(st.integers(1, 6)),
+                          st.tuples(st.integers(1, 4), st.integers(3, 9))))
+    temperature = draw(st.floats(1e-4, 10.0))
+    cells = st.floats(-1e3, 1e3)
+    pairs, kinds = [], []
+    for _ in range(int(np.prod(lead, dtype=int))):
+        kind = draw(st.sampled_from(["free", "tie", "underflow"]))
+        first = draw(cells)
+        if kind == "free":
+            pair = [first, draw(cells)]
+        elif kind == "tie":
+            pair = [first, first]
+        else:
+            pair = [first, first - draw(st.floats(UNDERFLOW_GAP, 2000.0)) * temperature]
+            if draw(st.booleans()):
+                pair.reverse()
+        pairs.append(pair)
+        kinds.append(kind)
+    return np.array(pairs).reshape(*lead, 2), temperature, np.array(kinds).reshape(lead)
+
+
+@given(action_value_arrays())
+@settings(max_examples=200)
+def test_pair_softmax_is_bit_identical_to_the_general_axis_formula(case):
+    q, temperature, kinds = case
+    got = softmax_policy(q, temperature)
+    assert got.shape == q.shape
+    assert np.array_equal(got, oracle.softmax_reduce(q, temperature))
+    assert np.all(got[kinds == "tie"] == 0.5)
+    assert np.all(got[kinds == "underflow"].min(axis=-1) == 0.0)
+
+
+@pytest.mark.parametrize("temperature", [1e-4, 0.2, 10.0])
+def test_pair_softmax_matches_the_general_axis_formula_on_solver_tables(temperature):
+    params = MfgParams(n_agents=1000, threshold=400, temperature=temperature, horizon=30)
+    q = bellman_backward(uniform_policy(params), params).q[: params.horizon]
+    assert np.array_equal(softmax_policy(q, temperature), oracle.softmax_reduce(q, temperature))
 
 
 def _constant_policy(params, p_move):
