@@ -9,6 +9,10 @@ file then goes through a temporary sibling moved into place, so none is
 ever half-written. Unreadable configs and manifests, and range errors such
 as table-mode smoothing or reward_offset, are ConfigErrors with a key path.
 Re-running a manifest reproduces the CSVs byte for byte.
+
+The solver's and simulator's tables stay numpy columns until written, and
+the writer formats each distinct value of a column once; the tables the
+other runners build as lists of tuple rows are formatted row by row.
 """
 
 from __future__ import annotations
@@ -53,15 +57,60 @@ MAX_GRID_POINTS = 1_000_000
 _CELL = {bool: "%d", int: "%d", float: "%.12g", str: "%s"}
 
 
-def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    """Write a table whose rows are tuples of plain Python values, one type
-    per column; the first row's types pick the `%` format of every row:
-    bools as 1/0, floats at 12 significant digits, strings as they are.
-    The solver's policy and value tables give each (t, j) state one row,
-    whose last two cells run over the (wait, move) pair."""
-    template = ",".join(_CELL[type(value)] for value in rows[0]) if rows else ""
-    lines = [",".join(header), *map(template.__mod__, rows)]
-    _write_text(path, "\n".join(lines) + "\n")
+class _ArrayTable:
+    """Equal-length array columns held as they are: `len()` is the row
+    count, and iterating yields the rows as tuples of plain Python values."""
+
+    def __init__(self, columns: tuple[np.ndarray, ...]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*(column.tolist() for column in self.columns))
+
+
+def _rows(*columns) -> _ArrayTable:
+    """A table of one or more equal-length array columns, formatted when
+    written."""
+    if len({len(column) for column in columns}) != 1:
+        raise ValueError(f"table columns differ in length: {[len(c) for c in columns]}")
+    return _ArrayTable(columns)
+
+
+def _cells(column: np.ndarray, end: str) -> np.ndarray:
+    """The column's cells as text followed by `end`, each distinct value
+    formatted once, by the same `%` format a row cell of its type gets.
+    Floats are keyed by their bits, so 0.0 and -0.0 stay apart."""
+    floating = column.dtype.kind == "f"
+    keys = column.view(f"i{column.itemsize}") if floating else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    values = (distinct.view(column.dtype) if floating else distinct).tolist()
+    template = _CELL[type(values[0])] + end if values else end
+    return np.array(list(map(template.__mod__, values)), dtype=object)[inverse]
+
+
+def write_csv(path: Path, header: list[str], rows: _ArrayTable | list[tuple]) -> None:
+    """Write a table, one type per column: bools as 1/0, ints as they are,
+    floats at 12 significant digits, strings as they are.
+
+    An array table (from `_rows`) is formatted a column at a time, each
+    distinct value once, and its cells are joined in one pass; the solver's
+    tables hold few distinct values, since a table-mode policy has few
+    distinct move probabilities. Any other table is a sequence of tuple
+    rows of plain Python values, whose first row's types pick one `%`
+    template for every row: turning those tables into columns would hold a
+    second copy of them in memory."""
+    head = ",".join(header) + "\n"
+    if isinstance(rows, _ArrayTable):
+        ends = [","] * (len(rows.columns) - 1) + ["\n"]
+        cells = np.column_stack([_cells(c, end) for c, end in zip(rows.columns, ends)])
+        text = head + "".join(cells.ravel().tolist())
+    else:
+        template = ",".join(_CELL[type(value)] for value in rows[0]) + "\n" if rows else ""
+        text = head + "".join(map(template.__mod__, rows))
+    _write_text(path, text)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -74,11 +123,6 @@ def _write_text(path: Path, text: str) -> None:
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
-
-
-def _rows(*columns):
-    """Equal-length array columns as rows of plain values, made when written."""
-    yield from zip(*(column.tolist() for column in columns), strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +581,7 @@ def run(config: dict, out_dir=None) -> RunArtifacts:
     out = Path(out_dir if out_dir is not None else configured_out or f"runs/{kind}")
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
-        write_csv(out / name, header, list(rows))
+        write_csv(out / name, header, rows)
     manifest_path, report_path = out / "manifest.json", out / "report.md"
     _write_text(manifest_path, manifest_text + "\n")
     _write_text(report_path, report_text)

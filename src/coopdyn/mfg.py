@@ -50,9 +50,16 @@ _INPUT_TOL = 1e-9
 
 
 def _check_finite_fields(instance) -> None:
+    """Every float field must hold a finite int or float; bools are
+    rejected, as `_check_count` rejects them. (Annotations are strings in
+    this module.)"""
     for field in fields(instance):
+        if field.type != "float":
+            continue
         value = getattr(instance, field.name)
-        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValidationError(f"{field.name} must be a number, got {value!r}")
+        if not math.isfinite(value):
             raise ValidationError(f"{field.name} is non-finite: {value!r}")
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coopdyn import ipd, mfg
+from coopdyn import harness, ipd, mfg
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -107,3 +107,34 @@ def test_a_tournament_calls_through_the_traced_ipd_boundary(monkeypatch):
     ipd.tournament(entrants, ipd.PayoffMatrix(5, 2, 1, 0), config)
     assert len(results) == len(entrants) ** 2
     assert all(len(result.trajectory) == config.horizon for result in results)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_the_bench_counts_every_data_line_each_write_csv_call_writes(
+    tracing, tmp_path, monkeypatch, path
+):
+    # harness.csv_rows is len(rows) taken by the bench's own count function
+    # after each write_csv call; it must equal the lines the call wrote
+    tables = {}
+    write = harness.write_csv
+
+    def recording(target, header, rows):
+        write(target, header, rows)
+        counts = tracing._csv_counts(None, (target, header, rows), {})
+        lines = Path(target).read_bytes().count(b"\n") - 1
+        tables[Path(target).name] = (type(rows), counts["rows"], lines)
+
+    monkeypatch.setattr(harness, "write_csv", recording)
+    harness.run(harness.load_config(path), out_dir=tmp_path)
+    assert tables
+    for name, (_kind, counted, lines) in tables.items():
+        assert counted == lines, name
+    if path.stem == "mfg_solve":
+        # the solver's tables must reach the writer as array tables, which
+        # it formats a column at a time, not as lists of rows
+        assert {name: kind for name, (kind, _, _) in tables.items()} == dict.fromkeys(
+            ("policy.csv", "flow.csv", "values.csv", "diag.csv"), harness._ArrayTable
+        )

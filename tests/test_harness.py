@@ -5,6 +5,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +102,81 @@ def test_write_csv_pins_special_floats_and_keeps_template_characters_in_cells(tm
         b"nan,inf,ninf,zero,big,percent,braces\n"
         b"nan,inf,-inf,-0,100000000000000000000,5% %d %s %%,{} {0} {:d}\n"
     )
+
+
+ORACLE_CELL = {bool: "%d", int: "%d", float: "%.12g", str: "%s"}
+
+
+def row_oracle_bytes(header, rows):
+    """The per-row writer: one `%` template, picked from the first row's
+    types, formats every row."""
+    template = ",".join(ORACLE_CELL[type(value)] for value in rows[0]) if rows else ""
+    return ("\n".join([",".join(header), *map(template.__mod__, rows)]) + "\n").encode()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                  2.2250738585072014e-308, 1e300, -1e-300, 1e-300, 1 / 3, 2.0, 10.0**20]
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+# a column draws from a small pool of values, so it repeats them heavily;
+# every float pool holds both zeros, which only their bits tell apart
+POOLS = {
+    np.float64: st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                         max_size=5).map(lambda pool: [0.0, -0.0, *pool]),
+    np.int64: st.lists(st.one_of(st.sampled_from([0, -1, 2**63 - 1, -(2**63)]), INT64),
+                       min_size=1, max_size=6),
+    np.bool_: st.just([False, True]),
+}
+
+
+@st.composite
+def array_columns(draw):
+    length = draw(st.integers(min_value=0, max_value=30))
+    columns = []
+    for dtype in draw(st.lists(st.sampled_from(list(POOLS)), min_size=1, max_size=5)):
+        pool = draw(POOLS[dtype])
+        column = draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+        columns.append(np.array(column, dtype=dtype))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(array_columns())
+def test_array_tables_write_the_bytes_of_the_row_writer(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = list(zip(*(column.tolist() for column in columns)))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "t.csv"
+        write_csv(path, header, harness._rows(*columns))
+        assert path.read_bytes() == row_oracle_bytes(header, rows)
+
+
+def test_array_tables_write_strided_columns_and_both_zeros(tmp_path):
+    # the solver's policy and value columns are strided views of (.., 2) arrays
+    pairs = np.array([[0.0, -0.0], [-0.0, 0.5], [0.0, -0.0]])
+    write_csv(tmp_path / "t.csv", ["a", "b"], harness._rows(*pairs.T))
+    assert read_lines(tmp_path / "t.csv") == ["a,b", "0,-0", "-0,0.5", "0,-0"]
+
+
+def test_an_array_table_has_a_length_and_rows_of_plain_python_values():
+    table = harness._rows(np.arange(3), np.array([0.5, -0.0, 2.0]), np.array([True, False, True]))
+    assert len(table) == 3
+    rows = list(table)
+    assert rows == [(0, 0.5, True), (1, -0.0, False), (2, 2.0, True)]
+    assert all(type(row) is tuple for row in rows)
+    assert {tuple(map(type, row)) for row in rows} == {(int, float, bool)}
+    assert list(table) == rows  # a table can be read again
+
+
+def test_array_table_columns_of_unequal_length_are_rejected():
+    with pytest.raises(ValueError, match="differ in length"):
+        harness._rows(np.arange(3), np.arange(4.0))
+
+
+def test_an_empty_array_table_writes_the_header_only(tmp_path):
+    table = harness._rows(np.arange(0), np.zeros(0))
+    assert len(table) == 0
+    write_csv(tmp_path / "t.csv", ["a", "b"], table)
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

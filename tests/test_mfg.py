@@ -165,6 +165,29 @@ def test_non_finite_inputs_are_rejected(call, match):
         call()
 
 
+PARAMS_FLOAT_FIELDS = ("discount", "smoothing", "reward_offset", "consistency_weight",
+                       "preference_baseline", "temperature")
+TABLE_FLOAT_FIELDS = ("move_clear", "wait_clear", "wait_congested", "move_congested")
+
+
+def test_the_float_field_lists_name_every_float_field():
+    float_fields = [f.name for f in dataclasses.fields(MfgParams) if f.type == "float"]
+    assert tuple(float_fields) == PARAMS_FLOAT_FIELDS
+    assert tuple(f.name for f in dataclasses.fields(RewardTable)) == TABLE_FLOAT_FIELDS
+
+
+@pytest.mark.parametrize("value", [None, "0.9", True], ids=["None", "text", "bool"])
+@pytest.mark.parametrize(
+    "make, key",
+    [(lambda **kw: small_params(reward_mode="formula", **kw), key) for key in PARAMS_FLOAT_FIELDS]
+    + [(RewardTable, key) for key in TABLE_FLOAT_FIELDS],
+    ids=[*PARAMS_FLOAT_FIELDS, *(f"reward_table-{key}" for key in TABLE_FLOAT_FIELDS)],
+)
+def test_float_fields_that_are_not_numbers_are_rejected_by_name(make, key, value):
+    with pytest.raises(ValidationError, match=f"^{key} must be a number"):
+        make(**{key: value})
+
+
 NEGATIVE_POLICY = np.array(GOOD_POLICY)
 NEGATIVE_POLICY[:, :, WAIT] = -0.5
 NEGATIVE_POLICY[:, :, MOVE] = 1.5
