@@ -59,8 +59,6 @@ def main(argv=None) -> int:
                 [f"config: experiment '{declared}' does not match subcommand '{kind}'"]
             )
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ValidationError("seed must fit in an unsigned 64-bit integer")
             config["seed"] = args.seed
         artifacts = run(config, out_dir=args.out)
         print(f"{kind}: wrote {', '.join(artifacts.csv_files)} to {artifacts.out_dir}")

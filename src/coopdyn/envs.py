@@ -2,16 +2,20 @@
 
 Two abstract settings: a dungeon where one agent per round sacrifices
 itself so the others escape, and a threshold intersection where up to
-`threshold` movers pass per round. Both log per-round roles and rewards,
-keep a rotation ledger, and end in one shared step: each round's group
-outcome is credited back to that round's sacrificing side, and the ledger's
-fairness is tallied into an `EpisodeResult`.
+`threshold` movers pass per round. Both log each round's outcome and every
+agent's role state after it, keep a rotation ledger, and end in one shared
+step: each round's group outcome is credited back to that round's
+sacrificing side, and the ledger's fairness is tallied into an
+`EpisodeResult`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .errors import ValidationError, _check_count
 from .mfg import MOVE, MfgParams, _check_policy, initial_distribution_array, reward_array
@@ -38,7 +42,9 @@ from .roles import (
 
 @dataclass(frozen=True)
 class DungeonConfig:
-    """One sacrificer per round enables n_agents - 1 escapes."""
+    """One sacrificer per round enables n_agents - 1 escapes, each worth
+    success_reward to it at episode end. sacrifice_cost is recorded with
+    the config, but no output reads it."""
 
     n_agents: int = 3
     rounds: int = 6
@@ -58,22 +64,32 @@ class DungeonRound:
     round_index: int
     sacrificer: int
     success: bool
-    rewards: tuple[float, ...]
-    agent_states: tuple[tuple[int, str, int, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class EpisodeResult:
-    """One episode of either environment: its round log, the ledger after
-    the last round, its fairness tally and the credits paid at the end."""
+    """One episode of either environment: its round log, each agent's state
+    after each round, the ledger after the last round, its fairness tally
+    and the credits paid at the end. `states[r, agent]` holds whether the
+    agent was in the sacrifice role, its streak and its sacrifices so far."""
 
     rounds: tuple[DungeonRound, ...] | tuple[IntersectionRound, ...]
+    states: np.ndarray
     ledger: RotationLedger
     fairness: FairnessStats
     credits: dict[int, float]
 
 
-def _end_episode(rows, ledger: RotationLedger, outcomes) -> EpisodeResult:
+def _log_states(states: np.ndarray, round_index: int, ledger: RotationLedger) -> None:
+    """Fill `states[round_index]` from the ledger's records, a column at a
+    time (numpy converts three int lists faster than n_agents tuples)."""
+    records, state = ledger.records, states[round_index]
+    state[:, 0] = [rec.role == SACRIFICE for rec in records]
+    state[:, 1] = [rec.streak for rec in records]
+    state[:, 2] = [rec.times_sacrifice for rec in records]
+
+
+def _end_episode(rows, states, ledger: RotationLedger, outcomes) -> EpisodeResult:
     """Credit each (assignment, group outcome) pair to that round's
     sacrificing side, then tally the ledger's fairness."""
     credits: dict[int, float] = {}
@@ -81,7 +97,7 @@ def _end_episode(rows, ledger: RotationLedger, outcomes) -> EpisodeResult:
         for agent, amount in delayed_credit([assignment], outcome).items():
             credits[agent] = credits.get(agent, 0.0) + amount
     ledger.apply_credits(credits)
-    return EpisodeResult(tuple(rows), ledger, fairness_report(ledger), credits)
+    return EpisodeResult(tuple(rows), states, ledger, fairness_report(ledger), credits)
 
 
 def run_dungeon(config: DungeonConfig) -> EpisodeResult:
@@ -99,6 +115,7 @@ def run_dungeon(config: DungeonConfig) -> EpisodeResult:
     if stochastic:
         ledger.initialize_roles({0})
     rows = []
+    states = np.zeros((config.rounds, config.n_agents, 3), dtype=np.int64)
     assignments: list[RoleAssignment] = []
     for round_index in range(config.rounds):
         if stochastic:
@@ -109,20 +126,11 @@ def run_dungeon(config: DungeonConfig) -> EpisodeResult:
         else:
             assignment = deterministic_assign(ledger, 1)
         sacrificer = next(iter(assignment.sacrificers))
-        rewards = [config.success_reward] * config.n_agents
-        rewards[sacrificer] = -config.sacrifice_cost
-        rows.append(
-            DungeonRound(
-                round_index=round_index,
-                sacrificer=sacrificer,
-                success=True,
-                rewards=tuple(rewards),
-                agent_states=ledger.round_snapshot(),
-            )
-        )
+        rows.append(DungeonRound(round_index, sacrificer, success=True))
+        _log_states(states, round_index, ledger)
         assignments.append(assignment)
     escapes_value = config.success_reward * (config.n_agents - 1)
-    return _end_episode(rows, ledger, ((a, escapes_value) for a in assignments))
+    return _end_episode(rows, states, ledger, ((a, escapes_value) for a in assignments))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +182,8 @@ class IntersectionConfig:
             ids = set(self.static_movers)
             if not all(0 <= i < self.n_agents for i in ids):
                 raise ValidationError("static_movers ids out of range")
+            if len(ids) != len(self.static_movers):
+                raise ValidationError("static_movers ids must be distinct")
 
 
 @dataclass(frozen=True)
@@ -182,8 +192,7 @@ class IntersectionRound:
     movers: frozenset[int]
     n_moved: int
     passed: bool
-    rewards: tuple[float, ...]
-    agent_states: tuple[tuple[int, str, int, int], ...] = ()
+    haul: float  # the movers' combined reward at the realized count
 
 
 def _sample_categorical(rng: random.Random, probs) -> int:
@@ -226,8 +235,9 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
         if config.static_movers is not None
         else frozenset(range(config.cohort))
     )
-    rewards_by_count = reward_array(params).tolist()
+    move_rewards = reward_array(params)[:, MOVE].tolist()
     rows = []
+    states = np.zeros((config.rounds, config.n_agents, 3), dtype=np.int64)
     assignments: list[RoleAssignment] = []
     for round_index in range(config.rounds):
         if config.assignment == "static":
@@ -247,27 +257,16 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
         movers = assignment.primaries
         n_moved = len(movers)
         passed = n_moved <= config.threshold
-        wait_reward, move_reward = rewards_by_count[n_moved]
-        rewards = tuple(
-            move_reward if agent in movers else wait_reward
-            for agent in range(config.n_agents)
-        )
+        # summed one mover at a time: n * reward can round differently
+        haul = sum(repeat(move_rewards[n_moved], n_moved))
         if config.assignment == "policy":
             state = n_moved
-        rows.append(
-            IntersectionRound(
-                round_index=round_index,
-                movers=movers,
-                n_moved=n_moved,
-                passed=passed,
-                rewards=rewards,
-                agent_states=ledger.round_snapshot(),
-            )
-        )
+        rows.append(IntersectionRound(round_index, movers, n_moved, passed, haul))
+        _log_states(states, round_index, ledger)
         assignments.append(assignment)
     hauls = [
-        (assignment, sum(row.rewards[agent] for agent in row.movers))
+        (assignment, row.haul)
         for row, assignment in zip(rows, assignments)
         if config.credit_waiters and row.passed and assignment.sacrificers
     ]
-    return _end_episode(rows, ledger, hauls)
+    return _end_episode(rows, states, ledger, hauls)

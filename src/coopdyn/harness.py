@@ -10,9 +10,8 @@ ever half-written. Unreadable configs and manifests, and range errors such
 as table-mode smoothing or reward_offset, are ConfigErrors with a key path.
 Re-running a manifest reproduces the CSVs byte for byte.
 
-The solver's and simulator's tables stay numpy columns until written, and
-the writer formats each distinct value of a column once; the tables the
-other runners build as lists of tuple rows are formatted row by row.
+Every runner returns its tables as numpy columns, and the writer formats
+each distinct value of a column once.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import json
 import os
 import sys
 import types
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -43,7 +42,7 @@ from .ipd import (
     tournament,
 )
 from .mfg import MfgParams, simulate_population, solve_equilibrium, uniform_policy
-from .roles import SwitchPolicy, default_switch
+from .roles import PRIMARY, SACRIFICE, SwitchPolicy, default_switch
 
 # a delta_scan start/stop/step grid may hold at most this many points
 MAX_GRID_POINTS = 1_000_000
@@ -81,7 +80,7 @@ def _rows(*columns) -> _ArrayTable:
 
 def _cells(column: np.ndarray, end: str) -> np.ndarray:
     """The column's cells as text followed by `end`, each distinct value
-    formatted once, by the same `%` format a row cell of its type gets.
+    formatted once by the `%` format of its Python type in _CELL.
     Floats are keyed by their bits, so 0.0 and -0.0 stay apart."""
     floating = column.dtype.kind == "f"
     keys = column.view(f"i{column.itemsize}") if floating else column
@@ -91,26 +90,16 @@ def _cells(column: np.ndarray, end: str) -> np.ndarray:
     return np.array(list(map(template.__mod__, values)), dtype=object)[inverse]
 
 
-def write_csv(path: Path, header: list[str], rows: _ArrayTable | list[tuple]) -> None:
-    """Write a table, one type per column: bools as 1/0, ints as they are,
-    floats at 12 significant digits, strings as they are.
-
-    An array table (from `_rows`) is formatted a column at a time, each
-    distinct value once, and its cells are joined in one pass; the solver's
-    tables hold few distinct values, since a table-mode policy has few
-    distinct move probabilities. Any other table is a sequence of tuple
-    rows of plain Python values, whose first row's types pick one `%`
-    template for every row: turning those tables into columns would hold a
-    second copy of them in memory."""
-    head = ",".join(header) + "\n"
-    if isinstance(rows, _ArrayTable):
-        ends = [","] * (len(rows.columns) - 1) + ["\n"]
-        cells = np.column_stack([_cells(c, end) for c, end in zip(rows.columns, ends)])
-        text = head + "".join(cells.ravel().tolist())
-    else:
-        template = ",".join(_CELL[type(value)] for value in rows[0]) + "\n" if rows else ""
-        text = head + "".join(map(template.__mod__, rows))
-    _write_text(path, text)
+def write_csv(path: Path, header: list[str], rows: _ArrayTable) -> None:
+    """Write an array table (from `_rows`), one type per column: bools as
+    1/0, ints as they are, floats at 12 significant digits, strings as they
+    are. Each column is formatted once per distinct value, and the cells
+    are joined in one pass; the tables hold few distinct values per column,
+    since a table-mode policy has few distinct move probabilities and a
+    role column two."""
+    ends = [","] * (len(rows.columns) - 1) + ["\n"]
+    cells = np.column_stack([_cells(c, end) for c, end in zip(rows.columns, ends)])
+    _write_text(path, ",".join(header) + "\n" + "".join(cells.ravel().tolist()))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -272,10 +261,11 @@ def _read_ipd(top, seed, problems, exact=None):
 def _run_ipd_match(top, seed, problems):
     payoff, players, match, resolved = _read_ipd(top, seed, problems, exact=2)
     result = play_match(players[0], players[1], payoff, match)
-    rows = [
-        (t, ax.letter, ay.letter, *payoff.payoffs(ax, ay))
-        for t, (ax, ay) in enumerate(result.trajectory)
-    ]
+    x, y = np.array(result.trajectory, dtype=np.int64).T
+    # mine[a, b]: the payoff of action a against action b
+    mine = np.array([[payoff.reward, payoff.sucker], [payoff.temptation, payoff.punishment]])
+    letters = np.array(["C", "D"])
+    rows = _rows(np.arange(len(x)), letters[x], letters[y], mine[x, y], mine[y, x])
     summary = {
         "regime": payoff.regime().value,
         "total_payoffs": list(result.total_payoffs),
@@ -289,7 +279,7 @@ def _run_ipd_match(top, seed, problems):
 def _run_ipd_tournament(top, seed, problems):
     payoff, players, match, resolved = _read_ipd(top, seed, problems)
     table = tournament(players, payoff, match)
-    rows = [(row.label, row.mean_discounted, row.mean_group) for row in table.scores]
+    rows = _rows(*map(np.array, zip(*map(astuple, table.scores))))
     best = max(table.scores, key=lambda r: r.mean_discounted)
     summary = {
         "regime": payoff.regime().value,
@@ -331,23 +321,25 @@ def _run_delta_scan(top, seed, problems):
     _finish_validation(problems)
     payoff = top["payoff"]
     threshold = critical_discount(payoff)
-    rows = []
-    for delta in grid:
-        stick = stick_payoff(payoff.temptation, payoff.sucker, delta)
-        deviate = deviate_payoff(payoff.temptation, payoff.punishment, delta)
-        difference = stick - deviate
-        sign = (difference > 0) - (difference < 0)
-        above_solved = threshold.solved is not None and delta > threshold.solved
-        rows.append((delta, stick, deviate, sign, above_solved, delta > threshold.quoted))
+    t, p, s = payoff.temptation, payoff.punishment, payoff.sucker
+    deltas = np.array(grid, dtype=float)
+    stick = np.array([stick_payoff(t, s, d) for d in grid], dtype=float)
+    deviate = np.array([deviate_payoff(t, p, d) for d in grid], dtype=float)
+    # the sign of stick - deviate without forming it: with gradual underflow
+    # a - b is 0 only when a == b, and both tests fail where it would be NaN
+    sign = (stick > deviate).astype(np.int64) - (stick < deviate)
+    # with no solved threshold, no point lies above it
+    solved = np.inf if threshold.solved is None else threshold.solved
     resolved = {"payoff": asdict(payoff), "grid": {"values": grid}}
     summary = {
         "solved_threshold": threshold.solved,
         "quoted_threshold": threshold.quoted,
         "threshold_note": threshold.note,
         "points": len(grid),
-        "points_favoring_stick": sum(1 for r in rows if r[3] > 0),
+        "points_favoring_stick": int(np.count_nonzero(sign > 0)),
     }
     header = ["delta", "stick", "deviate", "sign", "above_solved", "above_quoted"]
+    rows = _rows(deltas, stick, deviate, sign, deltas > solved, deltas > threshold.quoted)
     return resolved, summary, {"scan.csv": (header, rows)}
 
 
@@ -423,14 +415,21 @@ _ROLES_HEADER = [
 ]
 
 
-def _roles_csv_rows(rounds, credits):
-    """Rows of _ROLES_HEADER; credit lands on the final round (delayed)."""
-    last = len(rounds) - 1
-    return [
-        (r, agent_id, role, streak, cum_sac, credits.get(agent_id, 0.0) if r == last else 0.0)
-        for r, record in enumerate(rounds)
-        for agent_id, role, streak, cum_sac in record.agent_states
-    ]
+def _roles_table(episode) -> _ArrayTable:
+    """Rows of _ROLES_HEADER, from the episode's (rounds, n_agents, 3)
+    state log; credit lands on the final round (delayed)."""
+    rounds, n_agents, _ = episode.states.shape
+    sacrifice, streak, sacrifices = episode.states.reshape(-1, 3).T
+    credited = np.zeros(rounds * n_agents)
+    credited[-n_agents:] = [episode.credits.get(agent, 0.0) for agent in range(n_agents)]
+    return _rows(
+        np.repeat(np.arange(rounds), n_agents),
+        np.tile(np.arange(n_agents), rounds),
+        np.array([PRIMARY, SACRIFICE])[sacrifice],
+        streak,
+        sacrifices,
+        credited,
+    )
 
 
 def _run_roles(top, seed, problems):
@@ -462,9 +461,13 @@ def _run_roles(top, seed, problems):
         "credited_spread": episode.fairness.credited_spread,
         "solve": solve_summary,
     }
-    rounds = [(row.round_index, row.n_moved, row.passed) for row in episode.rounds]
+    rounds = _rows(
+        np.arange(config.rounds),
+        np.array([row.n_moved for row in episode.rounds]),
+        np.array([row.passed for row in episode.rounds]),
+    )
     return resolved, summary, {
-        "roles.csv": (_ROLES_HEADER, _roles_csv_rows(episode.rounds, episode.credits)),
+        "roles.csv": (_ROLES_HEADER, _roles_table(episode)),
         "rounds.csv": (["round", "n_moved", "passed"], rounds),
     }
 
@@ -481,9 +484,13 @@ def _run_dungeon(top, seed, problems):
         "sacrifice_gap": result.fairness.sacrifice_gap,
         "credited_spread": result.fairness.credited_spread,
     }
-    rounds = [(row.round_index, row.sacrificer, row.success) for row in result.rounds]
+    rounds = _rows(
+        np.arange(config.rounds),
+        np.array([row.sacrificer for row in result.rounds]),
+        np.array([row.success for row in result.rounds]),
+    )
     return asdict(config), summary, {
-        "roles.csv": (_ROLES_HEADER, _roles_csv_rows(result.rounds, result.credits)),
+        "roles.csv": (_ROLES_HEADER, _roles_table(result)),
         "rounds.csv": (["round", "sacrificer", "success"], rounds),
     }
 
@@ -555,8 +562,8 @@ def _read_config(config) -> tuple[str, dict]:
     problems: list[str] = []
     rest = {key: value for key, value in config.items() if key != "experiment"}
     top = _read(rest, {**_COMMON, **_KEYS[kind]}, "config", problems)
-    if top is not None and top["seed"] < 0:
-        problems.append("config.seed: must be >= 0")
+    if top is not None and not 0 <= top["seed"] < 2**64:
+        problems.append("config.seed: must be >= 0 and < 2**64")
     _finish_validation(problems)
     return kind, top
 

@@ -105,13 +105,6 @@ class RotationLedger:
         for agent_id, amount in credits.items():
             self.records[agent_id].credited_reward += amount
 
-    def round_snapshot(self) -> tuple[tuple[int, str, int, int], ...]:
-        """(agent_id, role, streak, times_sacrifice) per agent, for logs."""
-        return tuple(
-            (rec.agent_id, rec.role or "", rec.streak, rec.times_sacrifice)
-            for rec in self.records
-        )
-
     def _checked_ids(self, ids: Iterable[int]) -> frozenset[int]:
         ids = frozenset(ids)
         if not all(0 <= i < self.n_agents for i in ids):

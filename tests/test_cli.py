@@ -54,6 +54,16 @@ def test_seed_override_lands_in_manifest(tmp_path):
     assert manifest["config"]["seed"] == 42
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_a_seed_override_outside_the_unsigned_64_bit_range_exits_one(tmp_path, capsys, seed):
+    config = write_config(tmp_path, {"experiment": "dungeon", "rounds": 3})
+    out = tmp_path / "run"
+    code = cli.main(["dungeon", "--config", str(config), "--seed", seed, "--out", str(out)])
+    assert code == 1
+    assert "config.seed: must be >= 0 and < 2**64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_config_exits_one(tmp_path, capsys):
     payload = delta_scan_payload()
     payload["mystery"] = True

@@ -9,7 +9,7 @@ from coopdyn.envs import (
 )
 from coopdyn.errors import ValidationError
 from coopdyn.ipd import Alternator, MatchConfig
-from coopdyn.mfg import MOVE, MfgParams
+from coopdyn.mfg import MOVE, MfgParams, RewardTable
 from coopdyn.roles import RotationLedger, SwitchPolicy, deterministic_assign
 
 
@@ -35,11 +35,25 @@ def test_dungeon_has_exactly_one_sacrificer_per_round():
         },
     ):
         result = run_dungeon(DungeonConfig(n_agents=4, rounds=12, seed=5, **mode_kwargs))
-        for row in result.rounds:
+        for row, states in zip(result.rounds, result.states):
             assert row.success
-            others = [r for i, r in enumerate(row.rewards) if i != row.sacrificer]
-            assert all(r == 1.0 for r in others)
-            assert row.rewards[row.sacrificer] == -1.0
+            assert np.flatnonzero(states[:, 0]).tolist() == [row.sacrificer]
+
+
+def test_episode_states_log_each_agents_role_streak_and_sacrifices():
+    result = run_dungeon(DungeonConfig(n_agents=3, rounds=4))
+    assert result.states.shape == (4, 3, 3) and result.states.dtype == np.int64
+    # the sacrifice goes round 0, 1, 2, 0; a streak counts earlier rounds in
+    # the same role
+    assert result.states.tolist() == [
+        [[1, 0, 1], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 1], [1, 0, 1], [0, 1, 0]],
+        [[0, 1, 1], [0, 0, 1], [1, 0, 1]],
+        [[1, 0, 2], [0, 1, 1], [0, 0, 1]],
+    ]
+    final = [(rec.role == "sacrifice", rec.streak, rec.times_sacrifice)
+             for rec in result.ledger.records]
+    assert result.states[-1].tolist() == [list(state) for state in final]
 
 
 def test_dungeon_delayed_credit_flows_to_sacrificers():
@@ -104,11 +118,10 @@ def test_forced_congestion_blocks_everyone():
     for row in result.rounds:
         assert row.n_moved == 3
         assert not row.passed
-        for agent, reward in enumerate(row.rewards):
-            if agent in row.movers:
-                assert reward == 0.0  # move_congested
-            else:
-                assert reward == 0.2  # wait_congested
+        assert row.haul == 0.0  # move_congested
+    # a blocked round hands its waiters nothing
+    assert result.credits == {}
+    assert all(rec.credited_reward == 0.0 for rec in result.ledger.records)
 
 
 def test_rewards_follow_the_realized_count():
@@ -118,8 +131,20 @@ def test_rewards_follow_the_realized_count():
     result = intersection_episode(config)
     row = result.rounds[0]
     assert row.passed
-    for agent, reward in enumerate(row.rewards):
-        assert reward == (1.0 if agent in row.movers else 0.6)
+    assert row.haul == 2 * 1.0  # two movers at move_clear
+
+
+def test_waiters_split_the_haul_summed_one_mover_at_a_time():
+    params = MfgParams(n_agents=12, threshold=10, reward_table=RewardTable(0.1, 0.05, 0.02, 0.0))
+    config = IntersectionConfig(
+        n_agents=12, threshold=10, rounds=1, cohort=10, assignment="static", params=params
+    )
+    result = intersection_episode(config)
+    assert result.rounds[0].haul == sum([0.1] * 10) != 10 * 0.1
+    assert result.credits == {10: 0.49999999999999994, 11: 0.49999999999999994}
+    assert [rec.credited_reward for rec in result.ledger.records[10:]] == [
+        sum([0.1] * 10) / 2
+    ] * 2
 
 
 def test_policy_driven_episode_uses_the_state_sequence():
@@ -154,6 +179,8 @@ def test_intersection_config_validation():
         IntersectionConfig(n_agents=4, threshold=2, rounds=3, cohort=4)
     with pytest.raises(ValidationError):
         IntersectionConfig(n_agents=4, threshold=2, rounds=3, assignment="nope")
+    with pytest.raises(ValidationError, match="distinct"):
+        IntersectionConfig(n_agents=4, threshold=2, rounds=3, static_movers=(0, 0, 1))
     config = IntersectionConfig(n_agents=4, threshold=2, rounds=3, assignment="policy")
     with pytest.raises(ValidationError):
         intersection_episode(config)  # policy mode needs a policy

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,23 +82,31 @@ def read_lines(path):
 # ---------------------------------------------------------------------------
 
 
+def columns_of(rows):
+    """The table holding `rows`, one numpy column per position, each of
+    the dtype numpy infers from its values."""
+    return harness._rows(*(np.array(column) for column in zip(*rows)))
+
+
 def test_write_csv_uses_twelve_significant_digits(tmp_path):
     header = ["third", "tiny", "count", "flag", "name", "whole", "zero"]
     rows = [(1 / 3, 1.5e-11, 7, True, "abc", 2.0, -0.0), (0.5, 1e20, -3, False, "d", 1.0, 0.0)]
-    write_csv(tmp_path / "t.csv", header, rows)
+    write_csv(tmp_path / "t.csv", header, columns_of(rows))
     assert read_lines(tmp_path / "t.csv") == [
         "third,tiny,count,flag,name,whole,zero",
         "0.333333333333,1.5e-11,7,1,abc,2,-0",
         "0.5,1e+20,-3,0,d,1,0",
     ]
-    write_csv(tmp_path / "empty.csv", ["a", "b"], [])
+    write_csv(tmp_path / "empty.csv", ["a", "b"], harness._rows(np.zeros(0), np.zeros(0)))
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
 
 
 def test_write_csv_pins_special_floats_and_keeps_template_characters_in_cells(tmp_path):
     header = ["nan", "inf", "ninf", "zero", "big", "percent", "braces"]
     rows = [(math.nan, math.inf, -math.inf, -0.0, 10**20, "5% %d %s %%", "{} {0} {:d}")]
-    write_csv(tmp_path / "t.csv", header, rows)
+    table = columns_of(rows)
+    assert table.columns[4].dtype == object  # 10**20 does not fit an int64
+    write_csv(tmp_path / "t.csv", header, table)
     assert (tmp_path / "t.csv").read_bytes() == (
         b"nan,inf,ninf,zero,big,percent,braces\n"
         b"nan,inf,-inf,-0,100000000000000000000,5% %d %s %%,{} {0} {:d}\n"
@@ -125,6 +134,13 @@ POOLS = {
     np.int64: st.lists(st.one_of(st.sampled_from([0, -1, 2**63 - 1, -(2**63)]), INT64),
                        min_size=1, max_size=6),
     np.bool_: st.just([False, True]),
+    # template characters of both `%` and `str.format`; no NUL, which numpy
+    # strips from the end of a str array's items
+    np.str_: st.lists(
+        st.one_of(st.sampled_from(["%", "%%", "{}", "%d %s", "{0:d}", ""]),
+                  st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\0"),
+                          max_size=4)),
+        min_size=1, max_size=4),
 }
 
 
@@ -184,8 +200,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
 def test_shipped_tables_hold_one_python_type_per_column(tmp_path, monkeypatch, path):
-    # write_csv picks every row's format from the first row's types, and %d
-    # would print a float in an int column truncated instead of failing
+    # write_csv picks a column's format from the type of its first distinct
+    # value, and %d would print a float in an int column truncated instead
+    # of failing; only an object column could mix types
     written = {}
     original = harness.write_csv
 
@@ -352,6 +369,28 @@ def test_delta_scan_sign_flips_exactly_at_the_solved_threshold(tmp_path):
         if abs(delta - 0.25) < 1e-9:
             continue
         assert sign == (1 if delta > 0.25 else -1)
+
+
+@pytest.mark.parametrize("grid", [{"values": []}, {"start": 0.5, "stop": 0.1, "step": 0.1}],
+                         ids=["no_values", "start_above_stop"])
+def test_an_empty_delta_scan_grid_writes_the_header_only(tmp_path, grid):
+    artifacts = run(dict(delta_scan_config(), grid=grid), out_dir=tmp_path)
+    assert (tmp_path / "scan.csv").read_bytes() == (
+        b"delta,stick,deviate,sign,above_solved,above_quoted\n"
+    )
+    assert artifacts.summary["points"] == artifacts.summary["points_favoring_stick"] == 0
+
+
+def test_delta_scan_sign_is_zero_where_stick_minus_deviate_is_nan(tmp_path):
+    # both streams overflow to -inf at delta 0.99, so their difference is
+    # NaN, which is neither a gain nor a loss
+    payoff = {"temptation": 1e308, "reward": 1e307, "punishment": -1e308, "sucker": -1.7e308}
+    config = dict(delta_scan_config(), payoff=payoff, grid={"values": [0.99]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        artifacts = run(config, out_dir=tmp_path)
+    assert read_lines(tmp_path / "scan.csv")[1] == "0.99,-inf,-inf,0,1,1"
+    assert artifacts.summary["points_favoring_stick"] == 0
 
 
 def test_mfg_solve_outputs(tmp_path):
@@ -530,6 +569,27 @@ def test_table_mode_rejects_formula_only_keys(tmp_path, capsys, config, message)
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_duplicate_static_movers_are_rejected(tmp_path, capsys):
+    code, out = run_cli(tmp_path, roles_config(assignment="static", static_movers=[0, 0, 1]))
+    assert code == 1
+    assert "config: static_movers ids must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_a_config_seed_outside_the_unsigned_64_bit_range_is_rejected(tmp_path, capsys, seed):
+    code, out = run_cli(tmp_path, dict(delta_scan_config(), seed=seed))
+    assert code == 1
+    assert "config.seed: must be >= 0 and < 2**64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_largest_unsigned_64_bit_seed_is_accepted(tmp_path):
+    artifacts = run(roles_config(seed=2**64 - 1), out_dir=tmp_path)
+    manifest = json.loads(artifacts.manifest_path.read_text())
+    assert manifest["config"]["seed"] == 2**64 - 1
 
 
 def test_oversized_delta_scan_grid_is_rejected_before_it_is_built(tmp_path):
