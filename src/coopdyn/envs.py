@@ -43,13 +43,11 @@ from .roles import (
 @dataclass(frozen=True)
 class DungeonConfig:
     """One sacrificer per round enables n_agents - 1 escapes, each worth
-    success_reward to it at episode end. sacrifice_cost is recorded with
-    the config, but no output reads it."""
+    success_reward to it at episode end."""
 
     n_agents: int = 3
     rounds: int = 6
     success_reward: float = 1.0
-    sacrifice_cost: float = 1.0
     switch: SwitchPolicy | None = None
     seed: int = 0
 

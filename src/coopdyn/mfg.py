@@ -12,10 +12,10 @@ extraction, a damped fixed-point equilibrium solver, a best-response
 exploitability certificate, and a finite-population Monte Carlo
 consistency check.
 
-The Monte Carlo check steps a batch of episodes together, so Python loops
-over batches and time steps only. Each episode still draws from its own
-generator seeded by (seed, episode), in the order a one-episode-at-a-time
-loop would, so its path does not depend on the batch it ran in.
+In the finite population every agent at state j moves with the same
+probability, so the next count is exactly Binomial(N, p): the Monte Carlo
+check draws it once per (episode, step) from a single seeded generator,
+stepping a chunk of episodes together.
 
 A policy's kernels are stored as one stack: its distinct binomial rows
 plus a (horizon, N+1) index, so every (t, j) whose policy moves with the
@@ -155,7 +155,7 @@ def initial_distribution_array(params: MfgParams) -> np.ndarray:
         dist[0] = 1.0
         return dist
     # entries down to -_INPUT_TOL are accepted; clipping them keeps the law
-    # (and the simulator's start-state CDF) a true distribution
+    # (and the simulator's start-state draw) a true distribution
     dist = np.clip(np.asarray(params.initial_distribution, dtype=float), 0.0, None)
     return dist / dist.sum()
 
@@ -558,12 +558,9 @@ class EmpiricalStats:
     deviation: float
 
 
-def _initial_cdf(params: MfgParams) -> np.ndarray:
-    """The normalized CDF `Generator.choice(p=initial)` searches: one
-    `rng.random()` searched with side="right" draws the start state."""
-    cdf = np.cumsum(initial_distribution_array(params))
-    cdf /= cdf[-1]
-    return cdf
+# episodes stepped together by the simulator: each per-chunk array (states,
+# their move probabilities, the draws) is at most 128 KiB
+_EPISODE_CHUNK = 2**14
 
 
 def simulate_population(
@@ -571,38 +568,34 @@ def simulate_population(
 ) -> EmpiricalStats:
     """Simulate N discrete agents sampling actions from the policy.
 
-    Episode e uses its own generator derived from (seed, e), which draws
-    the start state and then the whole (horizon, N) block of uniforms, so
-    episodes are reproducible individually and the run is deterministic as
-    a whole. Episodes are stepped together in batches sized from N and the
-    horizon alone (a uniform buffer of at most 512 KiB, or one episode's
-    block when that is larger), so reruns are bit-identical.
+    Every agent at state j moves with probability policy[t, j, MOVE], so
+    the next count is one Binomial(N, p) draw per (episode, step). All
+    draws come from one `default_rng(seed)` stream: each chunk of
+    _EPISODE_CHUNK episodes draws its start states, then steps together.
+    Reruns with the same seed are bit-identical, but an episode's path
+    depends on the episodes drawn before it, so a run cannot be split
+    into independently seeded parts.
     """
     policy = _check_policy(policy, params)
     _check_count("episodes", episodes, 1)
     _check_count("seed", seed, 0)
-    n, horizon = params.n_agents, params.horizon
+    n = params.n_agents
     counts = np.arange(n + 1, dtype=float)
-    # the flow first: its kernel temporaries are freed before the buffers exist
+    # the flow first: its kernel temporaries are freed before the draws start
     mf_mean_states = forward_flow(policy, params) @ counts
-    cdf = _initial_cdf(params)
-    batch = max(1, min(episodes, 2**19 // (8 * horizon * n)))
-    u = np.empty((batch, horizon, n))
-    # paths[k, t] is batch episode k's state at t; frequencies counts
-    # visits per (t, state) until the division at the end
-    paths = np.empty((batch, horizon + 1), dtype=np.intp)
-    steps = np.arange(horizon + 1)
-    frequencies = np.zeros((horizon + 1, n + 1))
-    for first in range(0, episodes, batch):
-        b = min(batch, episodes - first)
-        for k in range(b):
-            rng = np.random.default_rng((seed, first + k))
-            paths[k, 0] = cdf.searchsorted(rng.random(), side="right")
-            rng.random(out=u[k])
-        for t in range(horizon):
-            moves = u[:b, t] < policy[t, paths[:b, t], MOVE][:, None]
-            paths[:b, t + 1] = moves.sum(1)
-        np.add.at(frequencies, (steps, paths[:b]), 1.0)
+    # _check_policy admits entries up to _INPUT_TOL outside [0, 1], which
+    # Generator.binomial rejects
+    move = np.clip(policy[:, :, MOVE], 0.0, 1.0)
+    initial = initial_distribution_array(params)
+    rng = np.random.default_rng(seed)
+    # frequencies counts visits per (t, state) until the division at the end
+    frequencies = np.zeros((params.horizon + 1, n + 1))
+    for first in range(0, episodes, _EPISODE_CHUNK):
+        states = rng.choice(n + 1, min(_EPISODE_CHUNK, episodes - first), p=initial)
+        frequencies[0] += np.bincount(states, minlength=n + 1)
+        for t in range(params.horizon):
+            states = rng.binomial(n, move[t, states])
+            frequencies[t + 1] += np.bincount(states, minlength=n + 1)
     frequencies /= episodes
     mean_states = frequencies @ counts
     deviation = float(np.max(np.abs(mean_states - mf_mean_states)) / n)

@@ -3,10 +3,8 @@
 Written against the model definition before the production module and kept
 deliberately separate from it: plain lists, dicts and math only, no numpy,
 no package imports. Used to certify the production solver on desk-scale
-instances. The two exceptions import numpy inside: `simulate_population`,
-the per-episode reference for the batched simulator, must draw numpy's
-generator streams, and `softmax_reduce`, the bit-level reference for the
-production softmax, must use numpy's exp.
+instances. The one exception imports numpy inside: `softmax_reduce`, the
+bit-level reference for the production softmax, must use numpy's exp.
 
 Model summary. State j in {0..N} is last round's mover count. An agent
 picks wait (0) or move (1); the other N-1 agents move i.i.d. with the
@@ -202,28 +200,6 @@ def exploitability(policy, initial, p):
     v_br = best_response_value(policy, p)
     v_pi = policy_value(policy, p)
     return sum(initial[j] * (v_br[j] - v_pi[j]) for j in range(p["n_agents"] + 1))
-
-
-def simulate_population(policy, initial, n_agents, episodes, seed):
-    """Per-episode Monte Carlo reference: the state frequencies.
-
-    The one part of this module that uses numpy: it must draw the same
-    streams as the production simulator, so episode e runs its own
-    `numpy.random.default_rng((seed, e))` one step at a time, drawing the
-    start state with `choice(p=initial)` and then `random(N)` per step.
-    """
-    import numpy as np
-
-    horizon, n = len(policy), n_agents
-    frequencies = np.zeros((horizon + 1, n + 1))
-    for episode in range(episodes):
-        rng = np.random.default_rng((seed, episode))
-        state = int(rng.choice(n + 1, p=initial))
-        frequencies[0, state] += 1.0
-        for t in range(horizon):
-            state = int((rng.random(n) < policy[t][state][1]).sum())
-            frequencies[t + 1, state] += 1.0
-    return frequencies / episodes
 
 
 def softmax_reduce(values, temperature):

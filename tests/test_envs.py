@@ -57,9 +57,7 @@ def test_episode_states_log_each_agents_role_streak_and_sacrifices():
 
 
 def test_dungeon_delayed_credit_flows_to_sacrificers():
-    result = run_dungeon(
-        DungeonConfig(n_agents=3, rounds=6, success_reward=2.0, sacrifice_cost=0.5)
-    )
+    result = run_dungeon(DungeonConfig(n_agents=3, rounds=6, success_reward=2.0))
     # each agent served twice; each service enables 2 escapes worth 2.0
     for record in result.ledger.records:
         assert record.credited_reward == pytest.approx(2 * 2 * 2.0)

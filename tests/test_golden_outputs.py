@@ -15,8 +15,13 @@ roles_run_stochastic manifest.json were re-pinned when the rotation memory
 window, which changed no assignment, was deleted: `config.switch` lost its
 `window` key. The dungeon report.md was re-pinned when `run` began to
 render the report from the manifest text as `coopdyn report` does, so
-`sacrifice_counts` prints its keys as the strings JSON makes of them. A
-refactor that changes any of these bytes must say why and re-pin them.
+`sacrifice_counts` prints its keys as the strings JSON makes of them. The
+mfg_simulate sim.csv, manifest.json and report.md were re-pinned when the
+simulator began to draw each step's mover count as one Binomial(N, p)
+from a single seeded stream instead of N uniforms from a generator per
+episode (deviation 0.00622 -> 0.00690). The dungeon manifest.json was
+re-pinned when the unread `sacrifice_cost` key was deleted. A refactor
+that changes any of these bytes must say why and re-pin them.
 """
 
 import hashlib
@@ -35,7 +40,7 @@ GOLDEN = {
         "scan.csv": "c64c42ca03ded08eb91f67e725b9626587c3422887cdd68d01edf05e054a8c59",
     },
     "dungeon": {
-        "manifest.json": "36ee59604c0b1b50d9888a50752a388c1b3b739d52e7397f0673df97855786ff",
+        "manifest.json": "2983832d5e87b5cc422f5b094db60f20720f947a6c08b63beb25c4f770315c1d",
         "report.md": "02cc25953b08541f37ea820ac28aecea3b3c9b16058c15fa0473ae32a6feb0d2",
         "roles.csv": "c26210de9b77fa22844ab0cead13347878888a09aceb7f90cff2df79bf86770c",
         "rounds.csv": "cb48b8100c56fffd7223be66f0bd5c7e005d7018fa90c0a55e240088287f5bee",
@@ -51,9 +56,9 @@ GOLDEN = {
         "scores.csv": "f981effd72ef98c3d467c92110f0595d1b848fc9a035baff13fde90b62bf0b39",
     },
     "mfg_simulate": {
-        "manifest.json": "afe78b6c4d4844151bb1834568fc7e09784a876a856f11738f53281c7828c058",
-        "report.md": "80e96e24c1c23ab7c5fdc5b5a1711a6c3bb69e21abe66fefd767c05247700f4f",
-        "sim.csv": "d1ecd0767fe2e5f42f1b5f4117d6f149c4624795b02e3fbddc49ec62c9cb52ff",
+        "manifest.json": "75c147be6699b30dcee6e54385804a0b3b5ade0d271794475e08415f94ede0fe",
+        "report.md": "d95c01f46df1353044d77a7a977b0513057a6119e5e5f850b72ed873bfad3071",
+        "sim.csv": "05f72c9f382cba8f8d1e52109fca9a6263a171be964c484e9f4069c713a56e44",
     },
     "mfg_solve": {
         "diag.csv": "3284c2e0409ee4acce041cd646eb7a47b31858f1a5a1590d708a83dbad9ee43d",

@@ -694,8 +694,7 @@ KNOWN_KEYS = {
         "switch": SWITCH, "mfg": PARAMS, "solver": SOLVER,
     },
     "dungeon": {
-        "n_agents": None, "rounds": None, "success_reward": None,
-        "sacrifice_cost": None, "switch": SWITCH,
+        "n_agents": None, "rounds": None, "success_reward": None, "switch": SWITCH,
     },
 }
 # small valid configs; mutating them reaches the checks behind the key checks

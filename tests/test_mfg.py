@@ -884,10 +884,6 @@ def _random_policy(params, seed, levels=None):
     return np.stack([1.0 - move, move], axis=-1)
 
 
-def _batch(params):
-    return 2**19 // (8 * params.horizon * params.n_agents)
-
-
 def _dirichlet_law(n_agents, seed):
     return tuple(np.random.default_rng(seed).dirichlet(np.ones(n_agents + 1)))
 
@@ -895,61 +891,71 @@ def _dirichlet_law(n_agents, seed):
 SIMULATOR_CASES = {
     "two-agents": (MfgParams(n_agents=2, threshold=1, horizon=5), None, 50),
     "one-step": (MfgParams(n_agents=7, threshold=3, horizon=1), None, 40),
-    "under-one-batch": (MfgParams(n_agents=200, threshold=80, horizon=30), None, 7),
-    "ragged-last-batch": (MfgParams(n_agents=200, threshold=80, horizon=30), None, 25),
+    "n200-7-episodes": (MfgParams(n_agents=200, threshold=80, horizon=30), None, 7),
+    "n200-25-episodes": (MfgParams(n_agents=200, threshold=80, horizon=30), None, 25),
+    # one full chunk of episodes and a ragged one of 7
+    "ragged-last-chunk": (
+        MfgParams(n_agents=30, threshold=12, horizon=8), None, mfg._EPISODE_CHUNK + 7,
+    ),
     "dirichlet-initial": (
         MfgParams(n_agents=50, threshold=20, horizon=40, reward_mode="formula",
                   smoothing=3.0, initial_distribution=_dirichlet_law(50, 5)),
         None, 70,
+    ),
+    # an entry down to -1e-9 is accepted and clipped before the start draw
+    "negative-initial-entry": (
+        MfgParams(n_agents=5, threshold=2, horizon=6,
+                  initial_distribution=(1.0 + 1e-10, -1e-10, 0.0, 0.0, 0.0, 0.0)),
+        None, 60,
     ),
     "zero-one-policy": (MfgParams(n_agents=9, threshold=4, horizon=6), (0.0, 0.5, 1.0), 30),
 }
 
 
 @pytest.mark.parametrize("case", SIMULATOR_CASES.values(), ids=SIMULATOR_CASES.keys())
-def test_batched_simulator_matches_per_episode_oracle(case):
+def test_the_flow_is_the_law_of_a_binomial_mover_count(case):
+    # every agent at state j moves with the same probability, so the next
+    # count is Binomial(N, p): the law the simulator samples
+    params, levels, _ = case
+    policy = _random_policy(params, 11, levels)
+    law = initial_distribution_array(params)
+    flow = forward_flow(policy, params)
+    assert np.max(np.abs(flow[0] - law)) <= 1e-13
+    for t in range(params.horizon):
+        law = law @ mfg._binomial_pmf_rows(params.n_agents, policy[t, :, MOVE])
+        assert np.max(np.abs(flow[t + 1] - law)) <= 1e-13, t
+
+
+@pytest.mark.parametrize("case", SIMULATOR_CASES.values(), ids=SIMULATOR_CASES.keys())
+def test_simulated_mean_counts_stay_within_five_standard_errors_of_the_flow(case):
+    # Five standard errors: a two-sided normal tail of 5.7e-7 per step, so
+    # the bound comes from the law, not from the draws of this seed.
     params, levels, episodes = case
     policy = _random_policy(params, 11, levels)
     stats = simulate_population(params, policy, episodes=episodes, seed=13)
-    frequencies = oracle.simulate_population(
-        policy.tolist(), initial_distribution_array(params), params.n_agents, episodes, 13,
-    )
-    assert np.array_equal(stats.state_frequencies, frequencies)
     counts = np.arange(params.n_agents + 1)
-    deviation = np.max(np.abs(frequencies @ counts - stats.mf_mean_states)) / params.n_agents
-    assert stats.deviation == float(deviation)
+    flow = forward_flow(policy, params)
+    means = flow @ counts
+    # about the mean, so a point mass has sd exactly 0
+    sd = np.sqrt((flow * (counts - means[:, None]) ** 2).sum(axis=1))
+    assert np.array_equal(stats.mf_mean_states, means)
+    gap = np.abs(stats.mean_states - means)
+    assert np.all(gap[sd == 0.0] == 0.0)
+    assert np.all(gap <= 5.0 * sd / math.sqrt(episodes))
+    assert stats.deviation == float(np.max(gap) / params.n_agents)
 
 
-def test_simulator_cases_cover_the_batch_edges():
-    under = SIMULATOR_CASES["under-one-batch"]
-    ragged = SIMULATOR_CASES["ragged-last-batch"]
-    assert under[2] < _batch(under[0])
-    assert ragged[2] > _batch(ragged[0]) and ragged[2] % _batch(ragged[0]) != 0
-
-
-@pytest.mark.parametrize(
-    "law",
-    [
-        None,
-        (0.0, 0.0, 0.25, 0.75, 0.0, 0.0),
-        (0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
-        (0.5, 0.0, 0.0, 0.0, 0.0, 0.5),
-        (1 / 6,) * 6,
-        _dirichlet_law(5, 1),
-        (1.0 + 1e-10, -1e-10, 0.0, 0.0, 0.0, 0.0),
-    ],
-)
-def test_start_state_search_matches_generator_choice(law):
-    params = MfgParams(n_agents=5, threshold=2, initial_distribution=law)
-    initial = initial_distribution_array(params)
-    cdf = mfg._initial_cdf(params)
-    for seed, episode in itertools.product(range(4), range(600)):
-        a = np.random.default_rng((seed, episode))
-        b = np.random.default_rng((seed, episode))
-        drawn = cdf.searchsorted(a.random(), side="right")
-        assert drawn == b.choice(params.n_agents + 1, p=initial)
-        # both draws consumed one double, so the streams stay aligned
-        assert a.random() == b.random()
+def test_move_probabilities_just_outside_zero_and_one_are_clipped():
+    # _check_policy admits entries 1e-9 outside [0, 1], which
+    # Generator.binomial would reject
+    params = MfgParams(n_agents=6, threshold=2, horizon=4)
+    policy = np.zeros((4, 7, 2))
+    policy[:, :, MOVE] = -5e-10
+    policy[:, :, WAIT] = 1.0 + 5e-10
+    policy[::2, 0] = (-5e-10, 1.0 + 5e-10)
+    stats = simulate_population(params, policy, episodes=20, seed=3)
+    # everyone moves from 0 at even steps and nobody moves from 6
+    assert stats.mean_states.tolist() == [0.0, 6.0, 0.0, 6.0, 0.0]
 
 
 def test_simulator_reruns_are_bit_identical():
@@ -966,8 +972,10 @@ def test_simulator_reruns_are_bit_identical():
 def test_simulator_traced_memory_stays_bounded():
     # The bench's population workload (N=200, H=30) keeps its peak RSS within
     # its 5% bound (about 1.8 MiB) only while the simulator's own allocations
-    # stay this small; they are 0.56 MiB, most of it the batch's uniforms.
-    # The warm-up call keeps one-time lazy set-up (about 0.9 MiB) out of it.
+    # stay this small; they are 0.24 MiB: the policy check, the flow, the
+    # clipped move probabilities and the frequencies. A full chunk of
+    # episodes would add a few 128 KiB arrays. The warm-up call keeps
+    # one-time lazy set-up (about 0.8 MiB) out of it.
     params = MfgParams(n_agents=200, threshold=80, horizon=30)
     policy = uniform_policy(params)
     simulate_population(params, policy, episodes=1, seed=0)
