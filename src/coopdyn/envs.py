@@ -3,10 +3,10 @@
 Two abstract settings: a dungeon where one agent per round sacrifices
 itself so the others escape, and a threshold intersection where up to
 `threshold` movers pass per round. Both log each round's outcome and every
-agent's role state after it, keep a rotation ledger, and end in one shared
-step: each round's group outcome is credited back to that round's
-sacrificing side, and the ledger's fairness is tallied into an
-`EpisodeResult`.
+agent's role state after it, keep a rotation ledger, and credit each
+round's group outcome to that round's sacrificing side as the round ends.
+At episode end the summed credits go into the ledger, whose fairness is
+tallied into an `EpisodeResult`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .roles import (
 @dataclass(frozen=True)
 class DungeonConfig:
     """One sacrificer per round enables n_agents - 1 escapes, each worth
-    success_reward to it at episode end."""
+    success_reward to it, credited as the round ends."""
 
     n_agents: int = 3
     rounds: int = 6
@@ -59,7 +59,6 @@ class DungeonConfig:
 
 @dataclass(frozen=True)
 class DungeonRound:
-    round_index: int
     sacrificer: int
     success: bool
 
@@ -68,8 +67,9 @@ class DungeonRound:
 class EpisodeResult:
     """One episode of either environment: its round log, each agent's state
     after each round, the ledger after the last round, its fairness tally
-    and the credits paid at the end. `states[r, agent]` holds whether the
-    agent was in the sacrifice role, its streak and its sacrifices so far."""
+    and each agent's credits summed in round order. `states[r, agent]`
+    holds whether the agent was in the sacrifice role, its streak and its
+    sacrifices so far."""
 
     rounds: tuple[DungeonRound, ...] | tuple[IntersectionRound, ...]
     states: np.ndarray
@@ -87,13 +87,14 @@ def _log_states(states: np.ndarray, round_index: int, ledger: RotationLedger) ->
     state[:, 2] = [rec.times_sacrifice for rec in records]
 
 
-def _end_episode(rows, states, ledger: RotationLedger, outcomes) -> EpisodeResult:
-    """Credit each (assignment, group outcome) pair to that round's
-    sacrificing side, then tally the ledger's fairness."""
-    credits: dict[int, float] = {}
-    for assignment, outcome in outcomes:
-        for agent, amount in delayed_credit([assignment], outcome).items():
-            credits[agent] = credits.get(agent, 0.0) + amount
+def _credit(credits: dict[int, float], assignment: RoleAssignment, outcome: float) -> None:
+    """Add one round's shares of its group outcome to the episode's credits."""
+    for agent, amount in delayed_credit([assignment], outcome).items():
+        credits[agent] = credits.get(agent, 0.0) + amount
+
+
+def _end_episode(rows, states, ledger: RotationLedger, credits) -> EpisodeResult:
+    """Pay the summed credits into the ledger and tally its fairness."""
     ledger.apply_credits(credits)
     return EpisodeResult(tuple(rows), states, ledger, fairness_report(ledger), credits)
 
@@ -112,9 +113,9 @@ def run_dungeon(config: DungeonConfig) -> EpisodeResult:
     stochastic = switch.mode == "stochastic_sigmoid"
     if stochastic:
         ledger.initialize_roles({0})
-    rows = []
+    rows, credits = [], {}
     states = np.zeros((config.rounds, config.n_agents, 3), dtype=np.int64)
-    assignments: list[RoleAssignment] = []
+    escapes_value = config.success_reward * (config.n_agents - 1)
     for round_index in range(config.rounds):
         if stochastic:
             volunteers = stochastic_selection(ledger, switch, rng)
@@ -124,11 +125,10 @@ def run_dungeon(config: DungeonConfig) -> EpisodeResult:
         else:
             assignment = deterministic_assign(ledger, 1)
         sacrificer = next(iter(assignment.sacrificers))
-        rows.append(DungeonRound(round_index, sacrificer, success=True))
+        rows.append(DungeonRound(sacrificer, success=True))
         _log_states(states, round_index, ledger)
-        assignments.append(assignment)
-    escapes_value = config.success_reward * (config.n_agents - 1)
-    return _end_episode(rows, states, ledger, ((a, escapes_value) for a in assignments))
+        _credit(credits, assignment, escapes_value)
+    return _end_episode(rows, states, ledger, credits)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +177,10 @@ class IntersectionConfig:
             if self.params.threshold != self.threshold:
                 raise ValidationError("params.threshold must match the environment")
         if self.static_movers is not None:
+            for i in self.static_movers:
+                _check_count("static_movers id", i, 0)
             ids = set(self.static_movers)
-            if not all(0 <= i < self.n_agents for i in ids):
+            if not all(i < self.n_agents for i in ids):
                 raise ValidationError("static_movers ids out of range")
             if len(ids) != len(self.static_movers):
                 raise ValidationError("static_movers ids must be distinct")
@@ -186,7 +188,6 @@ class IntersectionConfig:
 
 @dataclass(frozen=True)
 class IntersectionRound:
-    round_index: int
     movers: frozenset[int]
     n_moved: int
     passed: bool
@@ -209,9 +210,8 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
     static keeps one mover set forever (the stagnation case); rotation and
     stochastic rotate it through the ledger; policy samples each agent's
     action from a solved policy table, checked as mfg checks a policy,
-    given the previous realized count. When rounds pass, the movers'
-    combined haul is credited to that round's waiters in equal shares at
-    episode end.
+    given the previous realized count. When a round passes, the movers'
+    combined haul is credited to that round's waiters in equal shares.
     """
     params = config.params or MfgParams(
         n_agents=config.n_agents, threshold=config.threshold
@@ -234,9 +234,8 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
         else frozenset(range(config.cohort))
     )
     move_rewards = reward_array(params)[:, MOVE].tolist()
-    rows = []
+    rows, credits = [], {}
     states = np.zeros((config.rounds, config.n_agents, 3), dtype=np.int64)
-    assignments: list[RoleAssignment] = []
     for round_index in range(config.rounds):
         if config.assignment == "static":
             assignment = ledger.record_round(statics)
@@ -259,12 +258,8 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
         haul = sum(repeat(move_rewards[n_moved], n_moved))
         if config.assignment == "policy":
             state = n_moved
-        rows.append(IntersectionRound(round_index, movers, n_moved, passed, haul))
+        rows.append(IntersectionRound(movers, n_moved, passed, haul))
         _log_states(states, round_index, ledger)
-        assignments.append(assignment)
-    hauls = [
-        (assignment, row.haul)
-        for row, assignment in zip(rows, assignments)
-        if config.credit_waiters and row.passed and assignment.sacrificers
-    ]
-    return _end_episode(rows, states, ledger, hauls)
+        if config.credit_waiters and passed and assignment.sacrificers:
+            _credit(credits, assignment, haul)
+    return _end_episode(rows, states, ledger, credits)

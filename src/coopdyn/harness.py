@@ -235,7 +235,7 @@ def _finish_validation(problems: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _read_ipd(top, seed, problems, exact=None):
+def _read_ipd(top, problems, exact=None):
     """Payoff, strategies and match config shared by both IPD kinds. Only
     the alternator strategy takes options, typed by its constructor."""
     blocks = top.pop("players")
@@ -252,14 +252,14 @@ def _read_ipd(top, seed, problems, exact=None):
         players.append(entry and _construct(make_strategy, path, problems, **entry))
         entries.append(entry)
     payoff = top.pop("payoff")
-    match = _construct(MatchConfig, "config", problems, seed=seed, **top)
+    match = _construct(MatchConfig, "config", problems, **top)
     _finish_validation(problems)
     resolved = {**asdict(match), "payoff": asdict(payoff), "players": entries}
     return payoff, players, match, resolved
 
 
 def _run_ipd_match(top, seed, problems):
-    payoff, players, match, resolved = _read_ipd(top, seed, problems, exact=2)
+    payoff, players, match, resolved = _read_ipd(top, problems, exact=2)
     result = play_match(players[0], players[1], payoff, match)
     x, y = np.array(result.trajectory, dtype=np.int64).T
     # mine[a, b]: the payoff of action a against action b
@@ -277,7 +277,7 @@ def _run_ipd_match(top, seed, problems):
 
 
 def _run_ipd_tournament(top, seed, problems):
-    payoff, players, match, resolved = _read_ipd(top, seed, problems)
+    payoff, players, match, resolved = _read_ipd(top, problems)
     table = tournament(players, payoff, match)
     rows = _rows(*map(np.array, zip(*map(astuple, table.scores))))
     best = max(table.scores, key=lambda r: r.mean_discounted)
@@ -452,11 +452,10 @@ def _run_roles(top, seed, problems):
     episode = intersection_episode(config, policy=policy)
     resolved = {**asdict(config), "solver": solver}
     resolved["mfg"] = resolved.pop("params")
-    mover_counts = [rec.times_primary for rec in episode.ledger.records]
     summary = {
         "rounds": config.rounds,
         "passed_rounds": sum(1 for row in episode.rounds if row.passed),
-        "mover_count_gap": max(mover_counts) - min(mover_counts),
+        "mover_count_gap": episode.fairness.primary_gap,
         "sacrifice_gap": episode.fairness.sacrifice_gap,
         "credited_spread": episode.fairness.credited_spread,
         "solve": solve_summary,
@@ -498,7 +497,7 @@ def _run_dungeon(top, seed, problems):
 _IPD_KEYS = {
     "payoff": (PayoffMatrix, MISSING),
     "players": (list, MISSING),
-    **_schema(MatchConfig, skip=("seed",)),
+    **_schema(MatchConfig),
 }
 _MFG_KEYS = {"params": (MfgParams, MISSING), "solver": (dict, {})}
 # Each kind's top-level keys besides experiment, seed and out_dir. Blocks

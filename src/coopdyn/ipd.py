@@ -327,12 +327,10 @@ class Alternator(Strategy):
 class MatchConfig:
     horizon: int
     discount: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         _check_count("horizon", self.horizon, 1)
         _check_discount(self.discount)
-        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ intersection mover cohort) to k agents per round. Deterministic mode picks
 the least-served agents, so from a fresh ledger the role goes round the
 agents in id order, k at a time; stochastic mode lets every agent flip
 roles independently with a sigmoid probability of its streak length.
-Group outcomes produced by the sacrificing side are credited back to it
-when the episode ends (delayed credit).
+Each round's group outcome, produced by that round's sacrificing side, is
+credited back to it as the round ends (delayed credit).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .errors import ValidationError, _check_count
 
 SACRIFICE = "sacrifice"
 PRIMARY = "primary"
-
-CREDIT_RULES = ("equal_split", "full_outcome_each")
 
 
 @dataclass
@@ -42,7 +40,6 @@ class AgentRecord:
 
 @dataclass(frozen=True)
 class RoleAssignment:
-    round_index: int
     sacrificers: frozenset[int]
     primaries: frozenset[int]
 
@@ -96,7 +93,6 @@ class RotationLedger:
         else:
             sacrificers = frozenset(range(self.n_agents)) - selected
         return RoleAssignment(
-            round_index=self.rounds_completed - 1,
             sacrificers=frozenset(sacrificers),
             primaries=frozenset(range(self.n_agents)) - frozenset(sacrificers),
         )
@@ -107,7 +103,9 @@ class RotationLedger:
 
     def _checked_ids(self, ids: Iterable[int]) -> frozenset[int]:
         ids = frozenset(ids)
-        if not all(0 <= i < self.n_agents for i in ids):
+        for i in ids:
+            _check_count("agent id", i, 0)
+        if not all(i < self.n_agents for i in ids):
             raise ValidationError("agent ids out of range")
         return ids
 
@@ -214,37 +212,21 @@ def stochastic_assign(ledger: RotationLedger, policy: SwitchPolicy, rng) -> Role
 
 
 def delayed_credit(
-    assignments: Sequence[RoleAssignment],
-    group_outcome: float,
-    rule: str = "equal_split",
+    assignments: Sequence[RoleAssignment], group_outcome: float
 ) -> dict[int, float]:
-    """Credit the episode's group outcome to its sacrifice-role agents.
-
-    equal_split divides the outcome evenly among the beneficiaries;
-    full_outcome_each hands every beneficiary the whole outcome.
-    """
+    """Split a group outcome evenly among the sacrifice-role agents of the
+    rounds that produced it."""
     if not assignments:
         raise ValidationError("episode has no role assignments to credit")
-    if rule not in CREDIT_RULES:
-        raise ValidationError(f"unknown credit rule {rule!r}; choose from {CREDIT_RULES}")
     beneficiaries = sorted({a for asg in assignments for a in asg.sacrificers})
     if not beneficiaries:
         return {}
-    share = group_outcome if rule == "full_outcome_each" else group_outcome / len(beneficiaries)
+    share = group_outcome / len(beneficiaries)
     return {agent: share for agent in beneficiaries}
 
 
 @dataclass(frozen=True)
-class AgentFairness:
-    agent_id: int
-    times_primary: int
-    times_sacrifice: int
-    credited_reward: float
-
-
-@dataclass(frozen=True)
 class FairnessStats:
-    per_agent: tuple[AgentFairness, ...]
     primary_gap: int
     sacrifice_gap: int
     credited_spread: float
@@ -254,20 +236,11 @@ def fairness_report(ledger: RotationLedger) -> FairnessStats:
     """Count gaps and credited-reward dispersion across all agents."""
     if ledger.rounds_completed < 1:
         raise ValidationError("fairness report needs at least one completed round")
-    rows = tuple(
-        AgentFairness(
-            agent_id=rec.agent_id,
-            times_primary=rec.times_primary,
-            times_sacrifice=rec.times_sacrifice,
-            credited_reward=rec.credited_reward,
-        )
-        for rec in ledger.records
-    )
-    primary = [row.times_primary for row in rows]
-    sacrifice = [row.times_sacrifice for row in rows]
-    credited = [row.credited_reward for row in rows]
+    records = ledger.records
+    primary = [rec.times_primary for rec in records]
+    sacrifice = [rec.times_sacrifice for rec in records]
+    credited = [rec.credited_reward for rec in records]
     return FairnessStats(
-        per_agent=rows,
         primary_gap=max(primary) - min(primary),
         sacrifice_gap=max(sacrifice) - min(sacrifice),
         credited_spread=max(credited) - min(credited),

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coopdyn import harness, ipd, mfg
+from coopdyn import envs, harness, ipd, mfg
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -44,12 +44,12 @@ MFG_BOUNDARIES = ("forward_flow", "bellman_backward", "best_response_gap", "soft
                   "_binomial_pmf_rows")
 
 
-def counting_mfg_calls(monkeypatch):
-    """Count the calls that go through each traced `mfg` attribute."""
+def counting_calls(monkeypatch, module=mfg, names=MFG_BOUNDARIES):
+    """Count the calls that go through each named attribute of `module`."""
     calls = {}
 
     def counting(name):
-        fn = getattr(mfg, name)
+        fn = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
@@ -57,15 +57,15 @@ def counting_mfg_calls(monkeypatch):
 
         return counted
 
-    for name in MFG_BOUNDARIES:
-        monkeypatch.setattr(mfg, name, counting(name))
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name))
     return calls
 
 
 def test_the_solver_calls_through_every_traced_mfg_boundary(monkeypatch):
     # The bench counts these calls at the module attributes; a caller that
     # bound a function directly would bypass the wrapper and its metrics.
-    calls = counting_mfg_calls(monkeypatch)
+    calls = counting_calls(monkeypatch)
     result = mfg.solve_equilibrium(mfg.default_params())
     sweeps = result.iterations
     assert result.converged
@@ -84,7 +84,7 @@ def test_the_simulator_calls_through_the_traced_mfg_boundaries(monkeypatch):
     # flow; a simulator that bound forward_flow directly would drop it.
     params = mfg.default_params()
     policy = mfg.uniform_policy(params)
-    calls = counting_mfg_calls(monkeypatch)
+    calls = counting_calls(monkeypatch)
     mfg.simulate_population(params, policy, episodes=3, seed=0)
     # one flow, whose stack is one block of rows at N=20
     assert calls == {"forward_flow": 1, "_binomial_pmf_rows": 1}
@@ -135,3 +135,41 @@ def test_the_bench_counts_every_data_line_each_write_csv_call_writes(
         # every table reaches the writer as an array table, the one type it
         # formats, a column at a time
         assert kind is harness._ArrayTable, name
+
+
+ROLES_BOUNDARIES = ("deterministic_assign", "stochastic_selection", "delayed_credit",
+                    "fairness_report")
+
+
+@pytest.mark.parametrize("name, runner", [
+    ("roles_run", "intersection_episode"),
+    ("roles_run_stochastic", "intersection_episode"),
+    ("dungeon", "run_dungeon"),
+])
+def test_the_environments_call_through_every_traced_roles_boundary(
+    tmp_path, monkeypatch, name, runner
+):
+    # roles.assign_*, roles.credit_s and roles.fairness_s are measured at
+    # these `envs` attributes; an environment that bound one directly, or
+    # credited a round twice, would move or blank those metrics
+    calls = counting_calls(monkeypatch, envs, ROLES_BOUNDARIES)
+    episodes = []
+    play = getattr(harness, runner)
+
+    def recording(*args, **kwargs):
+        episodes.append(play(*args, **kwargs))
+        return episodes[-1]
+
+    monkeypatch.setattr(harness, runner, recording)
+    config = harness.load_config(CONFIGS / f"{name}.json")
+    harness.run(config, out_dir=tmp_path)
+    (episode,) = episodes
+    rounds = config["rounds"]
+    # a round is credited when it passes and has a sacrificing side
+    credited = sum(
+        bool(getattr(row, "passed", True) and state[:, 0].any())
+        for row, state in zip(episode.rounds, episode.states)
+    )
+    assert 0 < credited <= rounds
+    assign = "stochastic_selection" if name.endswith("stochastic") else "deterministic_assign"
+    assert calls == {assign: rounds, "delayed_credit": credited, "fairness_report": 1}

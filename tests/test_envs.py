@@ -211,13 +211,50 @@ def test_stochastic_intersection_is_seed_deterministic():
     ]
 
 
+def rebuilt_credits(result, outcomes):
+    """Each agent's credit as the round-order sum of its per-round shares:
+    a credited round (outcome not None) splits its outcome evenly among the
+    agents its state log shows in the sacrifice role."""
+    credits = {}
+    for outcome, state in zip(outcomes, result.states):
+        sacrificers = np.flatnonzero(state[:, 0]).tolist()
+        if outcome is not None and sacrificers:
+            for agent in sacrificers:
+                credits[agent] = credits.get(agent, 0.0) + outcome / len(sacrificers)
+    return credits
+
+
+def test_credits_are_the_round_order_sums_of_each_rounds_shares():
+    switch = SwitchPolicy(mode="stochastic_sigmoid", streak_midpoint=1, streak_scale=0.5)
+    dungeon = run_dungeon(
+        DungeonConfig(n_agents=4, rounds=50, success_reward=0.1, switch=switch, seed=3)
+    )
+    params = MfgParams(n_agents=7, threshold=3, horizon=5,
+                       reward_table=RewardTable(0.1, 0.07, 0.03, 0.0))
+    policy = np.zeros((5, 8, 2))
+    policy[..., MOVE] = np.linspace(0.2, 0.6, 8)
+    policy[..., 1 - MOVE] = 1.0 - policy[..., MOVE]
+    config = IntersectionConfig(
+        n_agents=7, threshold=3, rounds=40, assignment="policy", params=params, seed=11
+    )
+    intersection = intersection_episode(config, policy=policy)
+    assert 0 < sum(row.passed for row in intersection.rounds) < 40
+    hauls = [row.haul if row.passed else None for row in intersection.rounds]
+    # a dungeon round's outcome is the escapes its sacrifice enabled
+    for result, outcomes in ((dungeon, [0.1 * 3] * 50), (intersection, hauls)):
+        expected = rebuilt_credits(result, outcomes)
+        assert result.credits == expected
+        assert [rec.credited_reward for rec in result.ledger.records] == [
+            expected.get(agent, 0.0) for agent in range(len(result.ledger.records))
+        ]
+
+
 # ---------------------------------------------------------------------------
 # integer arguments: one rule everywhere, bools and floats rejected
 # ---------------------------------------------------------------------------
 
 COUNT_SITES = {
     "MatchConfig.horizon": lambda v: MatchConfig(horizon=v),
-    "MatchConfig.seed": lambda v: MatchConfig(horizon=3, seed=v),
     "Alternator.punishment_length": lambda v: Alternator(punishment_length=v),
     "RotationLedger.n_agents": lambda v: RotationLedger(v),
     "deterministic_assign.k": lambda v: deterministic_assign(RotationLedger(4), v),
@@ -237,3 +274,19 @@ COUNT_SITES = {
 def test_counts_reject_bools_and_floats(site, value):
     with pytest.raises(ValidationError, match="must be an integer"):
         COUNT_SITES[site](value)
+
+
+ID_SITES = {
+    "RotationLedger.record_round": lambda v: RotationLedger(3).record_round({v}),
+    "RotationLedger.initialize_roles": lambda v: RotationLedger(3).initialize_roles({v}),
+    "IntersectionConfig.static_movers": lambda v: IntersectionConfig(
+        4, 2, 2, assignment="static", static_movers=(3, v)
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 2.5, "1", None])
+@pytest.mark.parametrize("site", sorted(ID_SITES))
+def test_agent_ids_reject_bools_floats_and_non_numbers(site, value):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        ID_SITES[site](value)

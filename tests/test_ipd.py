@@ -361,7 +361,7 @@ def test_tournament_requires_two_strategies():
 
 def test_tournament_is_deterministic():
     payoff = PayoffMatrix(5, 2, 1, 0)
-    config = MatchConfig(horizon=40, discount=0.6, seed=7)
+    config = MatchConfig(horizon=40, discount=0.6)
     pool = [Alternator(), GrimTrigger(), WinStayLoseShift(), AllDefect()]
     first = tournament(pool, payoff, config)
     second = tournament(pool, payoff, config)

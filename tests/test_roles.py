@@ -250,12 +250,6 @@ def test_equal_split_among_three_waiters():
     assert credits == {0: 3.0, 1: 3.0, 2: 3.0}
 
 
-def test_full_outcome_each_rule():
-    assignments = credit_rounds([[0, 1, 2]], 5)
-    credits = delayed_credit(assignments, 9.0, rule="full_outcome_each")
-    assert credits == {0: 9.0, 1: 9.0, 2: 9.0}
-
-
 def test_credit_conservation_under_equal_split():
     assignments = credit_rounds([[0], [1], [0]], 4)
     credits = delayed_credit(assignments, 7.5)
