@@ -3,10 +3,10 @@
 Two abstract settings: a dungeon where one agent per round sacrifices
 itself so the others escape, and a threshold intersection where up to
 `threshold` movers pass per round. Both log each round's outcome and every
-agent's role state after it, keep a rotation ledger, and credit each
-round's group outcome to that round's sacrificing side as the round ends.
-At episode end the summed credits go into the ledger, whose fairness is
-tallied into an `EpisodeResult`.
+agent's role state after it, and keep a rotation ledger. Each round's
+group outcome is paid into the ledger, split among that round's
+sacrificing side, as the round ends; the ledger is the episode's only
+record of credit, and its fairness is tallied into an `EpisodeResult`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .roles import (
     PRIMARY,
     SACRIFICE,
     FairnessStats,
-    RoleAssignment,
     RotationLedger,
     SwitchPolicy,
     default_switch,
@@ -60,14 +59,13 @@ class DungeonConfig:
 @dataclass(frozen=True)
 class DungeonRound:
     sacrificer: int
-    success: bool
 
 
 @dataclass(frozen=True)
 class EpisodeResult:
     """One episode of either environment: its round log, each agent's state
-    after each round, the ledger after the last round, its fairness tally
-    and each agent's credits summed in round order. `states[r, agent]`
+    after each round, the ledger after the last round (holding each
+    agent's credit) and its fairness tally. `states[r, agent]`
     holds whether the agent was in the sacrifice role, its streak and its
     sacrifices so far."""
 
@@ -75,7 +73,6 @@ class EpisodeResult:
     states: np.ndarray
     ledger: RotationLedger
     fairness: FairnessStats
-    credits: dict[int, float]
 
 
 def _log_states(states: np.ndarray, round_index: int, ledger: RotationLedger) -> None:
@@ -85,18 +82,6 @@ def _log_states(states: np.ndarray, round_index: int, ledger: RotationLedger) ->
     state[:, 0] = [rec.role == SACRIFICE for rec in records]
     state[:, 1] = [rec.streak for rec in records]
     state[:, 2] = [rec.times_sacrifice for rec in records]
-
-
-def _credit(credits: dict[int, float], assignment: RoleAssignment, outcome: float) -> None:
-    """Add one round's shares of its group outcome to the episode's credits."""
-    for agent, amount in delayed_credit([assignment], outcome).items():
-        credits[agent] = credits.get(agent, 0.0) + amount
-
-
-def _end_episode(rows, states, ledger: RotationLedger, credits) -> EpisodeResult:
-    """Pay the summed credits into the ledger and tally its fairness."""
-    ledger.apply_credits(credits)
-    return EpisodeResult(tuple(rows), states, ledger, fairness_report(ledger), credits)
 
 
 def run_dungeon(config: DungeonConfig) -> EpisodeResult:
@@ -113,7 +98,7 @@ def run_dungeon(config: DungeonConfig) -> EpisodeResult:
     stochastic = switch.mode == "stochastic_sigmoid"
     if stochastic:
         ledger.initialize_roles({0})
-    rows, credits = [], {}
+    rows = []
     states = np.zeros((config.rounds, config.n_agents, 3), dtype=np.int64)
     escapes_value = config.success_reward * (config.n_agents - 1)
     for round_index in range(config.rounds):
@@ -125,10 +110,10 @@ def run_dungeon(config: DungeonConfig) -> EpisodeResult:
         else:
             assignment = deterministic_assign(ledger, 1)
         sacrificer = next(iter(assignment.sacrificers))
-        rows.append(DungeonRound(sacrificer, success=True))
+        rows.append(DungeonRound(sacrificer))
         _log_states(states, round_index, ledger)
-        _credit(credits, assignment, escapes_value)
-    return _end_episode(rows, states, ledger, credits)
+        ledger.apply_credits(delayed_credit(assignment, escapes_value))
+    return EpisodeResult(tuple(rows), states, ledger, fairness_report(ledger))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +137,6 @@ class IntersectionConfig:
     params: MfgParams | None = None
     switch: SwitchPolicy | None = None
     static_movers: tuple[int, ...] | None = None
-    credit_waiters: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -234,7 +218,7 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
         else frozenset(range(config.cohort))
     )
     move_rewards = reward_array(params)[:, MOVE].tolist()
-    rows, credits = [], {}
+    rows = []
     states = np.zeros((config.rounds, config.n_agents, 3), dtype=np.int64)
     for round_index in range(config.rounds):
         if config.assignment == "static":
@@ -254,12 +238,13 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
         movers = assignment.primaries
         n_moved = len(movers)
         passed = n_moved <= config.threshold
-        # summed one mover at a time: n * reward can round differently
-        haul = sum(repeat(move_rewards[n_moved], n_moved))
+        # summed one mover at a time: n * reward can round differently; the
+        # 0.0 start keeps a round with no movers a float
+        haul = sum(repeat(move_rewards[n_moved], n_moved), 0.0)
         if config.assignment == "policy":
             state = n_moved
         rows.append(IntersectionRound(movers, n_moved, passed, haul))
         _log_states(states, round_index, ledger)
-        if config.credit_waiters and passed and assignment.sacrificers:
-            _credit(credits, assignment, haul)
-    return _end_episode(rows, states, ledger, credits)
+        if passed and assignment.sacrificers:
+            ledger.apply_credits(delayed_credit(assignment, haul))
+    return EpisodeResult(tuple(rows), states, ledger, fairness_report(ledger))

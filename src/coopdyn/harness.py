@@ -417,11 +417,11 @@ _ROLES_HEADER = [
 
 def _roles_table(episode) -> _ArrayTable:
     """Rows of _ROLES_HEADER, from the episode's (rounds, n_agents, 3)
-    state log; credit lands on the final round (delayed)."""
+    state log; each agent's ledger credit lands on the final round."""
     rounds, n_agents, _ = episode.states.shape
     sacrifice, streak, sacrifices = episode.states.reshape(-1, 3).T
     credited = np.zeros(rounds * n_agents)
-    credited[-n_agents:] = [episode.credits.get(agent, 0.0) for agent in range(n_agents)]
+    credited[-n_agents:] = [rec.credited_reward for rec in episode.ledger.records]
     return _rows(
         np.repeat(np.arange(rounds), n_agents),
         np.tile(np.arange(n_agents), rounds),
@@ -455,7 +455,7 @@ def _run_roles(top, seed, problems):
     summary = {
         "rounds": config.rounds,
         "passed_rounds": sum(1 for row in episode.rounds if row.passed),
-        "mover_count_gap": episode.fairness.primary_gap,
+        "mover_count_gap": episode.fairness.sacrifice_gap,
         "sacrifice_gap": episode.fairness.sacrifice_gap,
         "credited_spread": episode.fairness.credited_spread,
         "solve": solve_summary,
@@ -472,8 +472,11 @@ def _run_roles(top, seed, problems):
 
 
 def _run_dungeon(top, seed, problems):
-    top["switch"] = _switch(top["switch"], top["n_agents"], 1, False, problems)
-    config = _construct(DungeonConfig, "config", problems, seed=seed, **top)
+    raw_switch = top.pop("switch")
+    # the switch default depends on n_agents, so the environment is checked first
+    env = _construct(DungeonConfig, "config", problems, seed=seed, **top)
+    _finish_validation(problems)
+    config = replace(env, switch=_switch(raw_switch, env.n_agents, 1, False, problems))
     _finish_validation(problems)
     result = run_dungeon(config)
     sac_counts = {rec.agent_id: rec.times_sacrifice for rec in result.ledger.records}
@@ -486,11 +489,10 @@ def _run_dungeon(top, seed, problems):
     rounds = _rows(
         np.arange(config.rounds),
         np.array([row.sacrificer for row in result.rounds]),
-        np.array([row.success for row in result.rounds]),
     )
     return asdict(config), summary, {
         "roles.csv": (_ROLES_HEADER, _roles_table(result)),
-        "rounds.csv": (["round", "sacrificer", "success"], rounds),
+        "rounds.csv": (["round", "sacrificer"], rounds),
     }
 
 

@@ -6,14 +6,15 @@ the least-served agents, so from a fresh ledger the role goes round the
 agents in id order, k at a time; stochastic mode lets every agent flip
 roles independently with a sigmoid probability of its streak length.
 Each round's group outcome, produced by that round's sacrificing side, is
-credited back to it as the round ends (delayed credit).
+credited back to it in equal shares as the round ends (delayed credit);
+the ledger's `credited_reward` is the only record of that credit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ValidationError, _check_count
 
@@ -211,37 +212,28 @@ def stochastic_assign(ledger: RotationLedger, policy: SwitchPolicy, rng) -> Role
     return ledger.record_round(stochastic_selection(ledger, policy, rng))
 
 
-def delayed_credit(
-    assignments: Sequence[RoleAssignment], group_outcome: float
-) -> dict[int, float]:
-    """Split a group outcome evenly among the sacrifice-role agents of the
-    rounds that produced it."""
-    if not assignments:
-        raise ValidationError("episode has no role assignments to credit")
-    beneficiaries = sorted({a for asg in assignments for a in asg.sacrificers})
-    if not beneficiaries:
-        return {}
-    share = group_outcome / len(beneficiaries)
-    return {agent: share for agent in beneficiaries}
+def delayed_credit(assignment: RoleAssignment, group_outcome: float) -> dict[int, float]:
+    """Split a round's group outcome evenly among its sacrifice-role agents."""
+    sacrificers = sorted(assignment.sacrificers)
+    return {agent: group_outcome / len(sacrificers) for agent in sacrificers}
 
 
 @dataclass(frozen=True)
 class FairnessStats:
-    primary_gap: int
     sacrifice_gap: int
     credited_spread: float
 
 
 def fairness_report(ledger: RotationLedger) -> FairnessStats:
-    """Count gaps and credited-reward dispersion across all agents."""
+    """The sacrifice-count gap and credited-reward dispersion across all
+    agents. Every round gives each agent exactly one role, so the
+    primary-count gap is the sacrifice-count gap."""
     if ledger.rounds_completed < 1:
         raise ValidationError("fairness report needs at least one completed round")
     records = ledger.records
-    primary = [rec.times_primary for rec in records]
     sacrifice = [rec.times_sacrifice for rec in records]
     credited = [rec.credited_reward for rec in records]
     return FairnessStats(
-        primary_gap=max(primary) - min(primary),
         sacrifice_gap=max(sacrifice) - min(sacrifice),
         credited_spread=max(credited) - min(credited),
     )

@@ -20,7 +20,10 @@ mfg_simulate sim.csv, manifest.json and report.md were re-pinned when the
 simulator began to draw each step's mover count as one Binomial(N, p)
 from a single seeded stream instead of N uniforms from a generator per
 episode (deviation 0.00622 -> 0.00690). The dungeon manifest.json was
-re-pinned when the unread `sacrifice_cost` key was deleted. A refactor
+re-pinned when the unread `sacrifice_cost` key was deleted. The dungeon
+rounds.csv was re-pinned when its `success` column, `1` on every row, was
+deleted, and the roles_run and roles_run_stochastic manifest.json when the
+`credit_waiters` option, `true` in every config, was deleted. A refactor
 that changes any of these bytes must say why and re-pin them.
 """
 
@@ -43,7 +46,7 @@ GOLDEN = {
         "manifest.json": "2983832d5e87b5cc422f5b094db60f20720f947a6c08b63beb25c4f770315c1d",
         "report.md": "02cc25953b08541f37ea820ac28aecea3b3c9b16058c15fa0473ae32a6feb0d2",
         "roles.csv": "c26210de9b77fa22844ab0cead13347878888a09aceb7f90cff2df79bf86770c",
-        "rounds.csv": "cb48b8100c56fffd7223be66f0bd5c7e005d7018fa90c0a55e240088287f5bee",
+        "rounds.csv": "26928129d7f24c89098ed5ed80b541ade575e12cbc391d489ab914f81307e5ff",
     },
     "ipd_match": {
         "manifest.json": "3d67c090bd907acf3bdde44c77cb1626121eb3edce564298ba6a1c81ffc3644f",
@@ -69,13 +72,13 @@ GOLDEN = {
         "values.csv": "600ed28164f1c4f22de83e58298b87f1e372ac7ee2e2dc63a4fa9c69c71e4fc6",
     },
     "roles_run": {
-        "manifest.json": "45249969965af2de8d46226f2a155dd349f08c044cfe94f225b76d4e2a321963",
+        "manifest.json": "4f9769f5bb5b6e1ec92f4d7e4fe6ec608ebe8a273f27de7bfb4557f825ad148b",
         "report.md": "8fade127bb350c1f942e7d320cea789e6595b8d2f3529e75bb45737050df9137",
         "roles.csv": "fa4a6b94090d00ec8f9c1c37904b75f3793c9101f7eff206e646dc9440e33245",
         "rounds.csv": "2bc83d65e26252d79a34a88c1a4291d5cd4484928edac3b14af83dbc20a7201a",
     },
     "roles_run_stochastic": {
-        "manifest.json": "bc511a423a559927c5cf466fda957a1d43741321b064ad971f3386151d4fad51",
+        "manifest.json": "402a5c89628c48a2711f8bbaa3ef400db184109c7dc08f2bdf73af84f94217df",
         "report.md": "1f5718850e93d99807b3a82eb418c4e2955952f5709f40e6328ca95b5eda2763",
         "roles.csv": "fdc1e19370f6269dd0d2d759247cd3cfe22fe7bf295418f9d23c9aacaa2db28f",
         "rounds.csv": "b5d47730932230b40ad6ae078cf9c4cb6081a0e8f650b392f41e7b6ebaab56fb",

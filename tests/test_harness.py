@@ -450,7 +450,7 @@ def test_dungeon_outputs(tmp_path):
     config = {"experiment": "dungeon", "n_agents": 3, "rounds": 6}
     artifacts = run(config, out_dir=tmp_path)
     rounds = read_lines(tmp_path / "rounds.csv")
-    assert rounds[0] == "round,sacrificer,success"
+    assert rounds[0] == "round,sacrificer"
     sacrificers = [line.split(",")[1] for line in rounds[1:]]
     assert sacrificers == ["0", "1", "2", "0", "1", "2"]
     assert artifacts.summary["sacrifice_gap"] == 0
@@ -659,6 +659,50 @@ def test_report_on_a_manifest_with_a_window_key_exits_zero(tmp_path):
     assert (out / "report.md").exists()
 
 
+def _config_with_credit_waiters(tmp_path):
+    path = tmp_path / "roles.json"
+    path.write_text(json.dumps(roles_config(credit_waiters=True)))
+    return ["roles-run", "--config", str(path)]
+
+
+def _manifest_with_credit_waiters(tmp_path):
+    """A finished run whose manifest carries the `credit_waiters` key that
+    manifests recorded before the option went."""
+    out = tmp_path / "old"
+    manifest_path = run(roles_config(), out_dir=out).manifest_path
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["credit_waiters"] = True
+    manifest_path.write_text(json.dumps(manifest))
+    return ["report", "--config", str(out)]
+
+
+@pytest.mark.parametrize("argv", [_config_with_credit_waiters, _manifest_with_credit_waiters],
+                         ids=["config", "manifest"])
+def test_a_config_or_manifest_naming_credit_waiters_exits_one(tmp_path, capsys, argv):
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: config: unknown keys: credit_waiters\n"
+
+
+def test_a_manifest_naming_credit_waiters_cannot_be_rerun(tmp_path):
+    out = Path(_manifest_with_credit_waiters(tmp_path)[-1])
+    with pytest.raises(ConfigError, match="^config: unknown keys: credit_waiters$"):
+        run_from_manifest(out / "manifest.json", out_dir=tmp_path / "rerun")
+    assert not (tmp_path / "rerun").exists()
+
+
+def test_a_one_agent_dungeon_reports_only_its_size(tmp_path):
+    # the switch is checked after the environment, so a bad n_agents does not
+    # also raise a cohort problem for an environment that has no cohort
+    config = {"experiment": "dungeon", "n_agents": 1, "rounds": 3,
+              "switch": {"mode": "stochastic_sigmoid"}}
+    with pytest.raises(ConfigError) as excinfo:
+        run(config, out_dir=tmp_path / "out")
+    assert excinfo.value.problems == ["config: n_agents must be an integer >= 2, got 1"]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: any config exits 0, 1 or 2, and a failed run writes nothing
 # ---------------------------------------------------------------------------
@@ -690,7 +734,7 @@ KNOWN_KEYS = {
     "mfg_simulate": {"params": PARAMS, "episodes": None, "policy": None, "solver": SOLVER},
     "roles_run": {
         "n_agents": None, "threshold": None, "rounds": None, "cohort": None,
-        "assignment": None, "credit_waiters": None, "static_movers": None,
+        "assignment": None, "static_movers": None,
         "switch": SWITCH, "mfg": PARAMS, "solver": SOLVER,
     },
     "dungeon": {
