@@ -22,7 +22,6 @@ from .ipd import (
     MatchResult,
     PayoffMatrix,
     Regime,
-    ScoreTable,
     Strategy,
     TitForTat,
     WinStayLoseShift,
@@ -45,13 +44,11 @@ from .mfg import (
     default_params,
     exploitability,
     forward_flow,
-    per_agent_reward,
     simulate_population,
     softmax_policy,
     solve_equilibrium,
     transition_distribution,
     uniform_policy,
-    utility,
 )
 from .roles import (
     FairnessStats,

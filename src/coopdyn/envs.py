@@ -17,7 +17,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ValidationError, _check_count
+from .errors import ValidationError, _check_count, _check_finite_fields
 from .mfg import MOVE, MfgParams, _check_policy, initial_distribution_array, reward_array
 from .roles import (
     PRIMARY,
@@ -51,6 +51,7 @@ class DungeonConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite_fields(self)
         _check_count("n_agents", self.n_agents, 2)
         _check_count("rounds", self.rounds, 1)
         _check_count("seed", self.seed, 0)

@@ -1,4 +1,7 @@
-"""Error types shared by the library and the command-line harness."""
+"""Error types shared by the library and the CLI, and checks raising them."""
+
+import math
+from dataclasses import fields
 
 
 class ValidationError(ValueError):
@@ -25,3 +28,20 @@ def _check_count(name: str, value, low: int) -> None:
     `isinstance(True, int)` holds."""
     if not isinstance(value, int) or isinstance(value, bool) or value < low:
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_number(name: str, value) -> None:
+    """`value` must be a finite int or float; bools are rejected, as
+    `_check_count` rejects them."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} is non-finite: {value!r}")
+
+
+def _check_finite_fields(instance) -> None:
+    """Every float field of a dataclass instance must pass `_check_number`
+    (annotations are postponed, so a field's type is the string "float")."""
+    for field in fields(instance):
+        if field.type == "float":
+            _check_number(field.name, getattr(instance, field.name))

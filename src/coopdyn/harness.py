@@ -57,17 +57,14 @@ _CELL = {bool: "%d", int: "%d", float: "%.12g", str: "%s"}
 
 
 class _ArrayTable:
-    """Equal-length array columns held as they are: `len()` is the row
-    count, and iterating yields the rows as tuples of plain Python values."""
+    """Equal-length array columns held as they are; `len()` is the row
+    count."""
 
     def __init__(self, columns: tuple[np.ndarray, ...]):
         self.columns = columns
 
     def __len__(self) -> int:
         return len(self.columns[0])
-
-    def __iter__(self):
-        return zip(*(column.tolist() for column in self.columns))
 
 
 def _rows(*columns) -> _ArrayTable:
@@ -278,9 +275,9 @@ def _run_ipd_match(top, seed, problems):
 
 def _run_ipd_tournament(top, seed, problems):
     payoff, players, match, resolved = _read_ipd(top, problems)
-    table = tournament(players, payoff, match)
-    rows = _rows(*map(np.array, zip(*map(astuple, table.scores))))
-    best = max(table.scores, key=lambda r: r.mean_discounted)
+    scores = tournament(players, payoff, match)
+    rows = _rows(*map(np.array, zip(*map(astuple, scores))))
+    best = max(scores, key=lambda r: r.mean_discounted)
     summary = {
         "regime": payoff.regime().value,
         "entrants": len(players),
@@ -456,7 +453,6 @@ def _run_roles(top, seed, problems):
         "rounds": config.rounds,
         "passed_rounds": sum(1 for row in episode.rounds if row.passed),
         "mover_count_gap": episode.fairness.sacrifice_gap,
-        "sacrifice_gap": episode.fairness.sacrifice_gap,
         "credited_spread": episode.fairness.credited_spread,
         "solve": solve_summary,
     }

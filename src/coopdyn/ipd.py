@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Sequence
 
-from .errors import ValidationError, _check_count
+from .errors import ValidationError, _check_count, _check_finite_fields
 
 
 class ActionPD(IntEnum):
@@ -22,10 +22,6 @@ class ActionPD(IntEnum):
 
     COOPERATE = 0
     DEFECT = 1
-
-    @property
-    def letter(self) -> str:
-        return "C" if self is ActionPD.COOPERATE else "D"
 
 
 COOPERATE = ActionPD.COOPERATE
@@ -57,6 +53,7 @@ class PayoffMatrix:
     sucker: float
 
     def __post_init__(self):
+        _check_finite_fields(self)
         checks = (
             ("temptation > reward", self.temptation, self.reward),
             ("reward > punishment", self.reward, self.punishment),
@@ -329,6 +326,7 @@ class MatchConfig:
     discount: float = 0.0
 
     def __post_init__(self):
+        _check_finite_fields(self)
         _check_count("horizon", self.horizon, 1)
         _check_discount(self.discount)
 
@@ -397,14 +395,9 @@ class StrategyScore:
     mean_group: float
 
 
-@dataclass(frozen=True)
-class ScoreTable:
-    scores: tuple[StrategyScore, ...]
-
-
 def tournament(
     strategies: Sequence[Strategy], payoff: PayoffMatrix, config: MatchConfig
-) -> ScoreTable:
+) -> tuple[StrategyScore, ...]:
     """Round-robin over all ordered pairs, mirror matches included.
 
     Each strategy accumulates one discounted-payoff sample per seat it
@@ -425,11 +418,10 @@ def tournament(
             group_sum[i] += result.group_payoff_per_round
             group_sum[j] += result.group_payoff_per_round
     samples = 2 * n
-    rows = tuple(
+    return tuple(
         StrategyScore(labels[i], disc_sum[i] / samples, group_sum[i] / samples)
         for i in range(n)
     )
-    return ScoreTable(rows)
 
 
 STRATEGY_KINDS = {

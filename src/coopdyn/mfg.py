@@ -4,13 +4,12 @@ The shared state j in {0..N} is how many agents moved last round. Each
 agent picks wait (0) or move (1); the other N-1 agents are modelled as
 moving i.i.d. with the population policy's move probability at the current
 state, so the next count is own action + Binomial(N-1, p). The module
-provides the reward/utility evaluation (one array formula; the scalar
-readers index it), the exact binomial transition closure, forward
-distribution flow (policy checked once, every step run in its loop),
-backward action-value recursion with a hard max, Boltzmann policy
-extraction, a damped fixed-point equilibrium solver, a best-response
-exploitability certificate, and a finite-population Monte Carlo
-consistency check.
+provides the reward/utility evaluation (one array formula), the exact
+binomial transition closure, forward distribution flow (policy checked
+once, every step run in its loop), backward action-value recursion with a
+hard max, Boltzmann policy extraction, a damped fixed-point equilibrium
+solver, a best-response exploitability certificate, and a
+finite-population Monte Carlo consistency check.
 
 In the finite population every agent at state j moves with the same
 probability, so the next count is exactly Binomial(N, p): the Monte Carlo
@@ -32,13 +31,13 @@ builds iterations + 1 stacks.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalIntegrityError, ValidationError, _check_count
+from .errors import NumericalIntegrityError, ValidationError
+from .errors import _check_count, _check_finite_fields, _check_number
 
 WAIT = 0
 MOVE = 1
@@ -47,20 +46,6 @@ MOVE = 1
 _DRIFT_TOL = 1e-12
 # inputs are allowed a looser slack: callers may have accumulated rounding
 _INPUT_TOL = 1e-9
-
-
-def _check_finite_fields(instance) -> None:
-    """Every float field must hold a finite int or float; bools are
-    rejected, as `_check_count` rejects them. (Annotations are strings in
-    this module.)"""
-    for field in fields(instance):
-        if field.type != "float":
-            continue
-        value = getattr(instance, field.name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"{field.name} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValidationError(f"{field.name} is non-finite: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -233,27 +218,6 @@ def utility_table(params: MfgParams) -> np.ndarray:
     distance = np.abs(np.arange(params.n_agents + 1) - params.threshold)
     penalty = params.consistency_weight * distance
     return reward_array(params) - penalty[:, None] + params.preference_baseline
-
-
-def _check_action_state(action: int, count: int, params: MfgParams) -> None:
-    if action not in (WAIT, MOVE):
-        raise ValidationError(f"action must be {WAIT} (wait) or {MOVE} (move)")
-    if not 0 <= count <= params.n_agents:
-        raise ValidationError(
-            f"state count must lie in [0, {params.n_agents}], got {count!r}"
-        )
-
-
-def per_agent_reward(action: int, count: int, params: MfgParams) -> float:
-    """Reward for one agent given its action and the current mover count."""
-    _check_action_state(action, count, params)
-    return float(reward_array(params)[count, action])
-
-
-def utility(action: int, count: int, params: MfgParams) -> float:
-    """Per-agent reward minus the consistency penalty, plus the baseline."""
-    _check_action_state(action, count, params)
-    return float(utility_table(params)[count, action])
 
 
 # ---------------------------------------------------------------------------
@@ -429,22 +393,17 @@ def bellman_backward(policy, params: MfgParams, *, kernel=None) -> ActionValueTa
     return ActionValueTable(q=q, v=v)
 
 
-def best_response_gap(policy, params: MfgParams, initial=None, *, kernel=None) -> float:
+def best_response_gap(policy, params: MfgParams, *, kernel=None) -> float:
     """How much a single greedy deviator gains over the mixed policy.
 
     Both values come from one backward pass against the kernels the policy
     induces (`kernel` may pass its `_kernel` stack); the gap is averaged
-    over the initial state distribution, which `initial` may replace with
-    a law of n_agents + 1 entries. Nonnegative up to rounding for any
-    policy.
+    over the model's initial state distribution. Nonnegative up to
+    rounding for any policy.
     """
     policy = _check_policy(policy, params)
-    if initial is None:
-        initial = initial_distribution_array(params)
-    else:
-        initial = _check_distribution(initial, params.n_agents, "initial")
     (_, greedy), (_, mixed) = _backward(policy, params, ("max", "policy"), kernel).values()
-    return float(initial @ (greedy[0] - mixed[0]))
+    return float(initial_distribution_array(params) @ (greedy[0] - mixed[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +428,8 @@ class EquilibriumResult:
 
 
 def exploitability(result: EquilibriumResult, params: MfgParams) -> float:
-    """Best-response gap of an equilibrium result, weighted by its own
-    initial distribution."""
-    return best_response_gap(result.policy, params, result.flow[0])
+    """Best-response gap of an equilibrium result's policy."""
+    return best_response_gap(result.policy, params)
 
 
 def solve_equilibrium(
@@ -493,6 +451,8 @@ def solve_equilibrium(
     between sweeps. Convergence requires both below tol. tol=0 disables
     the stopping test and runs exactly max_iter sweeps.
     """
+    _check_number("tol", tol)
+    _check_number("damping", damping)
     if tol < 0.0:
         raise ValidationError("tol must be nonnegative")
     if not 0.0 < damping <= 1.0:
@@ -525,7 +485,7 @@ def solve_equilibrium(
     # the last sweep's table and target go before the certificate's tables
     # are built, and the certificate's before the greedy one is
     del table, target
-    gap = best_response_gap(policy, params, flow_prev[0], kernel=kernel)
+    gap = best_response_gap(policy, params, kernel=kernel)
     values = bellman_backward(policy, params, kernel=kernel)
     return EquilibriumResult(
         policy=policy,

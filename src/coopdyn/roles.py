@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ValidationError, _check_count
+from .errors import ValidationError, _check_count, _check_finite_fields
 
 SACRIFICE = "sacrifice"
 PRIMARY = "primary"
@@ -150,6 +150,7 @@ class SwitchPolicy:
     streak_scale: float = 1.0
 
     def __post_init__(self):
+        _check_finite_fields(self)
         if self.mode not in ("deterministic_window", "stochastic_sigmoid"):
             raise ValidationError(
                 "mode must be 'deterministic_window' or 'stochastic_sigmoid'"

@@ -8,7 +8,7 @@ from coopdyn.envs import (
     run_dungeon,
 )
 from coopdyn.errors import ValidationError
-from coopdyn.ipd import Alternator, MatchConfig
+from coopdyn.ipd import Alternator, MatchConfig, PayoffMatrix
 from coopdyn.mfg import MOVE, MfgParams, RewardTable
 from coopdyn.roles import RotationLedger, SwitchPolicy, deterministic_assign
 
@@ -320,3 +320,30 @@ ID_SITES = {
 def test_agent_ids_reject_bools_floats_and_non_numbers(site, value):
     with pytest.raises(ValidationError, match="must be an integer"):
         ID_SITES[site](value)
+
+
+# ---------------------------------------------------------------------------
+# float fields: finite ints or floats only, bools and text rejected by name
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: SwitchPolicy(mode="stochastic_sigmoid", streak_midpoint=float("nan")),
+         "streak_midpoint is non-finite"),
+        (lambda: SwitchPolicy(mode="stochastic_sigmoid", streak_scale=float("inf")),
+         "streak_scale is non-finite"),
+        (lambda: DungeonConfig(success_reward=float("nan")), "success_reward is non-finite"),
+        (lambda: DungeonConfig(success_reward=True), "success_reward must be a number"),
+        (lambda: PayoffMatrix(float("inf"), 3, 1, 0), "temptation is non-finite"),
+        (lambda: PayoffMatrix("5", 3, 1, 0), "temptation must be a number"),
+        (lambda: MatchConfig(horizon=5, discount=False), "discount must be a number"),
+        (lambda: MatchConfig(horizon=5, discount=float("nan")), "discount is non-finite"),
+    ],
+    ids=["streak_midpoint-nan", "streak_scale-inf", "success_reward-nan", "success_reward-bool",
+         "temptation-inf", "temptation-text", "discount-bool", "discount-nan"],
+)
+def test_float_fields_reject_non_finite_values_bools_and_text(make, match):
+    with pytest.raises(ValidationError, match=f"^{match}"):
+        make()

@@ -23,8 +23,11 @@ episode (deviation 0.00622 -> 0.00690). The dungeon manifest.json was
 re-pinned when the unread `sacrifice_cost` key was deleted. The dungeon
 rounds.csv was re-pinned when its `success` column, `1` on every row, was
 deleted, and the roles_run and roles_run_stochastic manifest.json when the
-`credit_waiters` option, `true` in every config, was deleted. A refactor
-that changes any of these bytes must say why and re-pin them.
+`credit_waiters` option, `true` in every config, was deleted. The
+roles_run and roles_run_stochastic manifest.json and report.md were
+re-pinned when the summary's `sacrifice_gap` key was deleted: it repeated
+`mover_count_gap`, read from the same fairness field. A refactor that
+changes any of these bytes must say why and re-pin them.
 """
 
 import hashlib
@@ -72,14 +75,14 @@ GOLDEN = {
         "values.csv": "600ed28164f1c4f22de83e58298b87f1e372ac7ee2e2dc63a4fa9c69c71e4fc6",
     },
     "roles_run": {
-        "manifest.json": "4f9769f5bb5b6e1ec92f4d7e4fe6ec608ebe8a273f27de7bfb4557f825ad148b",
-        "report.md": "8fade127bb350c1f942e7d320cea789e6595b8d2f3529e75bb45737050df9137",
+        "manifest.json": "09b79d41e863a277c4cf58497821d51fc8c43999226adc298240ee8da8223cf9",
+        "report.md": "308b8f42bc84d7af5c41d7a155439925f915d3098c912b1516e693e646dcd51b",
         "roles.csv": "fa4a6b94090d00ec8f9c1c37904b75f3793c9101f7eff206e646dc9440e33245",
         "rounds.csv": "2bc83d65e26252d79a34a88c1a4291d5cd4484928edac3b14af83dbc20a7201a",
     },
     "roles_run_stochastic": {
-        "manifest.json": "402a5c89628c48a2711f8bbaa3ef400db184109c7dc08f2bdf73af84f94217df",
-        "report.md": "1f5718850e93d99807b3a82eb418c4e2955952f5709f40e6328ca95b5eda2763",
+        "manifest.json": "e468ae99158379e3af474f04d017dd8cbe2c3a92905ac37d85af95614274a747",
+        "report.md": "831c46e2b59d201d2089ac21fef7b8388202d50dae5092390e847b8f2bd338d5",
         "roles.csv": "fdc1e19370f6269dd0d2d759247cd3cfe22fe7bf295418f9d23c9aacaa2db28f",
         "rounds.csv": "b5d47730932230b40ad6ae078cf9c4cb6081a0e8f650b392f41e7b6ebaab56fb",
     },

@@ -22,13 +22,12 @@ from coopdyn.mfg import (
     exploitability,
     forward_flow,
     initial_distribution_array,
-    per_agent_reward,
     simulate_population,
     softmax_policy,
     solve_equilibrium,
     transition_distribution,
+    reward_array,
     uniform_policy,
-    utility,
     utility_table,
 )
 
@@ -72,6 +71,25 @@ def small_params(**overrides):
 def test_bools_are_not_integers(call):
     with pytest.raises(ValidationError, match="must be an integer"):
         call()
+
+
+@pytest.mark.parametrize(
+    "option, value, match",
+    [
+        ("tol", math.nan, "tol is non-finite"),
+        ("tol", math.inf, "tol is non-finite"),
+        ("tol", True, "tol must be a number"),
+        ("tol", "x", "tol must be a number"),
+        ("tol", -1e-9, "tol must be nonnegative"),
+        ("damping", True, "damping must be a number"),
+        ("damping", "x", "damping must be a number"),
+    ],
+    ids=["tol-nan", "tol-inf", "tol-bool", "tol-text", "tol-negative", "damping-bool",
+         "damping-text"],
+)
+def test_solver_tol_and_damping_must_be_finite_numbers(option, value, match):
+    with pytest.raises(ValidationError, match=match):
+        solve_equilibrium(small_params(), max_iter=2, **{option: value})
 
 
 def test_params_validation():
@@ -257,8 +275,6 @@ def test_policies_that_are_not_numeric_arrays_are_validation_errors(call, policy
     [
         pytest.param(lambda law: MfgParams(n_agents=2, threshold=1, initial_distribution=law),
                      id="MfgParams"),
-        pytest.param(lambda law: best_response_gap(uniform_policy(ONE_STEP), ONE_STEP, initial=law),
-                     id="best_response_gap"),
     ],
 )
 def test_initial_laws_that_are_not_numeric_arrays_are_validation_errors(call, law):
@@ -277,7 +293,7 @@ def test_logistic_reward_at_the_threshold_is_half():
             n_agents=20, threshold=10, smoothing=kappa, reward_offset=0.25,
             reward_mode="formula",
         )
-        assert per_agent_reward(MOVE, 10, params) == pytest.approx(0.75)
+        assert reward_array(params)[10, MOVE] == pytest.approx(0.75)
 
 
 def test_logistic_reward_orientation():
@@ -285,13 +301,14 @@ def test_logistic_reward_orientation():
     # nearly the full logistic unit; waiting there pays almost nothing.
     # Direct evaluation: 1/(1 + exp((1-2a)(i-j)/kappa)) at i=10, j=0, kappa=1.
     params = MfgParams(n_agents=20, threshold=10, reward_mode="formula")
+    rewards = reward_array(params)
     move_value = 1.0 / (1.0 + math.exp(-10.0))
     wait_value = 1.0 / (1.0 + math.exp(10.0))
-    assert per_agent_reward(MOVE, 0, params) == pytest.approx(move_value, abs=1e-15)
-    assert per_agent_reward(WAIT, 0, params) == pytest.approx(wait_value, abs=1e-15)
-    assert per_agent_reward(WAIT, 0, params) == pytest.approx(4.5398e-05, abs=1e-9)
+    assert rewards[0, MOVE] == pytest.approx(move_value, abs=1e-15)
+    assert rewards[0, WAIT] == pytest.approx(wait_value, abs=1e-15)
+    assert rewards[0, WAIT] == pytest.approx(4.5398e-05, abs=1e-9)
     # and the scratch-oracle agrees
-    assert per_agent_reward(MOVE, 0, params) == pytest.approx(
+    assert rewards[0, MOVE] == pytest.approx(
         oracle.logistic_reward(1, 0, 10, 1.0, 0.0), abs=1e-15
     )
 
@@ -299,25 +316,23 @@ def test_logistic_reward_orientation():
 def test_table_reward_cases():
     params = MfgParams(n_agents=20, threshold=10)
     table = params.reward_table
-    assert per_agent_reward(MOVE, 3, params) == table.move_clear
-    assert per_agent_reward(WAIT, 3, params) == table.wait_clear
-    assert per_agent_reward(WAIT, 11, params) == table.wait_congested == 0.2
-    assert per_agent_reward(MOVE, 11, params) == table.move_congested
+    rewards = reward_array(params)
+    assert rewards[3, MOVE] == table.move_clear
+    assert rewards[3, WAIT] == table.wait_clear
+    assert rewards[11, WAIT] == table.wait_congested == 0.2
+    assert rewards[11, MOVE] == table.move_congested
 
 
 def test_utility_combines_reward_penalty_and_baseline():
     params = MfgParams(n_agents=20, threshold=10, consistency_weight=3.0)
-    assert utility(MOVE, 10, params) == pytest.approx(1.0)
+    assert utility_table(params)[10, MOVE] == pytest.approx(1.0)
     params = MfgParams(n_agents=20, threshold=10, consistency_weight=0.1)
-    assert utility(WAIT, 14, params) == pytest.approx(0.2 - 0.4)
+    assert utility_table(params)[14, WAIT] == pytest.approx(0.2 - 0.4)
     params = MfgParams(n_agents=20, threshold=10)
-    for j in (0, 7, 15):
-        for a in (WAIT, MOVE):
-            assert utility(a, j, params) == per_agent_reward(a, j, params)
+    assert np.array_equal(utility_table(params), reward_array(params))
 
 
 def test_utility_table_matches_pointwise_calls():
-    # `utility` reads `utility_table`, so the independent check is the oracle
     formula_only = {"smoothing": 2.5, "reward_offset": 0.25}
     for mode, extra in (("table", {}), ("formula", formula_only)):
         shared = dict(reward_mode=mode, consistency_weight=0.3, preference_baseline=0.1,
@@ -326,7 +341,6 @@ def test_utility_table_matches_pointwise_calls():
         reference = oracle.make_params(30, 11, **shared)
         loop = [[oracle.utility(a, j, reference) for a in (WAIT, MOVE)] for j in range(31)]
         assert np.array_equal(utility_table(params), np.array(loop))
-        assert utility(MOVE, 4, params) == loop[4][MOVE]
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +748,10 @@ def test_exploitability_is_nonnegative_and_matches_oracle():
     moves = np.random.default_rng(7).random((8, 11))
     off_equilibrium = np.stack([1 - moves, moves], axis=2)
     spread = np.full(11, 1.0 / 11.0)
+    spread_params = dataclasses.replace(params, initial_distribution=tuple(spread))
     cases = [
         (exploitability(result, params), result.policy, result.flow[0]),
-        (best_response_gap(off_equilibrium, params, spread), off_equilibrium, spread),
+        (best_response_gap(off_equilibrium, spread_params), off_equilibrium, spread),
     ]
     oracle_params = oracle.make_params(
         10, 4, discount=0.9, temperature=0.2, horizon=8
@@ -754,18 +769,19 @@ def test_exploitability_is_nonnegative_and_matches_oracle():
 @pytest.mark.parametrize(
     "initial, match",
     [
-        (np.full(12, 1.0 / 12.0), "initial must have n_agents \\+ 1 entries"),
-        (np.full(10, 0.1), "initial must have n_agents \\+ 1 entries"),
-        (np.r_[np.nan, np.full(10, 0.1)], "initial has non-finite entries"),
-        (np.r_[-0.5, 1.5, np.zeros(9)], "initial has negative entries"),
-        (np.full(11, 0.5), "initial is not normalized"),
+        (np.full(12, 1.0 / 12.0), "initial_distribution must have n_agents \\+ 1 entries"),
+        (np.full(10, 0.1), "initial_distribution must have n_agents \\+ 1 entries"),
+        (np.r_[np.nan, np.full(10, 0.1)], "initial_distribution has non-finite entries"),
+        (np.r_[-0.5, 1.5, np.zeros(9)], "initial_distribution has negative entries"),
+        (np.full(11, 0.5), "initial_distribution is not normalized"),
     ],
     ids=["too-long", "too-short", "nan", "negative", "unnormalized"],
 )
-def test_certificate_rejects_an_initial_law_that_is_not_one(initial, match):
-    params = MfgParams(n_agents=10, threshold=4, horizon=3)
+def test_initial_distributions_that_are_not_laws_are_rejected(initial, match):
+    # the certificate averages over the model's own initial law, which
+    # MfgParams checks once
     with pytest.raises(ValidationError, match=match):
-        best_response_gap(uniform_policy(params), params, initial)
+        MfgParams(n_agents=10, threshold=4, horizon=3, initial_distribution=tuple(initial))
 
 
 def counting_stacks(monkeypatch):
