@@ -12,9 +12,11 @@ solver, a best-response exploitability certificate, and a
 finite-population Monte Carlo consistency check.
 
 In the finite population every agent at state j moves with the same
-probability, so the next count is exactly Binomial(N, p): the Monte Carlo
-check draws it once per (episode, step) from a single seeded generator,
-stepping a chunk of episodes together.
+probability, so an episode's next count is exactly Binomial(N, p).
+Episodes are i.i.d. chains, so the Monte Carlo check samples their visit
+histogram instead of the episodes: one Multinomial(episodes at the row,
+Binomial(N, p)) draw per (step, kernel row in use), all from a single
+seeded generator, at a cost that does not grow with the episode count.
 
 A policy's kernels are stored as one stack: its distinct binomial rows
 plus a (horizon, N+1) index, so every (t, j) whose policy moves with the
@@ -126,7 +128,7 @@ class MfgParams:
                 f"{', '.join(unused)}: used only when reward_mode is 'formula'"
             )
         if self.initial_distribution is not None:
-            _check_distribution(self.initial_distribution, self.n_agents, "initial_distribution")
+            _check_distribution(self.initial_distribution, self.n_agents)
 
 
 def default_params() -> MfgParams:
@@ -145,22 +147,21 @@ def initial_distribution_array(params: MfgParams) -> np.ndarray:
     return dist / dist.sum()
 
 
-def _check_distribution(dist, n_agents: int, name: str) -> np.ndarray:
-    """`dist` as a float array of n_agents + 1 finite entries, each at least
-    -_INPUT_TOL, that sum to 1 within _INPUT_TOL."""
+def _check_distribution(dist, n_agents: int) -> None:
+    """`dist` must be n_agents + 1 finite numbers, each at least -_INPUT_TOL,
+    that sum to 1 within _INPUT_TOL."""
     try:
         dist = np.asarray(dist, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a numeric array: {exc}") from exc
+        raise ValidationError(f"initial_distribution must be a numeric array: {exc}") from exc
     if dist.shape != (n_agents + 1,):
-        raise ValidationError(f"{name} must have n_agents + 1 entries")
+        raise ValidationError("initial_distribution must have n_agents + 1 entries")
     if not np.isfinite(dist).all():
-        raise ValidationError(f"{name} has non-finite entries")
+        raise ValidationError("initial_distribution has non-finite entries")
     if np.any(dist < -_INPUT_TOL):
-        raise ValidationError(f"{name} has negative entries")
+        raise ValidationError("initial_distribution has negative entries")
     if abs(float(dist.sum()) - 1.0) > _INPUT_TOL:
-        raise ValidationError(f"{name} is not normalized (sum={dist.sum()!r})")
-    return dist
+        raise ValidationError(f"initial_distribution is not normalized (sum={dist.sum()!r})")
 
 
 def _check_policy(policy, params: MfgParams) -> np.ndarray:
@@ -286,8 +287,10 @@ def transition_distribution(action: int, move_probability: float, n_agents: int)
     The kernel depends on the current state only through the population's
     move probability there, which the caller passes directly.
     """
-    if action not in (WAIT, MOVE):
+    _check_count("action", action, WAIT)
+    if action > MOVE:
         raise ValidationError(f"action must be {WAIT} (wait) or {MOVE} (move)")
+    _check_number("move_probability", move_probability)
     if not 0.0 <= move_probability <= 1.0:
         raise ValidationError("move_probability must lie in [0, 1]")
     _check_count("n_agents", n_agents, 2)
@@ -337,12 +340,22 @@ def softmax_policy(values, temperature: float) -> np.ndarray:
         raise ValidationError(f"softmax values must end in a (wait, move) axis; got shape {q.shape}")
     if not np.isfinite(q).all():
         raise NumericalIntegrityError("softmax input contains non-finite values")
-    # elementwise over the pair: a numpy reduction over a length-2 axis is
-    # slow, and the exact max and two-term sum give the reduction's bits
-    m = np.maximum(q[..., WAIT], q[..., MOVE])
-    z = (q - m[..., None]) / temperature
-    e = np.exp(z)
-    return e / (e[..., WAIT] + e[..., MOVE])[..., None]
+    # One exp per pair: the winner's weight is exp(0) = 1 and the loser's
+    # exponent, -|q_wait - q_move| / temperature, is the max-subtracted one
+    # bit for bit, so this gives the general max-subtracted formula's bits.
+    gap = q[..., MOVE] - q[..., WAIT]
+    lose = np.exp(-np.abs(gap) / temperature)
+    total = lose + 1.0
+    win = 1.0 / total
+    lose = lose / total
+    # ties go to wait, where both weights are 1 and both probabilities 0.5
+    move_wins = gap > 0.0
+    out = np.empty(q.shape)
+    out[..., WAIT] = win
+    out[..., MOVE] = lose
+    np.copyto(out[..., WAIT], lose, where=move_wins)
+    np.copyto(out[..., MOVE], win, where=move_wins)
+    return out
 
 
 def uniform_policy(params: MfgParams) -> np.ndarray:
@@ -518,9 +531,8 @@ class EmpiricalStats:
     deviation: float
 
 
-# episodes stepped together by the simulator: each per-chunk array (states,
-# their move probabilities, the draws) is at most 128 KiB
-_EPISODE_CHUNK = 2**14
+# the most trials one Generator.multinomial draw takes
+_MAX_EPISODES = int(np.iinfo(np.int64).max)
 
 
 def simulate_population(
@@ -528,35 +540,49 @@ def simulate_population(
 ) -> EmpiricalStats:
     """Simulate N discrete agents sampling actions from the policy.
 
-    Every agent at state j moves with probability policy[t, j, MOVE], so
-    the next count is one Binomial(N, p) draw per (episode, step). All
-    draws come from one `default_rng(seed)` stream: each chunk of
-    _EPISODE_CHUNK episodes draws its start states, then steps together.
-    Reruns with the same seed are bit-identical, but an episode's path
-    depends on the episodes drawn before it, so a run cannot be split
-    into independently seeded parts.
+    Every agent at state j moves with probability p = policy[t, j, MOVE],
+    so an episode's next count is Binomial(N, p). Episodes are i.i.d.
+    Markov chains, so their visit histogram (episodes per state at step t)
+    is one too: given it, the m episodes at the states that share a kernel
+    row (the same p) move on as one Multinomial(m, Binomial(N, p)) draw,
+    independently of the other rows. Sampling that chain gives the
+    histograms the same law as stepping every episode, at a cost of
+    O(horizon * rows in use * N) whatever the episode count.
+
+    All draws come from one `default_rng(seed)` stream, in this order: the
+    start histogram, Multinomial(episodes, initial law), then at each step
+    one multinomial per kernel row in use, in row order. Reruns with the
+    same seed are bit-identical; single episodes are never drawn.
     """
     policy = _check_policy(policy, params)
     _check_count("episodes", episodes, 1)
+    if episodes > _MAX_EPISODES:
+        raise ValidationError(f"episodes must be at most {_MAX_EPISODES}, got {episodes!r}")
     _check_count("seed", seed, 0)
     n = params.n_agents
+    rows, index = kernel = _kernel(policy, n)
     counts = np.arange(n + 1, dtype=float)
-    # the flow first: its kernel temporaries are freed before the draws start
-    mf_mean_states = forward_flow(policy, params) @ counts
-    # _check_policy admits entries up to _INPUT_TOL outside [0, 1], which
-    # Generator.binomial rejects
-    move = np.clip(policy[:, :, MOVE], 0.0, 1.0)
-    initial = initial_distribution_array(params)
+    mf_mean_states = forward_flow(policy, params, kernel=kernel) @ counts
+    # each row's move probability, clipped: _check_policy admits entries up
+    # to _INPUT_TOL outside [0, 1]
+    row_move = np.empty(len(rows))
+    row_move[index] = np.clip(policy[:, :, MOVE], 0.0, 1.0)
     rng = np.random.default_rng(seed)
-    # frequencies counts visits per (t, state) until the division at the end
-    frequencies = np.zeros((params.horizon + 1, n + 1))
-    for first in range(0, episodes, _EPISODE_CHUNK):
-        states = rng.choice(n + 1, min(_EPISODE_CHUNK, episodes - first), p=initial)
-        frequencies[0] += np.bincount(states, minlength=n + 1)
-        for t in range(params.horizon):
-            states = rng.binomial(n, move[t, states])
-            frequencies[t + 1] += np.bincount(states, minlength=n + 1)
-    frequencies /= episodes
+    visits = np.zeros((params.horizon + 1, n + 1), dtype=np.int64)
+    visits[0] = rng.multinomial(episodes, initial_distribution_array(params))
+    for t in range(params.horizon):
+        # int64 sums: float ones round above 2**53 episodes
+        per_row = np.zeros(len(rows), dtype=np.int64)
+        np.add.at(per_row, index[t], visits[t])
+        used = np.flatnonzero(per_row)
+        # Binomial(N, p): the own move, Bernoulli(p), plus the row's
+        # Binomial(N - 1, p) peers
+        peers, p = rows[used], row_move[used, None]
+        law = np.zeros((used.size, n + 1))
+        law[:, :n] = (1.0 - p) * peers
+        law[:, 1:] += p * peers
+        visits[t + 1] = rng.multinomial(per_row[used], law).sum(axis=0)
+    frequencies = visits / episodes
     mean_states = frequencies @ counts
     deviation = float(np.max(np.abs(mean_states - mf_mean_states)) / n)
     return EmpiricalStats(

@@ -182,8 +182,7 @@ def sigmoid_switch_probability(streak: int, policy: SwitchPolicy) -> float:
     """Probability of abandoning the current role after `streak` rounds."""
     if policy.mode != "stochastic_sigmoid":
         raise ValidationError("switch probability requires stochastic_sigmoid mode")
-    if streak < 0:
-        raise ValidationError("streak must be nonnegative")
+    _check_count("streak", streak, 0)
     x = (streak - policy.streak_midpoint) / policy.streak_scale
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))

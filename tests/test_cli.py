@@ -127,6 +127,23 @@ def test_initial_law_with_tiny_negative_entries_simulates(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_more_episodes_than_one_multinomial_draw_takes_exit_one(tmp_path, capsys):
+    payload = {
+        "experiment": "mfg_simulate",
+        "params": {"n_agents": 20, "threshold": 8, "horizon": 5},
+        "episodes": 10**30,
+        "policy": "uniform",
+    }
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "r"
+    code = cli.main(["mfg-simulate", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: episodes must be at most 9223372036854775807")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_report_on_missing_run_exits_one(tmp_path):
     assert cli.main(["report", "--config", str(tmp_path)]) == 1
 

@@ -26,7 +26,13 @@ deleted, and the roles_run and roles_run_stochastic manifest.json when the
 `credit_waiters` option, `true` in every config, was deleted. The
 roles_run and roles_run_stochastic manifest.json and report.md were
 re-pinned when the summary's `sacrifice_gap` key was deleted: it repeated
-`mover_count_gap`, read from the same fairness field. A refactor that
+`mover_count_gap`, read from the same fairness field. The mfg_simulate
+sim.csv (05f72c9f... -> 6cada8ba...), manifest.json (75c147be... ->
+a96029e6...) and report.md (d95c01f4... -> 43e95f68...) were re-pinned
+when the simulator began to sample the visit histogram, one multinomial
+per (step, kernel row in use), instead of one binomial per (episode,
+step): the law is the same, the draws are new (deviation 0.00690 ->
+0.00664). A refactor that
 changes any of these bytes must say why and re-pin them.
 """
 
@@ -62,9 +68,9 @@ GOLDEN = {
         "scores.csv": "f981effd72ef98c3d467c92110f0595d1b848fc9a035baff13fde90b62bf0b39",
     },
     "mfg_simulate": {
-        "manifest.json": "75c147be6699b30dcee6e54385804a0b3b5ade0d271794475e08415f94ede0fe",
-        "report.md": "d95c01f46df1353044d77a7a977b0513057a6119e5e5f850b72ed873bfad3071",
-        "sim.csv": "05f72c9f382cba8f8d1e52109fca9a6263a171be964c484e9f4069c713a56e44",
+        "manifest.json": "a96029e61c9689b77c54d35cf6f11c5e05449940e1f5a5993ed286f5e5097bdb",
+        "report.md": "43e95f68c23edf07afd6148eca5e6b87e414fa5822f159f4cff4cb5559129d24",
+        "sim.csv": "6cada8ba0b9d38c3d88c7d3e96279eee74711fc5d7e5da858f80ae0805cf9e2c",
     },
     "mfg_solve": {
         "diag.csv": "3284c2e0409ee4acce041cd646eb7a47b31858f1a5a1590d708a83dbad9ee43d",

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -360,6 +361,28 @@ def test_transition_degenerate():
     assert dist[6] == 1.0
 
 
+@pytest.mark.parametrize(
+    "action, move_probability, message",
+    [
+        (True, 0.5, "action must be an integer"),
+        (1.0, 0.5, "action must be an integer"),
+        (-1, 0.5, "action must be an integer"),
+        (2, 0.5, "action must be 0 \\(wait\\) or 1 \\(move\\)"),
+        (WAIT, True, "move_probability must be a number"),
+        (WAIT, "0.5", "move_probability must be a number"),
+        (WAIT, np.nan, "move_probability is non-finite"),
+        (WAIT, 1.5, "move_probability must lie in"),
+    ],
+    ids=["bool-action", "float-action", "negative-action", "action-2", "bool-probability",
+         "text-probability", "nan-probability", "probability-above-one"],
+)
+def test_transition_rejects_actions_and_probabilities_of_the_wrong_type(
+    action, move_probability, message
+):
+    with pytest.raises(ValidationError, match=message):
+        transition_distribution(action, move_probability, 4)
+
+
 @pytest.mark.parametrize("n_agents", range(2, 13))
 def test_transition_matches_enumeration(n_agents):
     for action in (WAIT, MOVE):
@@ -590,6 +613,35 @@ def test_softmax_low_temperature_approaches_argmax():
     assert got[MOVE] == pytest.approx(1.0)
     shifted = softmax_policy(row + 123.0, 1e-4)
     assert np.argmax(shifted) == np.argmax(got)
+
+
+def _max_subtracted_pair_softmax(q, temperature):
+    """Two exps per pair, max-subtracted: the formula softmax_policy's
+    one-exp form replaced, kept as its bit-for-bit reference."""
+    m = np.maximum(q[..., WAIT], q[..., MOVE])
+    e = np.exp((q - m[..., None]) / temperature)
+    return e / (e[..., WAIT] + e[..., MOVE])[..., None]
+
+
+def test_one_exp_softmax_is_bit_identical_to_the_max_subtracted_pair_formula():
+    rng = np.random.default_rng(17)
+    specials = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300,
+                         np.finfo(float).max, -np.finfo(float).max])
+    for trial in range(1500):
+        shape = (rng.integers(1, 5), rng.integers(1, 40), 2)
+        scale = 10.0 ** rng.integers(-8, 9)
+        q = rng.normal(scale=scale, size=shape)
+        # ties, signed zeros, huge and overflowing gaps, subnormals
+        pick = rng.random(shape[:2]) < 0.2
+        q[pick, MOVE] = q[pick, WAIT]
+        odd = rng.random(shape) < 0.15
+        q[odd] = rng.choice(specials, size=int(odd.sum()))
+        temperature = 10.0 ** rng.uniform(-4.0, 2.0)
+        with np.errstate(over="ignore"):  # gaps of 2 * float max overflow to inf
+            got = softmax_policy(q, temperature)
+            want = _max_subtracted_pair_softmax(q, temperature)
+        # array_equal cannot tell -0.0 from 0.0; the bits can
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), trial
 
 
 # ---------------------------------------------------------------------------
@@ -909,10 +961,9 @@ SIMULATOR_CASES = {
     "one-step": (MfgParams(n_agents=7, threshold=3, horizon=1), None, 40),
     "n200-7-episodes": (MfgParams(n_agents=200, threshold=80, horizon=30), None, 7),
     "n200-25-episodes": (MfgParams(n_agents=200, threshold=80, horizon=30), None, 25),
-    # one full chunk of episodes and a ragged one of 7
-    "ragged-last-chunk": (
-        MfgParams(n_agents=30, threshold=12, horizon=8), None, mfg._EPISODE_CHUNK + 7,
-    ),
+    # far more episodes than float64 counts hold exactly; the histogram
+    # chain's cost does not grow with them
+    "10**12-episodes": (MfgParams(n_agents=30, threshold=12, horizon=8), None, 10**12),
     "dirichlet-initial": (
         MfgParams(n_agents=50, threshold=20, horizon=40, reward_mode="formula",
                   smoothing=3.0, initial_distribution=_dirichlet_law(50, 5)),
@@ -948,7 +999,10 @@ def test_simulated_mean_counts_stay_within_five_standard_errors_of_the_flow(case
     # the bound comes from the law, not from the draws of this seed.
     params, levels, episodes = case
     policy = _random_policy(params, 11, levels)
+    started = time.perf_counter()
     stats = simulate_population(params, policy, episodes=episodes, seed=13)
+    # generous: a run's cost does not grow with the episode count
+    assert time.perf_counter() - started < 10.0
     counts = np.arange(params.n_agents + 1)
     flow = forward_flow(policy, params)
     means = flow @ counts
@@ -988,10 +1042,11 @@ def test_simulator_reruns_are_bit_identical():
 def test_simulator_traced_memory_stays_bounded():
     # The bench's population workload (N=200, H=30) keeps its peak RSS within
     # its 5% bound (about 1.8 MiB) only while the simulator's own allocations
-    # stay this small; they are 0.24 MiB: the policy check, the flow, the
-    # clipped move probabilities and the frequencies. A full chunk of
-    # episodes would add a few 128 KiB arrays. The warm-up call keeps
-    # one-time lazy set-up (about 0.8 MiB) out of it.
+    # stay this small: the policy check, the one-row kernel stack, the flow,
+    # the rows' move probabilities and the (H+1, N+1) visit histogram. Each
+    # step adds only a law and a draw of (rows in use, N+1) cells, whatever
+    # the episode count. The warm-up call keeps one-time lazy set-up (about
+    # 0.8 MiB) out of it.
     params = MfgParams(n_agents=200, threshold=80, horizon=30)
     policy = uniform_policy(params)
     simulate_population(params, policy, episodes=1, seed=0)
@@ -1002,3 +1057,22 @@ def test_simulator_traced_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * 2**20
+
+
+def test_the_simulator_takes_as_many_episodes_as_one_multinomial_draw():
+    # Per-row episode counts above 2**53 would round as float sums, and
+    # 2**63 - 1 would round up past what Generator.multinomial takes.
+    params = MfgParams(n_agents=12, threshold=5, horizon=6)
+    policy = _random_policy(params, 8, (0.0, 0.3, 0.7))
+    stats = simulate_population(params, policy, episodes=mfg._MAX_EPISODES, seed=2)
+    assert mfg._MAX_EPISODES == 2**63 - 1
+    # the frequencies are the counts over episodes, each rounded once
+    assert np.max(np.abs(stats.state_frequencies.sum(axis=1) - 1.0)) <= 1e-14
+    assert stats.deviation < 1e-6
+
+
+@pytest.mark.parametrize("episodes", [2**63, 10**30])
+def test_more_episodes_than_one_multinomial_draw_takes_are_rejected(episodes):
+    params = MfgParams(n_agents=12, threshold=5, horizon=6)
+    with pytest.raises(ValidationError, match="episodes must be at most 9223372036854775807"):
+        simulate_population(params, uniform_policy(params), episodes=episodes, seed=0)

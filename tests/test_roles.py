@@ -138,6 +138,13 @@ def test_sigmoid_is_monotone_and_bounded():
         previous = prob
 
 
+@pytest.mark.parametrize("streak", [True, 0.5, -1, "3", None])
+def test_sigmoid_streak_must_be_a_round_count(streak):
+    policy = SwitchPolicy(mode="stochastic_sigmoid", streak_midpoint=5, streak_scale=0.8)
+    with pytest.raises(ValidationError, match="streak must be an integer >= 0"):
+        sigmoid_switch_probability(streak, policy)
+
+
 def test_sigmoid_requires_stochastic_mode():
     policy = SwitchPolicy(mode="deterministic_window")
     with pytest.raises(ValidationError):
