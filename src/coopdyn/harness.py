@@ -41,7 +41,7 @@ from .ipd import (
     stick_payoff,
     tournament,
 )
-from .mfg import MfgParams, simulate_population, solve_equilibrium, uniform_policy
+from .mfg import MfgParams, check_episodes, simulate_population, solve_equilibrium, uniform_policy
 from .roles import PRIMARY, SACRIFICE, SwitchPolicy, default_switch
 
 # a delta_scan start/stop/step grid may hold at most this many points
@@ -381,8 +381,8 @@ def _equilibrium_policy(params, solver):
 
 def _run_mfg_simulate(top, seed, problems):
     solver = _read(top["solver"], _SOLVER, "config.solver", problems)
-    if top["episodes"] < 1:
-        problems.append("config.episodes: must be >= 1")
+    # before any solve: an episode count the simulator refuses fails at once
+    _construct(check_episodes, "config.episodes", problems, top["episodes"])
     if top["policy"] not in ("equilibrium", "uniform"):
         problems.append(
             f"config.policy: must be 'equilibrium' or 'uniform', got {top['policy']!r}"

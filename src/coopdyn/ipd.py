@@ -175,11 +175,9 @@ def critical_discount(payoff: PayoffMatrix) -> CriticalDiscount:
 class Strategy:
     """Deterministic decision rule over the two visible action histories.
 
-    `play_match` binds each seat once and plays only the instance `bind`
-    returns. A bound instance belongs to one seat of one match: it may keep
-    what it has already read of the histories, which makes every built-in
-    kind O(1) amortised per round. An instance that was never bound answers
-    any pair of histories from scratch.
+    `play_match` binds each seat once and calls `act` once per round, in
+    round order from round 0, with the histories of the rounds played so
+    far. Every built-in kind reads only the last one or two entries.
     """
 
     kind = "strategy"
@@ -218,31 +216,16 @@ class TitForTat(Strategy):
 class GrimTrigger(Strategy):
     """Cooperates until the opponent's first defection, then defects forever.
 
-    A bound instance keeps how many opponent rounds it has read and whether
-    one was a defection.
+    Its own last defection answered an earlier one of the opponent's, so in
+    a match it defects iff either side's last action was a defection.
     """
 
     kind = "grim_trigger"
 
-    def __init__(self):
-        self._scanned: int | None = None  # None: unbound, read from round 0
-        self._triggered = False
-
-    def bind(self, position: int) -> "GrimTrigger":
-        bound = GrimTrigger()
-        bound._scanned = 0
-        return bound
-
     def act(self, own, opponent):
-        seen = len(opponent)
-        if self._scanned is not None and self._scanned <= seen:
-            start, triggered = self._scanned, self._triggered
-        else:
-            start, triggered = 0, False
-        triggered = triggered or DEFECT in opponent[start:]
-        if self._scanned is not None:
-            self._scanned, self._triggered = seen, triggered
-        return DEFECT if triggered else COOPERATE
+        if own and (own[-1] == DEFECT or opponent[-1] == DEFECT):
+            return DEFECT
+        return COOPERATE
 
 
 class WinStayLoseShift(Strategy):
@@ -269,11 +252,9 @@ class Alternator(Strategy):
     play resumes on the original round-parity schedule. Repeats observed
     while a punishment is already running do not extend it.
 
-    `bind` returns a fresh instance for every seat. It resumes its scan of
-    the partner's history where the last round stopped, and restarts it when
-    the history is shorter than what it has read, so a round is O(1)
-    amortised. An unbound instance with a set parity scans the whole history
-    on every call.
+    `bind` returns a fresh instance for every seat. It keeps only its
+    punishment deadline and the round it expects next: round 0 starts over,
+    and a call for any other round is a ValidationError.
     """
 
     kind = "alternator"
@@ -285,39 +266,29 @@ class Alternator(Strategy):
             _check_count("punishment_length", punishment_length, 1)
         self.parity = parity
         self.punishment_length = punishment_length
-        self._scanned: int | None = None  # None: unbound, scan from round 0
         self._punish_until: float = 0.0
+        self._next_round = 0
 
     def bind(self, position: int) -> "Alternator":
         parity = self.parity or ("first" if position == 0 else "second")
-        bound = Alternator(parity, self.punishment_length)
-        bound._scanned = 0
-        return bound
-
-    def _pattern(self, round_index: int) -> ActionPD:
-        defect_now = (round_index % 2 == 0) == (self.parity == "first")
-        return DEFECT if defect_now else COOPERATE
+        return Alternator(parity, self.punishment_length)
 
     def act(self, own, opponent):
         if self.parity is None:
             raise ValidationError("alternator parity unresolved; set it or call bind()")
-        seen = len(opponent)
-        if self._scanned is not None and self._scanned <= seen:
-            start, punish_until = self._scanned, self._punish_until
-        else:
-            start, punish_until = 0, 0.0
-        for t in range(max(start, 1), seen):
-            if t >= punish_until and opponent[t] == opponent[t - 1]:
-                if self.punishment_length is None:
-                    punish_until = math.inf
-                else:
-                    punish_until = t + 1 + self.punishment_length
-        if self._scanned is not None:
-            self._scanned, self._punish_until = seen, punish_until
-        this_round = len(own)
-        if this_round < punish_until:
+        t = len(own)
+        if t == 0:
+            self._punish_until = 0.0
+        elif t != self._next_round:
+            raise ValidationError(f"alternator expected round {self._next_round}, got {t}")
+        self._next_round = t + 1
+        # the partner's action of round t - 1 repeats its round t - 2 one
+        if t >= 2 and t - 1 >= self._punish_until and opponent[-1] == opponent[-2]:
+            self._punish_until = t + (self.punishment_length or math.inf)
+        if t < self._punish_until:
             return DEFECT
-        return self._pattern(this_round)
+        defect_now = (t % 2 == 0) == (self.parity == "first")
+        return DEFECT if defect_now else COOPERATE
 
 
 @dataclass(frozen=True)
@@ -351,19 +322,17 @@ def play_match(
     """Run one match of `config.horizon` rounds.
 
     Each seat plays the instance its strategy's `bind` returns, which
-    belongs to that seat of this match, so one object may fill both seats;
-    every built-in kind is O(1) amortised per round. Both strategies see the
-    full histories each round. Each action is coerced once through
-    `ActionPD`, so plain 0/1 work and any other value (a bool or a float
-    too) raises ValidationError. group payoff is the
-    mean per-agent per-round raw payoff, the natural scale for comparing a
-    turn-taking pair against mutual cooperation's R.
+    belongs to that seat of this match, so one object may fill both seats.
+    Each round calls both seats' `act` once with the histories so far. Each
+    action is coerced once through `ActionPD`, so plain 0/1 work and any
+    other value (a bool or a float too) raises ValidationError. group payoff
+    is the mean per-agent per-round raw payoff, the natural scale for
+    comparing a turn-taking pair against mutual cooperation's R.
     """
     player_x = first.bind(0)
     player_y = second.bind(1)
     hist_x: list[ActionPD] = []
     hist_y: list[ActionPD] = []
-    rounds: list[tuple[ActionPD, ActionPD]] = []
     disc_x = disc_y = 0.0
     tot_x = tot_y = 0.0
     weight = 1.0
@@ -376,7 +345,6 @@ def play_match(
         if type(ax) is not ActionPD or type(ay) is not ActionPD:
             ax, ay = _as_action(ax), _as_action(ay)
         vx, vy = table[ax, ay]
-        rounds.append((ax, ay))
         hist_x.append(ax)
         hist_y.append(ay)
         disc_x += weight * vx
@@ -385,7 +353,7 @@ def play_match(
         tot_y += vy
         weight *= config.discount
     group = (tot_x + tot_y) / (2.0 * config.horizon)
-    return MatchResult(tuple(rounds), (disc_x, disc_y), (tot_x, tot_y), group)
+    return MatchResult(tuple(zip(hist_x, hist_y)), (disc_x, disc_y), (tot_x, tot_y), group)
 
 
 @dataclass(frozen=True)

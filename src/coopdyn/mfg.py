@@ -121,12 +121,13 @@ class MfgParams:
             raise ValidationError("consistency_weight must be nonnegative")
         if self.reward_mode not in ("table", "formula"):
             raise ValidationError("reward_mode must be 'table' or 'formula'")
-        formula_only = {"smoothing": self.smoothing, "reward_offset": self.reward_offset}
-        unused = [key for key, value in formula_only.items() if value != getattr(MfgParams, key)]
-        if self.reward_mode == "table" and unused:
-            raise ValidationError(
-                f"{', '.join(unused)}: used only when reward_mode is 'formula'"
-            )
+        # a field that only the other mode reads must keep its default
+        other = "formula" if self.reward_mode == "table" else "table"
+        read_only_by = {"table": ("reward_table",), "formula": ("smoothing", "reward_offset")}
+        unused = [key for key in read_only_by[other]
+                  if getattr(self, key) != getattr(MfgParams, key)]
+        if unused:
+            raise ValidationError(f"{', '.join(unused)}: used only when reward_mode is {other!r}")
         if self.initial_distribution is not None:
             _check_distribution(self.initial_distribution, self.n_agents)
 
@@ -535,6 +536,13 @@ class EmpiricalStats:
 _MAX_EPISODES = int(np.iinfo(np.int64).max)
 
 
+def check_episodes(episodes) -> None:
+    """`episodes` must be an int from 1 to what one multinomial draw takes."""
+    _check_count("episodes", episodes, 1)
+    if episodes > _MAX_EPISODES:
+        raise ValidationError(f"episodes must be at most {_MAX_EPISODES}, got {episodes!r}")
+
+
 def simulate_population(
     params: MfgParams, policy, episodes: int, seed: int
 ) -> EmpiricalStats:
@@ -555,9 +563,7 @@ def simulate_population(
     same seed are bit-identical; single episodes are never drawn.
     """
     policy = _check_policy(policy, params)
-    _check_count("episodes", episodes, 1)
-    if episodes > _MAX_EPISODES:
-        raise ValidationError(f"episodes must be at most {_MAX_EPISODES}, got {episodes!r}")
+    check_episodes(episodes)
     _check_count("seed", seed, 0)
     n = params.n_agents
     rows, index = kernel = _kernel(policy, n)

@@ -32,7 +32,6 @@ class AgentRecord:
 
     agent_id: int
     streak: int = 0
-    times_primary: int = 0
     times_sacrifice: int = 0
     credited_reward: float = 0.0
     last_selected_round: int | None = None
@@ -84,8 +83,6 @@ class RotationLedger:
             record.role = role_now
             if role_now == SACRIFICE:
                 record.times_sacrifice += 1
-            else:
-                record.times_primary += 1
             if now_selected:
                 record.last_selected_round = self.rounds_completed
         self.rounds_completed += 1
@@ -113,10 +110,12 @@ class RotationLedger:
 
 def rotation_priority(record: AgentRecord, rotated_role: str):
     """Sort key for who serves next: fewest times served, then longest
-    since last serving, then lowest id."""
-    served = (
-        record.times_sacrifice if rotated_role == SACRIFICE else record.times_primary
-    )
+    since last serving, then lowest id.
+
+    A ledger's records have all played the same rounds, so the fewest
+    primary rounds are the most sacrifices.
+    """
+    served = record.times_sacrifice if rotated_role == SACRIFICE else -record.times_sacrifice
     last = record.last_selected_round
     return (served, -1 if last is None else last, record.agent_id)
 

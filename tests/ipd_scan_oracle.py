@@ -3,8 +3,8 @@
 These are the Alternator and Grim Trigger rules as first written: every
 call rescans the opponent's whole history, so a round costs O(t) and a
 match O(H^2), and no instance keeps state between calls. The production
-strategies resume a per-seat scan instead; tests play both and require
-equal `MatchResult`s. The kinds match the production ones so that
+strategies read only the last round or two instead; tests play both and
+require equal `MatchResult`s. The kinds match the production ones so that
 tournament labels compare equal.
 """
 

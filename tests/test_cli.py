@@ -139,9 +139,29 @@ def test_more_episodes_than_one_multinomial_draw_takes_exit_one(tmp_path, capsys
     code = cli.main(["mfg-simulate", "--config", str(config), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: episodes must be at most 9223372036854775807")
+    assert err.startswith("error: config.episodes: episodes must be at most 9223372036854775807")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("episodes", [0, 10**30])
+def test_an_episode_count_out_of_range_exits_one_before_the_solve(
+    tmp_path, monkeypatch, capsys, episodes
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the episode count was checked")
+
+    monkeypatch.setattr(harness, "solve_equilibrium", unreachable)
+    payload = {
+        "experiment": "mfg_simulate",
+        "params": {"n_agents": 20, "threshold": 8, "horizon": 5},
+        "episodes": episodes,
+        "policy": "equilibrium",
+    }
+    config = write_config(tmp_path, payload)
+    code = cli.main(["mfg-simulate", "--config", str(config), "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: config.episodes: episodes must be ")
 
 
 def test_report_on_missing_run_exits_one(tmp_path):

@@ -84,7 +84,7 @@ def test_static_assignment_never_rotates():
     assert mover_sets == {(0, 1)}
     assert all(row.passed for row in result.rounds)
     # max-min mover-count gap equals the round count
-    counts = [rec.times_primary for rec in result.ledger.records]
+    counts = [result.ledger.rounds_completed - rec.times_sacrifice for rec in result.ledger.records]
     assert max(counts) - min(counts) == 8
 
 
@@ -93,7 +93,7 @@ def test_rotation_spreads_moves_evenly():
         n_agents=6, threshold=2, rounds=9, cohort=2, assignment="rotation"
     )
     result = intersection_episode(config)
-    counts = [rec.times_primary for rec in result.ledger.records]
+    counts = [result.ledger.rounds_completed - rec.times_sacrifice for rec in result.ledger.records]
     assert counts == [3, 3, 3, 3, 3, 3]
     assert all(row.passed for row in result.rounds)
 
@@ -103,7 +103,7 @@ def test_rotation_gap_stays_within_one_when_rounds_do_not_divide():
         n_agents=6, threshold=2, rounds=10, cohort=2, assignment="rotation"
     )
     result = intersection_episode(config)
-    counts = [rec.times_primary for rec in result.ledger.records]
+    counts = [result.ledger.rounds_completed - rec.times_sacrifice for rec in result.ledger.records]
     assert max(counts) - min(counts) <= 1
 
 
@@ -273,7 +273,8 @@ def test_the_primary_count_gap_is_the_sacrifice_gap():
     # every round gives each agent exactly one role
     gaps = []
     for result in fairness_episodes():
-        primary = [rec.times_primary for rec in result.ledger.records]
+        ledger = result.ledger
+        primary = [ledger.rounds_completed - rec.times_sacrifice for rec in ledger.records]
         assert max(primary) - min(primary) == result.fairness.sacrifice_gap
         gaps.append(result.fairness.sacrifice_gap)
     assert len(set(gaps)) > 1  # the episodes are not all alike

@@ -366,7 +366,7 @@ def test_tournament_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# per-seat scan state against the full-scan oracle
+# round-by-round strategies against the full-scan oracle
 # ---------------------------------------------------------------------------
 
 FULL_SCAN = {"grim_trigger": FullScanGrimTrigger, "alternator": FullScanAlternator}
@@ -386,7 +386,7 @@ ORACLE_CASES = [(h, o) for h in (1, 2, 8, 30) for o in ALTERNATOR_OPTIONS] + [
 
 def both(kind, options):
     """The production strategy of `kind` and its full-scan reference; kinds
-    without a rescan are their own reference."""
+    that never read past the last round are their own reference."""
     options = options if kind == "alternator" else {}
     return make_strategy(kind, **options), FULL_SCAN.get(kind, STRATEGY_KINDS[kind])(**options)
 
@@ -430,19 +430,35 @@ def test_tournament_plays_like_the_full_scan_oracle(values, length):
 
 
 @pytest.mark.parametrize(
-    "strategy,oracle",
+    "strategy,oracle,per_seat",
     [
-        (Alternator(), FullScanAlternator()),
-        (Alternator("first", 2), FullScanAlternator("first", 2)),
-        (GrimTrigger(), FullScanGrimTrigger()),
+        (Alternator(), FullScanAlternator(), True),
+        (Alternator("first", 2), FullScanAlternator("first", 2), True),
+        # stateless: both seats may share the one instance
+        (GrimTrigger(), FullScanGrimTrigger(), False),
     ],
     ids=["alternator", "alternator-first", "grim_trigger"],
 )
-def test_bind_gives_each_seat_its_own_instance(strategy, oracle):
-    seats = strategy.bind(0), strategy.bind(1)
-    assert seats[0] is not seats[1] and strategy not in seats
+def test_bind_gives_each_seat_its_own_instance(strategy, oracle, per_seat):
+    if per_seat:
+        seats = strategy.bind(0), strategy.bind(1)
+        assert seats[0] is not seats[1] and strategy not in seats
     payoff = PayoffMatrix(5, 2, 1, 0)
     config = MatchConfig(horizon=40)
     assert play_match(strategy, strategy, payoff, config) == play_match(
         oracle, oracle, payoff, config
     )
+
+
+def test_an_alternator_refuses_a_round_out_of_order():
+    alternator = Alternator("first")
+    assert alternator.act([], []) is D
+    with pytest.raises(ValidationError, match="expected round 1, got 2"):
+        alternator.act([D, C], [C, D])  # skips round 1
+    assert alternator.act([D], [C]) is C
+    with pytest.raises(ValidationError, match="expected round 2, got 1"):
+        alternator.act([D], [C])  # repeats round 1
+    # round 0 starts a new match, dropping the old one's punishment
+    assert alternator.act([D, C], [C, C]) is D
+    assert alternator.act([], []) is D
+    assert alternator.act([D], [C]) is C

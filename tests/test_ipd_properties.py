@@ -1,8 +1,10 @@
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coopdyn.errors import ValidationError
 from coopdyn.ipd import (
     COOPERATE,
     DEFECT,
@@ -132,7 +134,7 @@ def test_alternator_answers_like_the_full_scan_oracle(
         oracle_seats = (oracle, Scripted(first)) if seat == 0 else (Scripted(first), oracle)
         assert play_match(*seats, payoff, config) == play_match(*oracle_seats, payoff, config)
 
-    # one bound instance, reused for a second, shorter match, restarts its scan
+    # one bound instance, reused for a second, shorter match, starts over at round 0
     bound, reference = alternator.bind(seat), oracle.bind(seat)
     assert drive(bound, first) == drive(reference, first)
     shorter = second[: len(first) // 2]
@@ -141,9 +143,11 @@ def test_alternator_answers_like_the_full_scan_oracle(
     assert drive(grim, first) == drive(FullScanGrimTrigger(), first)
     assert drive(grim, shorter) == drive(FullScanGrimTrigger(), shorter)
 
-    # an unbound instance reads whatever histories it is handed
-    unbound = Alternator(bound.parity, length)
+    # a call for any round but round 0 or the next one is refused, not rescanned
+    expected = len(shorter or first)
     own = [mine for mine, _ in unrelated]
     theirs = [other for _, other in unrelated]
     for cut in (len(unrelated), len(unrelated) // 3, len(unrelated) // 2):
-        assert unbound.act(own[:cut], theirs[:cut]) == reference.act(own[:cut], theirs[:cut])
+        if cut not in (0, expected):
+            with pytest.raises(ValidationError, match=f"expected round {expected}, got {cut}"):
+                bound.act(own[:cut], theirs[:cut])

@@ -110,11 +110,21 @@ def test_params_validation():
         MfgParams(n_agents=4, threshold=2, reward_mode="other")
 
 
-@pytest.mark.parametrize("key, value", [("smoothing", 2.0), ("reward_offset", 0.25)])
-def test_table_mode_rejects_formula_only_parameters(key, value):
-    with pytest.raises(ValidationError, match=f"{key}: used only when reward_mode is 'formula'"):
-        MfgParams(n_agents=4, threshold=2, **{key: value})
-    params = MfgParams(n_agents=4, threshold=2, reward_mode="formula", **{key: value})
+@pytest.mark.parametrize(
+    "key, value, reader",
+    [
+        ("smoothing", 2.0, "formula"),
+        ("reward_offset", 0.25, "formula"),
+        # the converse: formula mode rejects the table it would ignore
+        ("reward_table", RewardTable(2.0, 0.6, 0.2, 0.0), "table"),
+    ],
+    ids=["smoothing-2.0", "reward_offset-0.25", "reward_table-formula"],
+)
+def test_table_mode_rejects_formula_only_parameters(key, value, reader):
+    other = "table" if reader == "formula" else "formula"
+    with pytest.raises(ValidationError, match=f"{key}: used only when reward_mode is '{reader}'"):
+        MfgParams(n_agents=4, threshold=2, reward_mode=other, **{key: value})
+    params = MfgParams(n_agents=4, threshold=2, reward_mode=reader, **{key: value})
     assert getattr(params, key) == value
 
 
@@ -757,6 +767,22 @@ def test_myopic_equilibrium_is_softmax_of_utilities():
     expected = softmax_policy(utility_table(params), params.temperature)
     for t in range(params.horizon):
         assert np.max(np.abs(result.policy[t] - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("threshold", [350, 400, 450])
+def test_large_population_equilibrium_is_the_static_logit_response(threshold):
+    # Oracle B: as N grows with threshold/N fixed, an agent's own action
+    # stops moving the next count's law, so q_move - q_wait tends to
+    # dU(j) = U(j, MOVE) - U(j, WAIT) and the policy to sigmoid(dU / tau);
+    # at N=1000 the two agree to the solve's tolerance
+    params = MfgParams(n_agents=1000, threshold=threshold, discount=0.9, temperature=0.2,
+                       horizon=30, reward_mode="table")
+    tol = 1e-8
+    result = solve_equilibrium(params, tol=tol)
+    assert result.converged
+    utilities = utility_table(params)
+    limit = 1.0 / (1.0 + np.exp(-(utilities[:, MOVE] - utilities[:, WAIT]) / params.temperature))
+    assert np.max(np.abs(result.policy[:, :, MOVE] - limit)) < tol
 
 
 def test_nonconvergence_is_flagged_not_raised():

@@ -102,7 +102,7 @@ def test_assignment_counts_match_recomputation():
     for record in ledger.records:
         expected = sum(1 for pick in picks if record.agent_id in pick)
         assert record.times_sacrifice == expected
-        assert record.times_primary == 15 - expected
+        assert ledger.rounds_completed - record.times_sacrifice == 15 - expected
 
 
 # ---------------------------------------------------------------------------
