@@ -14,20 +14,14 @@ from .errors import ConfigError, NumericalIntegrityError, ValidationError
 from .ipd import (
     ActionPD,
     Alternator,
-    AllCooperate,
-    AllDefect,
     CriticalDiscount,
-    GrimTrigger,
     MatchConfig,
     MatchResult,
     PayoffMatrix,
     Regime,
     Strategy,
-    TitForTat,
-    WinStayLoseShift,
     critical_discount,
     deviate_payoff,
-    discount_threshold,
     make_strategy,
     play_match,
     stick_payoff,

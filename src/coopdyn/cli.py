@@ -5,8 +5,8 @@
 Subcommands mirror the experiment kinds (ipd-match, ipd-tournament,
 delta-scan, mfg-solve, mfg-simulate, roles-run, dungeon) plus `report`,
 which rebuilds report.md from an existing run directory or manifest.
-Exit codes: 0 success, 1 validation error or a file that cannot be read or
-written, 2 numerical-integrity error.
+Exit codes: 0 success, 1 validation error, a file that cannot be read or
+written, or a run that exhausts memory, 2 numerical-integrity error.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ def main(argv=None) -> int:
         return 0
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
     except NumericalIntegrityError as exc:
         print(f"numerical-integrity error: {exc}", file=sys.stderr)

@@ -44,8 +44,8 @@ class DungeonConfig:
     """One sacrificer per round enables n_agents - 1 escapes, each worth
     success_reward to it, credited as the round ends."""
 
+    rounds: int
     n_agents: int = 3
-    rounds: int = 6
     success_reward: float = 1.0
     switch: SwitchPolicy | None = None
     seed: int = 0
@@ -161,7 +161,15 @@ class IntersectionConfig:
                 raise ValidationError("params.n_agents must match the environment")
             if self.params.threshold != self.threshold:
                 raise ValidationError("params.threshold must match the environment")
+        if self.switch is not None and (
+            (self.switch.mode == "stochastic_sigmoid") != (self.assignment == "stochastic")
+        ):
+            raise ValidationError(
+                "switch mode must be 'stochastic_sigmoid' exactly when assignment is 'stochastic'"
+            )
         if self.static_movers is not None:
+            if self.assignment != "static":
+                raise ValidationError("static_movers: used only when assignment is 'static'")
             for i in self.static_movers:
                 _check_count("static_movers id", i, 0)
             ids = set(self.static_movers)
@@ -193,7 +201,8 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
     """Run one intersection episode under the configured mover source.
 
     static keeps one mover set forever (the stagnation case); rotation and
-    stochastic rotate it through the ledger; policy samples each agent's
+    stochastic rotate it through the ledger, stochastic by the config's
+    switch (default: roles.default_switch's); policy samples each agent's
     action from a solved policy table, checked as mfg checks a policy,
     given the previous realized count. When a round passes, the movers'
     combined haul is credited to that round's waiters in equal shares.
@@ -203,10 +212,10 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
     )
     ledger = RotationLedger(config.n_agents, rotated_role=PRIMARY)
     rng = random.Random(config.seed)
-    switch = config.switch
     if config.assignment == "stochastic":
-        if switch is None or switch.mode != "stochastic_sigmoid":
-            raise ValidationError("stochastic assignment needs a stochastic_sigmoid switch")
+        switch = config.switch or default_switch(
+            config.n_agents, config.cohort, "stochastic_sigmoid"
+        )
         ledger.initialize_roles(set(range(config.cohort)))
     if config.assignment == "policy":
         if policy is None:

@@ -260,7 +260,7 @@ def _run_ipd_match(top, seed, problems):
     result = play_match(players[0], players[1], payoff, match)
     x, y = np.array(result.trajectory, dtype=np.int64).T
     # mine[a, b]: the payoff of action a against action b
-    mine = np.array([[payoff.reward, payoff.sucker], [payoff.temptation, payoff.punishment]])
+    mine = np.array([[payoff.payoffs(a, b)[0] for b in (0, 1)] for a in (0, 1)])
     letters = np.array(["C", "D"])
     rows = _rows(np.arange(len(x)), letters[x], letters[y], mine[x, y], mine[y, x])
     summary = {
@@ -440,6 +440,9 @@ def _run_roles(top, seed, problems):
     sizes = {"n_agents": env.n_agents, "threshold": env.threshold}
     params = _build(MfgParams, {**sizes, **blocks["mfg"]}, "config.mfg", problems)
     solver = _read(blocks["solver"], _SOLVER, "config.solver", problems)
+    unused = [key for key, (_, default) in _SOLVER.items() if solver and solver[key] != default]
+    if unused and env.assignment != "policy":
+        problems.append(f"config.solver: {', '.join(unused)}: used only when assignment is 'policy'")
     _finish_validation(problems)
     config = _construct(replace, "config", problems, env, switch=switch, params=params)
     _finish_validation(problems)
@@ -512,11 +515,7 @@ _KEYS = {
         "mfg": (dict, {}),
         "solver": (dict, {}),
     },
-    "dungeon": {
-        **_schema(DungeonConfig, skip=("seed",)),
-        "rounds": (int, MISSING),  # a config states its length
-        "switch": (dict, {}),
-    },
+    "dungeon": {**_schema(DungeonConfig, skip=("seed",)), "switch": (dict, {})},
 }
 _RUNNERS = {
     "ipd_match": _run_ipd_match,

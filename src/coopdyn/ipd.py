@@ -1,10 +1,10 @@
 """Two-player iterated prisoner's dilemma.
 
-Covers payoff-regime classification, the classic memory-one strategies, a
-turn-taking Alternator that trades the temptation payoff back and forth,
-and the discount-factor analysis deciding when sticking to the alternating
-agreement beats grabbing the temptation payoff and eating punishment
-forever after.
+Covers payoff-regime classification, the classic memory-one strategies
+(one table of first moves and responses), a turn-taking Alternator that
+trades the temptation payoff back and forth, and the discount-factor
+analysis deciding when sticking to the alternating agreement beats grabbing
+the temptation payoff and eating punishment forever after.
 """
 
 from __future__ import annotations
@@ -130,24 +130,15 @@ _BISECT_HI = 1.0 - 1e-9
 _BISECT_TOL = 1e-10
 
 
-def discount_threshold(
-    temptation: float, reward: float, punishment: float, sucker: float
-) -> CriticalDiscount:
-    """Locate the stick/deviate break-even discount for raw payoff values.
-
-    Accepts orderings that the PayoffMatrix constructor rejects, such as
-    punishment == sucker or reward == punishment, except temptation ==
-    reward: the quoted form divides by T - R.
-    """
-    if temptation == reward:
-        raise ValidationError("temptation == reward: the quoted form (P - S)/(T - R) is undefined")
-    quoted = (punishment - sucker) / (temptation - reward)
+def critical_discount(payoff: PayoffMatrix) -> CriticalDiscount:
+    """Locate the stick/deviate break-even discount of a payoff matrix."""
+    t, r, p, s = payoff.temptation, payoff.reward, payoff.punishment, payoff.sucker
+    quoted = (p - s) / (t - r)
 
     def gap(delta: float) -> float:
-        return stick_payoff(temptation, sucker, delta) - deviate_payoff(
-            temptation, punishment, delta
-        )
+        return stick_payoff(t, s, delta) - deviate_payoff(t, p, delta)
 
+    # the root (P - S)/(T - P) may lie at or past 1, or below the bracket
     if gap(_BISECT_HI) <= 0.0:
         return CriticalDiscount(
             None, quoted, "sticking never beats deviating for any discount below 1"
@@ -164,12 +155,6 @@ def discount_threshold(
         else:
             lo = mid
     return CriticalDiscount(0.5 * (lo + hi), quoted)
-
-
-def critical_discount(payoff: PayoffMatrix) -> CriticalDiscount:
-    return discount_threshold(
-        payoff.temptation, payoff.reward, payoff.punishment, payoff.sucker
-    )
 
 
 class Strategy:
@@ -192,53 +177,28 @@ class Strategy:
         raise NotImplementedError
 
 
-class AllCooperate(Strategy):
-    kind = "all_c"
+class MemoryOne(Strategy):
+    """A first move, then `response[own[-1]][opponent[-1]]` in every later
+    round. It keeps no state, so both seats of a mirror match may share it."""
+
+    def __init__(self, kind: str, first: ActionPD, response):
+        self.kind, self.first, self.response = kind, first, response
 
     def act(self, own, opponent):
-        return COOPERATE
+        return self.response[own[-1]][opponent[-1]] if own else self.first
 
 
-class AllDefect(Strategy):
-    kind = "all_d"
-
-    def act(self, own, opponent):
-        return DEFECT
-
-
-class TitForTat(Strategy):
-    kind = "tit_for_tat"
-
-    def act(self, own, opponent):
-        return opponent[-1] if opponent else COOPERATE
-
-
-class GrimTrigger(Strategy):
-    """Cooperates until the opponent's first defection, then defects forever.
-
-    Its own last defection answered an earlier one of the opponent's, so in
-    a match it defects iff either side's last action was a defection.
-    """
-
-    kind = "grim_trigger"
-
-    def act(self, own, opponent):
-        if own and (own[-1] == DEFECT or opponent[-1] == DEFECT):
-            return DEFECT
-        return COOPERATE
-
-
-class WinStayLoseShift(Strategy):
-    kind = "win_stay_lose_shift"
-
-    def act(self, own, opponent):
-        if not own:
-            return COOPERATE
-        # Outcomes paying T or R are exactly those where the opponent
-        # cooperated, so stay iff the opponent's last action was Cooperate.
-        if opponent[-1] == COOPERATE:
-            return own[-1]
-        return COOPERATE if own[-1] == DEFECT else DEFECT
+C, D = COOPERATE, DEFECT
+# kind: (first move, response[own last][opponent last]). Grim's own last D
+# answered an opponent's D, so it defects once the opponent has; WSLS stays
+# iff the opponent cooperated, that is after T or R.
+MEMORY_ONE = {
+    "all_c": (C, ((C, C), (C, C))),
+    "all_d": (D, ((D, D), (D, D))),
+    "tit_for_tat": (C, ((C, D), (C, D))),
+    "grim_trigger": (C, ((C, D), (D, D))),
+    "win_stay_lose_shift": (C, ((C, D), (D, C))),
+}
 
 
 class Alternator(Strategy):
@@ -392,14 +352,7 @@ def tournament(
     )
 
 
-STRATEGY_KINDS = {
-    "all_c": AllCooperate,
-    "all_d": AllDefect,
-    "tit_for_tat": TitForTat,
-    "grim_trigger": GrimTrigger,
-    "win_stay_lose_shift": WinStayLoseShift,
-    "alternator": Alternator,
-}
+STRATEGY_KINDS = (*MEMORY_ONE, "alternator")
 
 
 def make_strategy(kind: str, **kwargs) -> Strategy:
@@ -407,7 +360,8 @@ def make_strategy(kind: str, **kwargs) -> Strategy:
     if kind not in STRATEGY_KINDS:
         known = ", ".join(sorted(STRATEGY_KINDS))
         raise ValidationError(f"unknown strategy kind {kind!r} (known: {known})")
-    cls = STRATEGY_KINDS[kind]
-    if kwargs and cls is not Alternator:
+    if kind == "alternator":
+        return Alternator(**kwargs)
+    if kwargs:
         raise ValidationError(f"strategy {kind!r} takes no options")
-    return cls(**kwargs)
+    return MemoryOne(kind, *MEMORY_ONE[kind])

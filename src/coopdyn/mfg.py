@@ -117,6 +117,9 @@ class MfgParams:
         if not self.temperature > 0.0:
             raise ValidationError("temperature must be positive")
         _check_count("horizon", self.horizon, 1)
+        if 16 * (self.horizon + 1) * (self.n_agents + 1) > np.iinfo(np.intp).max:
+            raise ValidationError("n_agents, horizon: a (horizon + 1) x (n_agents + 1) x 2 "
+                                  "float64 array is larger than numpy's size limit")
         if self.consistency_weight < 0.0:
             raise ValidationError("consistency_weight must be nonnegative")
         if self.reward_mode not in ("table", "formula"):

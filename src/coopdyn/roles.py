@@ -142,7 +142,8 @@ class SwitchPolicy:
     its historical name `deterministic_window`), or stochastic sigmoid
     switching with midpoint `streak_midpoint` (conventionally the binomial
     count of possible mover cohorts excluding oneself) and scale
-    `streak_scale`."""
+    `streak_scale`; deterministic mode reads neither, so both must keep
+    their defaults there."""
 
     mode: str
     streak_midpoint: float = 1.0
@@ -154,6 +155,11 @@ class SwitchPolicy:
             raise ValidationError(
                 "mode must be 'deterministic_window' or 'stochastic_sigmoid'"
             )
+        if self.mode == "deterministic_window":
+            unused = [key for key in ("streak_midpoint", "streak_scale")
+                      if getattr(self, key) != getattr(SwitchPolicy, key)]
+            if unused:
+                raise ValidationError(f"{', '.join(unused)}: used only in stochastic_sigmoid mode")
         if self.streak_midpoint < 1:
             raise ValidationError("streak_midpoint must be >= 1")
         if not self.streak_scale > 0:

@@ -164,6 +164,48 @@ def test_an_episode_count_out_of_range_exits_one_before_the_solve(
     assert capsys.readouterr().err.startswith("error: config.episodes: episodes must be ")
 
 
+def test_a_population_too_large_for_numpy_exits_one_before_the_solve(
+    tmp_path, monkeypatch, capsys
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved a population numpy cannot hold")
+
+    monkeypatch.setattr(harness, "solve_equilibrium", unreachable)
+    payload = {"experiment": "mfg_solve", "params": {"n_agents": 10**17, "threshold": 8}}
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "r"
+    code = cli.main(["mfg-solve", "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: config.params: n_agents, horizon: a (horizon + 1) x (n_agents + 1) x 2 "
+        "float64 array is larger than numpy's size limit\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, detail",
+    [
+        (MemoryError("Unable to allocate 6.55 TiB"), "Unable to allocate 6.55 TiB"),
+        (MemoryError(), "an allocation failed"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_a_run_out_of_memory_exits_one_with_one_line(
+    tmp_path, monkeypatch, capsys, error, detail
+):
+    def exhaust(*args, **kwargs):
+        raise error
+
+    monkeypatch.setitem(harness._RUNNERS, "dungeon", exhaust)
+    config = write_config(tmp_path, {"experiment": "dungeon", "rounds": 3})
+    out = tmp_path / "r"
+    code = cli.main(["dungeon", "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: out of memory: {detail}\n"
+    assert not out.exists()
+
+
 def test_report_on_missing_run_exits_one(tmp_path):
     assert cli.main(["report", "--config", str(tmp_path)]) == 1
 

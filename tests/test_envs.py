@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from coopdyn.envs import (
 from coopdyn.errors import ValidationError
 from coopdyn.ipd import Alternator, MatchConfig, PayoffMatrix
 from coopdyn.mfg import MOVE, MfgParams, RewardTable
-from coopdyn.roles import RotationLedger, SwitchPolicy, deterministic_assign
+from coopdyn.roles import RotationLedger, SwitchPolicy, default_switch, deterministic_assign
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +190,30 @@ def test_intersection_config_validation():
     with pytest.raises(ValidationError):
         IntersectionConfig(n_agents=4, threshold=2, rounds=3, assignment="nope")
     with pytest.raises(ValidationError, match="distinct"):
-        IntersectionConfig(n_agents=4, threshold=2, rounds=3, static_movers=(0, 0, 1))
+        IntersectionConfig(
+            n_agents=4, threshold=2, rounds=3, assignment="static", static_movers=(0, 0, 1)
+        )
     config = IntersectionConfig(n_agents=4, threshold=2, rounds=3, assignment="policy")
     with pytest.raises(ValidationError):
         intersection_episode(config)  # policy mode needs a policy
+
+
+def test_keys_an_assignment_never_reads_are_rejected():
+    with pytest.raises(ValidationError, match="static_movers: used only when assignment"):
+        IntersectionConfig(n_agents=4, threshold=2, rounds=3, static_movers=(0, 1))
+    stochastic = SwitchPolicy(mode="stochastic_sigmoid")
+    window = SwitchPolicy(mode="deterministic_window")
+    for assignment, switch in (("rotation", stochastic), ("stochastic", window)):
+        with pytest.raises(ValidationError, match="exactly when assignment is 'stochastic'"):
+            IntersectionConfig(4, 2, 3, assignment=assignment, switch=switch)
+
+
+def test_a_stochastic_episode_without_a_switch_uses_the_default_switch():
+    config = IntersectionConfig(n_agents=6, threshold=2, rounds=30, assignment="stochastic")
+    explicit = replace(config, switch=default_switch(6, 2, "stochastic_sigmoid"))
+    ours, theirs = intersection_episode(config), intersection_episode(explicit)
+    assert ours.rounds == theirs.rounds
+    assert np.array_equal(ours.states, theirs.states)
 
 
 @pytest.mark.parametrize("policy", [
@@ -262,8 +284,8 @@ def fairness_episodes():
     policy = np.full((4, 6, 2), 0.5)
     for assignment in ("rotation", "stochastic", "static", "policy"):
         config = IntersectionConfig(
-            n_agents=5, threshold=2, rounds=11, assignment=assignment,
-            params=params, switch=switch, seed=7,
+            n_agents=5, threshold=2, rounds=11, assignment=assignment, params=params,
+            switch=switch if assignment == "stochastic" else None, seed=7,
         )
         yield intersection_episode(config, policy=policy)
     yield run_dungeon(DungeonConfig(n_agents=4, rounds=9, switch=switch, seed=7))
@@ -289,9 +311,9 @@ COUNT_SITES = {
     "Alternator.punishment_length": lambda v: Alternator(punishment_length=v),
     "RotationLedger.n_agents": lambda v: RotationLedger(v),
     "deterministic_assign.k": lambda v: deterministic_assign(RotationLedger(4), v),
-    "DungeonConfig.n_agents": lambda v: DungeonConfig(n_agents=v),
+    "DungeonConfig.n_agents": lambda v: DungeonConfig(rounds=6, n_agents=v),
     "DungeonConfig.rounds": lambda v: DungeonConfig(rounds=v),
-    "DungeonConfig.seed": lambda v: DungeonConfig(seed=v),
+    "DungeonConfig.seed": lambda v: DungeonConfig(rounds=6, seed=v),
     "IntersectionConfig.n_agents": lambda v: IntersectionConfig(v, 1, 3),
     "IntersectionConfig.threshold": lambda v: IntersectionConfig(4, v, 3),
     "IntersectionConfig.rounds": lambda v: IntersectionConfig(4, 2, v),
@@ -335,8 +357,10 @@ def test_agent_ids_reject_bools_floats_and_non_numbers(site, value):
          "streak_midpoint is non-finite"),
         (lambda: SwitchPolicy(mode="stochastic_sigmoid", streak_scale=float("inf")),
          "streak_scale is non-finite"),
-        (lambda: DungeonConfig(success_reward=float("nan")), "success_reward is non-finite"),
-        (lambda: DungeonConfig(success_reward=True), "success_reward must be a number"),
+        (lambda: DungeonConfig(rounds=6, success_reward=float("nan")),
+         "success_reward is non-finite"),
+        (lambda: DungeonConfig(rounds=6, success_reward=True),
+         "success_reward must be a number"),
         (lambda: PayoffMatrix(float("inf"), 3, 1, 0), "temptation is non-finite"),
         (lambda: PayoffMatrix("5", 3, 1, 0), "temptation must be a number"),
         (lambda: MatchConfig(horizon=5, discount=False), "discount must be a number"),

@@ -576,6 +576,71 @@ def test_duplicate_static_movers_are_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+SWITCH_MODE = "config: switch mode must be 'stochastic_sigmoid' exactly when assignment is"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            roles_config(static_movers=[4, 5]),
+            "config: static_movers: used only when assignment is 'static'",
+        ),
+        (
+            roles_config(switch={"mode": "stochastic_sigmoid", "streak_midpoint": 3,
+                                 "streak_scale": 0.5}),
+            SWITCH_MODE,
+        ),
+        (roles_config(assignment="stochastic", switch={"mode": "deterministic_window"}),
+         SWITCH_MODE),
+        (
+            roles_config(assignment="static", switch={"streak_midpoint": 3}),
+            "config.switch: streak_midpoint: used only in stochastic_sigmoid mode",
+        ),
+        (
+            {"experiment": "dungeon", "rounds": 6, "switch": {"streak_scale": 0.5}},
+            "config.switch: streak_scale: used only in stochastic_sigmoid mode",
+        ),
+        (
+            roles_config(solver={"tol": 0.3, "max_iter": 2}),
+            "config.solver: tol, max_iter: used only when assignment is 'policy'",
+        ),
+        (
+            roles_config(assignment="stochastic", solver={"damping": 0.9}),
+            "config.solver: damping: used only when assignment is 'policy'",
+        ),
+    ],
+    ids=["static_movers", "stochastic-switch", "deterministic-switch", "window-midpoint",
+         "dungeon-window-scale", "rotation-solver", "stochastic-solver"],
+)
+def test_a_key_the_run_never_reads_must_keep_its_default(tmp_path, capsys, config, message):
+    code, out = run_cli(tmp_path, config)
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unread_keys_written_at_their_defaults_are_accepted(tmp_path):
+    plain = run(roles_config(), out_dir=tmp_path / "plain")
+    explicit = run(
+        roles_config(
+            static_movers=None,
+            switch={"mode": "deterministic_window", "streak_midpoint": 1.0, "streak_scale": 1},
+            solver={"tol": 1e-8, "max_iter": 500, "damping": 0.5},
+        ),
+        out_dir=tmp_path / "explicit",
+    )
+    for name in ("roles.csv", "rounds.csv", "manifest.json"):
+        assert (plain.out_dir / name).read_bytes() == (explicit.out_dir / name).read_bytes()
+
+
+def test_a_dungeon_config_must_state_its_length(tmp_path, capsys):
+    code, out = run_cli(tmp_path, {"experiment": "dungeon", "n_agents": 3})
+    assert code == 1
+    assert "config: missing required key 'rounds'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
 def test_a_config_seed_outside_the_unsigned_64_bit_range_is_rejected(tmp_path, capsys, seed):
     code, out = run_cli(tmp_path, dict(delta_scan_config(), seed=seed))

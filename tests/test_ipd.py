@@ -8,19 +8,13 @@ from coopdyn.ipd import (
     DEFECT,
     STRATEGY_KINDS,
     ActionPD,
-    AllCooperate,
-    AllDefect,
     Alternator,
-    GrimTrigger,
     MatchConfig,
     PayoffMatrix,
     Regime,
     Strategy,
-    TitForTat,
-    WinStayLoseShift,
     critical_discount,
     deviate_payoff,
-    discount_threshold,
     make_strategy,
     play_match,
     stick_payoff,
@@ -162,18 +156,13 @@ def test_critical_discount_solved_by_bisection():
     assert stick_payoff(5, 0, 0.45) > deviate_payoff(5, 1, 0.45)
 
 
-def test_threshold_degenerate_when_punishment_equals_sucker():
-    # P = S violates the strict matrix ordering, so probe the raw solver.
-    result = discount_threshold(5, 2, 1, 1)
+def test_threshold_below_the_bisection_bracket_is_zero():
+    # (P - S)/(T - P) = 1e-12/(4 - 1e-12) lies below the bracket's 1e-9 end
+    result = critical_discount(PayoffMatrix(5, 3, 1 + 1e-12, 1))
     assert result.solved == 0.0
+    assert result.note
     for delta in (0.05, 0.3, 0.7, 0.95):
-        assert stick_payoff(5, 1, delta) > deviate_payoff(5, 1, delta)
-
-
-def test_threshold_rejects_temptation_equal_to_reward():
-    # T = R leaves the quoted form (P - S)/(T - R) undefined
-    with pytest.raises(ValidationError, match="temptation == reward"):
-        discount_threshold(5, 5, 1, 0)
+        assert stick_payoff(5, 1, delta) > deviate_payoff(5, 1 + 1e-12, delta)
 
 
 def test_threshold_unreachable_below_one():
@@ -189,38 +178,55 @@ def test_threshold_unreachable_below_one():
 # strategies
 # ---------------------------------------------------------------------------
 
+# each memory-one kind's first move, and its answer to a last round (own, opponent)
+MEMORY_ONE_RULES = {
+    "all_c": (C, lambda own, opponent: C),
+    "all_d": (D, lambda own, opponent: D),
+    "tit_for_tat": (C, lambda own, opponent: opponent),
+    "grim_trigger": (C, lambda own, opponent: D if D in (own, opponent) else C),
+    # stay after T or R (the opponent cooperated), else switch
+    "win_stay_lose_shift": (
+        C, lambda own, opponent: own if opponent == C else (C if own == D else D)
+    ),
+}
+
+
+def test_every_kind_but_the_alternator_is_memory_one():
+    assert set(STRATEGY_KINDS) == {*MEMORY_ONE_RULES, "alternator"}
+
+
+@pytest.mark.parametrize("kind", list(MEMORY_ONE_RULES))
+def test_a_memory_one_kind_answers_every_last_round_by_its_rule(kind):
+    first, rule = MEMORY_ONE_RULES[kind]
+    strategy = make_strategy(kind)
+    assert strategy.kind == kind
+    assert strategy.act([], []) is first
+    for own, opponent in itertools.product((C, D), repeat=2):
+        expected = rule(own, opponent)
+        assert strategy.act([own], [opponent]) is expected
+        # only the last round counts, and plain ints read like the enum
+        assert strategy.act([D, C, own], [C, D, opponent]) is expected
+        assert strategy.act([int(own)], [int(opponent)]) is expected
+
 
 def test_grim_trigger_defects_forever_after_first_defection():
     config = MatchConfig(horizon=3)
-    result = play_match(GrimTrigger(), AllDefect(), PayoffMatrix(5, 3, 1, 0), config)
+    grim, all_d = make_strategy("grim_trigger"), make_strategy("all_d")
+    result = play_match(grim, all_d, PayoffMatrix(5, 3, 1, 0), config)
     assert [a for a, _ in result.trajectory] == [C, D, D]
 
 
 def test_tit_for_tat_copies():
     config = MatchConfig(horizon=4)
-    result = play_match(TitForTat(), Scripted([D, C, D, C]), PayoffMatrix(5, 3, 1, 0), config)
+    tft = make_strategy("tit_for_tat")
+    result = play_match(tft, Scripted([D, C, D, C]), PayoffMatrix(5, 3, 1, 0), config)
     assert [a for a, _ in result.trajectory] == [C, D, C, D]
-
-
-def test_wsls_truth_table():
-    wsls = WinStayLoseShift()
-    # stays after outcomes worth T or R (opponent cooperated)
-    assert wsls.act([C], [C]) is C
-    assert wsls.act([D], [C]) is D
-    # shifts after outcomes worth P or S (opponent defected)
-    assert wsls.act([C], [D]) is D
-    assert wsls.act([D], [D]) is C
-    assert wsls.act([], []) is C
-    # plain ints read like the enum
-    assert wsls.act([0], [0]) == C
-    assert wsls.act([1], [0]) == D
-    assert wsls.act([0], [1]) == D
-    assert wsls.act([1], [1]) == C
 
 
 def test_wsls_pair_locks_into_cooperation():
     config = MatchConfig(horizon=10)
-    result = play_match(WinStayLoseShift(), WinStayLoseShift(), PayoffMatrix(5, 3, 1, 0), config)
+    first, second = (make_strategy("win_stay_lose_shift") for _ in range(2))
+    result = play_match(first, second, PayoffMatrix(5, 3, 1, 0), config)
     assert all(pair == (C, C) for pair in result.trajectory)
 
 
@@ -282,7 +288,8 @@ def test_first_mover_discounted_payoff_matches_truncated_stream():
 
 def test_mutual_cooperation_totals():
     config = MatchConfig(horizon=10, discount=0.0)
-    result = play_match(AllCooperate(), AllCooperate(), PayoffMatrix(5, 3, 1, 0), config)
+    first, second = (make_strategy("all_c") for _ in range(2))
+    result = play_match(first, second, PayoffMatrix(5, 3, 1, 0), config)
     assert result.total_payoffs == (30.0, 30.0)
     assert result.discounted_payoffs == (3.0, 3.0)
     assert result.group_payoff_per_round == pytest.approx(3.0)
@@ -291,7 +298,7 @@ def test_mutual_cooperation_totals():
 def test_discounted_payoffs_recompute_from_trajectory():
     payoff = PayoffMatrix(5, 3, 1, 0)
     config = MatchConfig(horizon=25, discount=0.85)
-    result = play_match(Alternator(), WinStayLoseShift(), payoff, config)
+    result = play_match(Alternator(), make_strategy("win_stay_lose_shift"), payoff, config)
     for side in (0, 1):
         total = 0.0
         for t, pair in enumerate(result.trajectory):
@@ -300,17 +307,18 @@ def test_discounted_payoffs_recompute_from_trajectory():
         assert abs(total - result.discounted_payoffs[side]) < 1e-12
 
 
-@pytest.mark.parametrize("opponent", [AllDefect, TitForTat, WinStayLoseShift, GrimTrigger])
-def test_strategies_acting_in_plain_ints_play_like_the_enum(opponent):
+@pytest.mark.parametrize("kind", ["all_d", "tit_for_tat", "win_stay_lose_shift", "grim_trigger"])
+def test_strategies_acting_in_plain_ints_play_like_the_enum(kind):
     script = [0, 1, 1, 0, 0, 1, 0, 0]
     payoff = PayoffMatrix(5, 2, 1, 0)
     config = MatchConfig(horizon=len(script), discount=0.5)
     ints, enums = Scripted(script), Scripted(ActionPD(a) for a in script)
-    assert play_match(ints, opponent(), payoff, config) == play_match(
-        enums, opponent(), payoff, config
+    opponent = make_strategy(kind)
+    assert play_match(ints, opponent, payoff, config) == play_match(
+        enums, opponent, payoff, config
     )
-    assert play_match(opponent(), ints, payoff, config) == play_match(
-        opponent(), enums, payoff, config
+    assert play_match(opponent, ints, payoff, config) == play_match(
+        opponent, enums, payoff, config
     )
 
 
@@ -318,7 +326,7 @@ def test_strategies_acting_in_plain_ints_play_like_the_enum(opponent):
 def test_an_action_that_is_not_zero_or_one_is_rejected(bad):
     config = MatchConfig(horizon=3)
     with pytest.raises(ValidationError, match="must act 0 \\(cooperate\\) or 1"):
-        play_match(Scripted([C, bad, C]), AllCooperate(), PayoffMatrix(5, 2, 1, 0), config)
+        play_match(Scripted([C, bad, C]), make_strategy("all_c"), PayoffMatrix(5, 2, 1, 0), config)
 
 
 def test_match_config_validation():
@@ -336,8 +344,8 @@ def test_match_config_validation():
 def test_tournament_one_shot_pairing():
     payoff = PayoffMatrix(5, 3, 1, 0)
     config = MatchConfig(horizon=1)
-    scores = tournament([AllDefect(), AllCooperate()], payoff, config)
-    match = play_match(AllDefect(), AllCooperate(), payoff, config)
+    scores = tournament([make_strategy("all_d"), make_strategy("all_c")], payoff, config)
+    match = play_match(make_strategy("all_d"), make_strategy("all_c"), payoff, config)
     assert match.total_payoffs == (5.0, 0.0)
     scores = {row.label: row for row in scores}
     assert set(scores) == {"all_d#0", "all_c#1"}
@@ -353,13 +361,13 @@ def test_tournament_alternators_beat_mutual_cooperation_per_round():
 
 def test_tournament_requires_two_strategies():
     with pytest.raises(ValidationError):
-        tournament([AllCooperate()], PayoffMatrix(5, 3, 1, 0), MatchConfig(horizon=1))
+        tournament([make_strategy("all_c")], PayoffMatrix(5, 3, 1, 0), MatchConfig(horizon=1))
 
 
 def test_tournament_is_deterministic():
     payoff = PayoffMatrix(5, 2, 1, 0)
     config = MatchConfig(horizon=40, discount=0.6)
-    pool = [Alternator(), GrimTrigger(), WinStayLoseShift(), AllDefect()]
+    pool = [Alternator(), *map(make_strategy, ["grim_trigger", "win_stay_lose_shift", "all_d"])]
     first = tournament(pool, payoff, config)
     second = tournament(pool, payoff, config)
     assert first == second
@@ -388,7 +396,8 @@ def both(kind, options):
     """The production strategy of `kind` and its full-scan reference; kinds
     that never read past the last round are their own reference."""
     options = options if kind == "alternator" else {}
-    return make_strategy(kind, **options), FULL_SCAN.get(kind, STRATEGY_KINDS[kind])(**options)
+    oracle = FULL_SCAN[kind](**options) if kind in FULL_SCAN else make_strategy(kind)
+    return make_strategy(kind, **options), oracle
 
 
 @pytest.mark.parametrize(
@@ -415,17 +424,17 @@ def test_tournament_plays_like_the_full_scan_oracle(values, length):
         return [
             alternator(),
             alternator("first", length),
-            AllCooperate(),
-            AllDefect(),
-            TitForTat(),
-            grim(),
-            WinStayLoseShift(),
+            make_strategy("all_c"),
+            make_strategy("all_d"),
+            make_strategy("tit_for_tat"),
+            grim,
+            make_strategy("win_stay_lose_shift"),
         ]
 
     payoff = PayoffMatrix(*values)
     config = MatchConfig(horizon=200, discount=0.95)
-    ours = tournament(entrants(Alternator, GrimTrigger), payoff, config)
-    oracle = tournament(entrants(FullScanAlternator, FullScanGrimTrigger), payoff, config)
+    ours = tournament(entrants(Alternator, make_strategy("grim_trigger")), payoff, config)
+    oracle = tournament(entrants(FullScanAlternator, FullScanGrimTrigger()), payoff, config)
     assert ours == oracle
 
 
@@ -435,7 +444,7 @@ def test_tournament_plays_like_the_full_scan_oracle(values, length):
         (Alternator(), FullScanAlternator(), True),
         (Alternator("first", 2), FullScanAlternator("first", 2), True),
         # stateless: both seats may share the one instance
-        (GrimTrigger(), FullScanGrimTrigger(), False),
+        (make_strategy("grim_trigger"), FullScanGrimTrigger(), False),
     ],
     ids=["alternator", "alternator-first", "grim_trigger"],
 )

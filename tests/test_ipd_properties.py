@@ -9,11 +9,11 @@ from coopdyn.ipd import (
     COOPERATE,
     DEFECT,
     Alternator,
-    GrimTrigger,
     MatchConfig,
     PayoffMatrix,
     critical_discount,
     deviate_payoff,
+    make_strategy,
     play_match,
     stick_payoff,
 )
@@ -139,7 +139,7 @@ def test_alternator_answers_like_the_full_scan_oracle(
     assert drive(bound, first) == drive(reference, first)
     shorter = second[: len(first) // 2]
     assert drive(bound, shorter) == drive(reference, shorter)
-    grim = GrimTrigger().bind(seat)
+    grim = make_strategy("grim_trigger").bind(seat)
     assert drive(grim, first) == drive(FullScanGrimTrigger(), first)
     assert drive(grim, shorter) == drive(FullScanGrimTrigger(), shorter)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mfg_scratch_oracle as oracle
+import mfg_stagewise_oracle as stagewise
 from coopdyn import mfg
 from coopdyn.envs import IntersectionConfig, intersection_episode
 from coopdyn.errors import NumericalIntegrityError, ValidationError
@@ -108,6 +109,25 @@ def test_params_validation():
         MfgParams(n_agents=4, threshold=2, horizon=0)
     with pytest.raises(ValidationError):
         MfgParams(n_agents=4, threshold=2, reward_mode="other")
+
+
+_LIMIT = np.iinfo(np.intp).max
+
+
+@pytest.mark.parametrize(
+    "n_agents, horizon",
+    [(10**17, 30), (_LIMIT // (16 * 31), 30), (20, _LIMIT // (16 * 21))],
+    ids=["n_agents", "n_agents-edge", "horizon-edge"],
+)
+def test_arrays_beyond_numpy_size_limit_are_rejected(n_agents, horizon):
+    with pytest.raises(ValidationError, match="^n_agents, horizon: .* numpy's size limit"):
+        MfgParams(n_agents=n_agents, threshold=8, horizon=horizon)
+
+
+def test_the_largest_array_numpy_can_describe_is_accepted():
+    # nothing is allocated at construction
+    n_agents = _LIMIT // (16 * 31) - 1
+    assert MfgParams(n_agents=n_agents, threshold=8, horizon=30).n_agents == n_agents
 
 
 @pytest.mark.parametrize(
@@ -783,6 +803,25 @@ def test_large_population_equilibrium_is_the_static_logit_response(threshold):
     utilities = utility_table(params)
     limit = 1.0 / (1.0 + np.exp(-(utilities[:, MOVE] - utilities[:, WAIT]) / params.temperature))
     assert np.max(np.abs(result.policy[:, :, MOVE] - limit)) < tol
+
+
+@pytest.mark.parametrize("mode", ["table", "formula"])
+@pytest.mark.parametrize("temperature", [0.2, 1.0])
+@pytest.mark.parametrize("threshold", [4, 8, 13])
+def test_equilibrium_policy_is_the_stagewise_backward_induction(threshold, temperature, mode):
+    # Oracle A: each (t, j)'s move probability solves a scalar equation
+    # given v[t + 1]; where every equation has one root, that root is the
+    # fixed point, and the solve must land within its tolerance of it
+    extra = {"reward_mode": "formula", "consistency_weight": 0.05} if mode == "formula" else {}
+    sizes = {"n_agents": 20, "threshold": threshold, "discount": 0.9,
+             "temperature": temperature, "horizon": 30, **extra}
+    move, sign_changes = stagewise.stagewise_policy(oracle.make_params(**sizes))
+    assert np.all(sign_changes == 1)
+    tol = 1e-8
+    result = solve_equilibrium(MfgParams(**sizes), tol=tol)
+    assert result.converged
+    reference = np.stack([1.0 - move, move], axis=-1)
+    assert np.max(np.abs(result.policy - reference)) < tol
 
 
 def test_nonconvergence_is_flagged_not_raised():

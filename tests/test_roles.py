@@ -79,6 +79,20 @@ def test_switch_policy_has_no_window():
         RotationLedger(4, window=2)
 
 
+@pytest.mark.parametrize(
+    "values, unused",
+    [
+        ({"streak_midpoint": 3}, "streak_midpoint"),
+        ({"streak_scale": 0.5}, "streak_scale"),
+        ({"streak_midpoint": 2, "streak_scale": 2}, "streak_midpoint, streak_scale"),
+    ],
+)
+def test_deterministic_mode_keeps_the_sigmoid_fields_at_their_defaults(values, unused):
+    with pytest.raises(ValidationError, match=f"^{unused}: used only in stochastic_sigmoid mode"):
+        SwitchPolicy(mode="deterministic_window", **values)
+    assert SwitchPolicy("deterministic_window", 1, 1.0) == SwitchPolicy("deterministic_window")
+
+
 def test_two_mover_cohorts_share_evenly():
     ledger, picks = run_deterministic(5, 2, 10)
     counts = {i: 0 for i in range(5)}
