@@ -49,7 +49,6 @@ from .roles import (
     RoleAssignment,
     RotationLedger,
     SwitchPolicy,
-    default_streak_midpoint,
     delayed_credit,
     deterministic_assign,
     fairness_report,

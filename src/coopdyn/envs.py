@@ -2,11 +2,12 @@
 
 Two abstract settings: a dungeon where one agent per round sacrifices
 itself so the others escape, and a threshold intersection where up to
-`threshold` movers pass per round. Both log each round's outcome and every
-agent's role state after it, and keep a rotation ledger. Each round's
-group outcome is paid into the ledger, split among that round's
-sacrificing side, as the round ends; the ledger is the episode's only
-record of credit, and its fairness is tallied into an `EpisodeResult`.
+`threshold` movers pass per round. Each config resolves its own defaults
+when it is built. An episode logs one number per round (the sacrificer,
+the mover count) and every agent's role state after it, the only record
+of roles. Each round's group outcome is paid into a rotation ledger, split
+among that round's sacrificing side, as the round ends; the ledger is the
+only record of credit, and its fairness is tallied into an `EpisodeResult`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ from .roles import (
 )
 
 
+def _check_state_log(config) -> None:
+    """The episode's (rounds, n_agents, 3) int64 state log must be an array
+    numpy can describe; it is allocated whole before round 0."""
+    if 24 * config.rounds * config.n_agents > np.iinfo(np.intp).max:
+        raise ValidationError("rounds, n_agents: a rounds x n_agents x 3 int64 state log "
+                              "is larger than numpy's size limit")
+
+
 # ---------------------------------------------------------------------------
 # dungeon
 # ---------------------------------------------------------------------------
@@ -42,7 +51,8 @@ from .roles import (
 @dataclass(frozen=True)
 class DungeonConfig:
     """One sacrificer per round enables n_agents - 1 escapes, each worth
-    success_reward to it, credited as the round ends."""
+    success_reward to it, credited as the round ends. An unset switch is
+    roles.default_switch's deterministic rotation."""
 
     rounds: int
     n_agents: int = 3
@@ -55,22 +65,23 @@ class DungeonConfig:
         _check_count("n_agents", self.n_agents, 2)
         _check_count("rounds", self.rounds, 1)
         _check_count("seed", self.seed, 0)
-
-
-@dataclass(frozen=True)
-class DungeonRound:
-    sacrificer: int
+        _check_state_log(self)
+        if self.switch is None:
+            object.__setattr__(
+                self, "switch", default_switch(self.n_agents, 1, "deterministic_window")
+            )
 
 
 @dataclass(frozen=True)
 class EpisodeResult:
-    """One episode of either environment: its round log, each agent's state
-    after each round, the ledger after the last round (holding each
-    agent's credit) and its fairness tally. `states[r, agent]`
-    holds whether the agent was in the sacrifice role, its streak and its
+    """One episode of either environment: one int64 per round (the
+    dungeon's sacrificer id, the intersection's mover count), each agent's
+    state after each round, the ledger after the last round (holding each
+    agent's credit) and its fairness tally. `states[r, agent]` holds
+    whether the agent was in the sacrifice role, its streak and its
     sacrifices so far."""
 
-    rounds: tuple[DungeonRound, ...] | tuple[IntersectionRound, ...]
+    rounds: np.ndarray
     states: np.ndarray
     ledger: RotationLedger
     fairness: FairnessStats
@@ -93,28 +104,26 @@ def run_dungeon(config: DungeonConfig) -> EpisodeResult:
     resolves to exactly one sacrificer with the deterministic priority so
     a round can never fail for lack of a volunteer.
     """
-    switch = config.switch or default_switch(config.n_agents, 1, "deterministic_window")
     ledger = RotationLedger(config.n_agents)
     rng = random.Random(config.seed)
-    stochastic = switch.mode == "stochastic_sigmoid"
+    stochastic = config.switch.mode == "stochastic_sigmoid"
     if stochastic:
         ledger.initialize_roles({0})
-    rows = []
+    sacrificers = np.zeros(config.rounds, dtype=np.int64)
     states = np.zeros((config.rounds, config.n_agents, 3), dtype=np.int64)
     escapes_value = config.success_reward * (config.n_agents - 1)
     for round_index in range(config.rounds):
         if stochastic:
-            volunteers = stochastic_selection(ledger, switch, rng)
+            volunteers = stochastic_selection(ledger, config.switch, rng)
             pool = [ledger.records[a] for a in sorted(volunteers)] or ledger.records
             chosen = min(pool, key=lambda rec: rotation_priority(rec, SACRIFICE))
             assignment = ledger.record_round({chosen.agent_id})
         else:
             assignment = deterministic_assign(ledger, 1)
-        sacrificer = next(iter(assignment.sacrificers))
-        rows.append(DungeonRound(sacrificer))
+        (sacrificers[round_index],) = assignment.sacrificers
         _log_states(states, round_index, ledger)
         ledger.apply_credits(delayed_credit(assignment, escapes_value))
-    return EpisodeResult(tuple(rows), states, ledger, fairness_report(ledger))
+    return EpisodeResult(sacrificers, states, ledger, fairness_report(ledger))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +137,9 @@ ASSIGNMENT_MODES = ("static", "rotation", "stochastic", "policy")
 class IntersectionConfig:
     """Per round, a mover set forms; if its size stays within the threshold
     all movers pass, otherwise nobody does. Rewards are evaluated at the
-    realized mover count."""
+    realized mover count. Unset, cohort is the threshold, params are
+    MfgParams' defaults at these sizes, and switch is roles.default_switch's
+    for the assignment's mode."""
 
     n_agents: int
     threshold: int
@@ -147,6 +158,7 @@ class IntersectionConfig:
             raise ValidationError("threshold must satisfy 0 < threshold < n_agents")
         _check_count("rounds", self.rounds, 1)
         _check_count("seed", self.seed, 0)
+        _check_state_log(self)
         if self.assignment not in ASSIGNMENT_MODES:
             raise ValidationError(
                 f"assignment must be one of {ASSIGNMENT_MODES}, got {self.assignment!r}"
@@ -156,14 +168,21 @@ class IntersectionConfig:
         _check_count("cohort", self.cohort, 1)
         if self.cohort >= self.n_agents:
             raise ValidationError("cohort must satisfy 1 <= cohort < n_agents")
-        if self.params is not None:
-            if self.params.n_agents != self.n_agents:
-                raise ValidationError("params.n_agents must match the environment")
-            if self.params.threshold != self.threshold:
-                raise ValidationError("params.threshold must match the environment")
-        if self.switch is not None and (
-            (self.switch.mode == "stochastic_sigmoid") != (self.assignment == "stochastic")
-        ):
+        if self.params is None:
+            object.__setattr__(
+                self, "params", MfgParams(n_agents=self.n_agents, threshold=self.threshold)
+            )
+        if self.params.n_agents != self.n_agents:
+            raise ValidationError("params.n_agents must match the environment")
+        if self.params.threshold != self.threshold:
+            raise ValidationError("params.threshold must match the environment")
+        stochastic = self.assignment == "stochastic"
+        if self.switch is None:
+            mode = "stochastic_sigmoid" if stochastic else "deterministic_window"
+            object.__setattr__(
+                self, "switch", default_switch(self.n_agents, self.cohort, mode)
+            )
+        if (self.switch.mode == "stochastic_sigmoid") != stochastic:
             raise ValidationError(
                 "switch mode must be 'stochastic_sigmoid' exactly when assignment is 'stochastic'"
             )
@@ -177,14 +196,6 @@ class IntersectionConfig:
                 raise ValidationError("static_movers ids out of range")
             if len(ids) != len(self.static_movers):
                 raise ValidationError("static_movers ids must be distinct")
-
-
-@dataclass(frozen=True)
-class IntersectionRound:
-    movers: frozenset[int]
-    n_moved: int
-    passed: bool
-    haul: float  # the movers' combined reward at the realized count
 
 
 def _sample_categorical(rng: random.Random, probs) -> int:
@@ -202,20 +213,15 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
 
     static keeps one mover set forever (the stagnation case); rotation and
     stochastic rotate it through the ledger, stochastic by the config's
-    switch (default: roles.default_switch's); policy samples each agent's
-    action from a solved policy table, checked as mfg checks a policy,
-    given the previous realized count. When a round passes, the movers'
-    combined haul is credited to that round's waiters in equal shares.
+    switch; policy samples each agent's action from a solved policy table,
+    checked as mfg checks a policy, given the previous realized count. When
+    a round passes, the movers' combined haul is credited to that round's
+    waiters in equal shares.
     """
-    params = config.params or MfgParams(
-        n_agents=config.n_agents, threshold=config.threshold
-    )
+    params = config.params
     ledger = RotationLedger(config.n_agents, rotated_role=PRIMARY)
     rng = random.Random(config.seed)
     if config.assignment == "stochastic":
-        switch = config.switch or default_switch(
-            config.n_agents, config.cohort, "stochastic_sigmoid"
-        )
         ledger.initialize_roles(set(range(config.cohort)))
     if config.assignment == "policy":
         if policy is None:
@@ -228,7 +234,7 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
         else frozenset(range(config.cohort))
     )
     move_rewards = reward_array(params)[:, MOVE].tolist()
-    rows = []
+    moved = np.zeros(config.rounds, dtype=np.int64)
     states = np.zeros((config.rounds, config.n_agents, 3), dtype=np.int64)
     for round_index in range(config.rounds):
         if config.assignment == "static":
@@ -236,7 +242,7 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
         elif config.assignment == "rotation":
             assignment = deterministic_assign(ledger, config.cohort)
         elif config.assignment == "stochastic":
-            assignment = ledger.record_round(stochastic_selection(ledger, switch, rng))
+            assignment = ledger.record_round(stochastic_selection(ledger, config.switch, rng))
         else:
             t = min(round_index, params.horizon - 1)
             movers = {
@@ -245,16 +251,13 @@ def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResu
                 if rng.random() < policy[t, state, MOVE]
             }
             assignment = ledger.record_round(movers)
-        movers = assignment.primaries
-        n_moved = len(movers)
-        passed = n_moved <= config.threshold
-        # summed one mover at a time: n * reward can round differently; the
-        # 0.0 start keeps a round with no movers a float
-        haul = sum(repeat(move_rewards[n_moved], n_moved), 0.0)
-        if config.assignment == "policy":
-            state = n_moved
-        rows.append(IntersectionRound(movers, n_moved, passed, haul))
+        n_moved = config.n_agents - len(assignment.sacrificers)
+        # policy mode draws the next round's movers given this count
+        moved[round_index] = state = n_moved
         _log_states(states, round_index, ledger)
-        if passed and assignment.sacrificers:
+        if n_moved <= config.threshold and assignment.sacrificers:
+            # the movers' combined reward at the realized count, summed one
+            # mover at a time (n * reward can round differently)
+            haul = sum(repeat(move_rewards[n_moved], n_moved))
             ledger.apply_credits(delayed_credit(assignment, haul))
-    return EpisodeResult(tuple(rows), states, ledger, fairness_report(ledger))
+    return EpisodeResult(moved, states, ledger, fairness_report(ledger))

@@ -149,6 +149,8 @@ _SOLVER = _schema(solve_equilibrium, skip=("params",))
 def _value(value, tp, path, problems):
     """`value` checked against type `tp`, nested dataclasses built; None
     after recording a problem."""
+    # before Python 3.11, get_type_hints turns a parameter annotated
+    # `X | None = None` into typing.Union[X, None]
     if get_origin(tp) in (Union, types.UnionType):
         if value is None:
             return None
@@ -210,11 +212,11 @@ def _build(cls, raw, path, problems):
     return None if values is None else _construct(cls, path, problems, **values)
 
 
-def _switch(raw, n_agents, cohort, stochastic, problems):
+def _switch(raw, env, cohort, problems):
     """The switch block; what it leaves unset comes from roles.default_switch
-    for the mode it names, else the assignment's mode."""
-    mode = raw.get("mode", "stochastic_sigmoid" if stochastic else "deterministic_window")
-    base = _construct(default_switch, "config.switch", problems, n_agents, cohort, mode)
+    for the mode it names, else the mode of the environment's own default."""
+    mode = raw.get("mode", env.switch.mode)
+    base = _construct(default_switch, "config.switch", problems, env.n_agents, cohort, mode)
     if base is None:
         return None
     return _build(SwitchPolicy, {**asdict(base), **raw}, "config.switch", problems)
@@ -432,11 +434,10 @@ def _roles_table(episode) -> _ArrayTable:
 def _run_roles(top, seed, problems):
     blocks = {key: top.pop(key) for key in ("switch", "mfg", "solver")}
     # switch and mfg defaults depend on the resolved sizes and cohort, so the
-    # environment is checked first without them
+    # environment is checked first with its own defaults
     env = _construct(IntersectionConfig, "config", problems, seed=seed, **top)
     _finish_validation(problems)
-    stochastic = env.assignment == "stochastic"
-    switch = _switch(blocks["switch"], env.n_agents, env.cohort, stochastic, problems)
+    switch = _switch(blocks["switch"], env, env.cohort, problems)
     sizes = {"n_agents": env.n_agents, "threshold": env.threshold}
     params = _build(MfgParams, {**sizes, **blocks["mfg"]}, "config.mfg", problems)
     solver = _read(blocks["solver"], _SOLVER, "config.solver", problems)
@@ -452,18 +453,15 @@ def _run_roles(top, seed, problems):
     episode = intersection_episode(config, policy=policy)
     resolved = {**asdict(config), "solver": solver}
     resolved["mfg"] = resolved.pop("params")
+    passed = episode.rounds <= config.threshold
     summary = {
         "rounds": config.rounds,
-        "passed_rounds": sum(1 for row in episode.rounds if row.passed),
+        "passed_rounds": int(np.count_nonzero(passed)),
         "mover_count_gap": episode.fairness.sacrifice_gap,
         "credited_spread": episode.fairness.credited_spread,
         "solve": solve_summary,
     }
-    rounds = _rows(
-        np.arange(config.rounds),
-        np.array([row.n_moved for row in episode.rounds]),
-        np.array([row.passed for row in episode.rounds]),
-    )
+    rounds = _rows(np.arange(config.rounds), episode.rounds, passed)
     return resolved, summary, {
         "roles.csv": (_ROLES_HEADER, _roles_table(episode)),
         "rounds.csv": (["round", "n_moved", "passed"], rounds),
@@ -475,7 +473,7 @@ def _run_dungeon(top, seed, problems):
     # the switch default depends on n_agents, so the environment is checked first
     env = _construct(DungeonConfig, "config", problems, seed=seed, **top)
     _finish_validation(problems)
-    config = replace(env, switch=_switch(raw_switch, env.n_agents, 1, False, problems))
+    config = replace(env, switch=_switch(raw_switch, env, 1, problems))
     _finish_validation(problems)
     result = run_dungeon(config)
     sac_counts = {rec.agent_id: rec.times_sacrifice for rec in result.ledger.records}
@@ -485,10 +483,7 @@ def _run_dungeon(top, seed, problems):
         "sacrifice_gap": result.fairness.sacrifice_gap,
         "credited_spread": result.fairness.credited_spread,
     }
-    rounds = _rows(
-        np.arange(config.rounds),
-        np.array([row.sacrificer for row in result.rounds]),
-    )
+    rounds = _rows(np.arange(config.rounds), result.rounds)
     return asdict(config), summary, {
         "roles.csv": (_ROLES_HEADER, _roles_table(result)),
         "rounds.csv": (["round", "sacrificer"], rounds),

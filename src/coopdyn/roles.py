@@ -4,7 +4,9 @@ A round-based scheduler hands the scarce role (the dungeon sacrificer, the
 intersection mover cohort) to k agents per round. Deterministic mode picks
 the least-served agents, so from a fresh ledger the role goes round the
 agents in id order, k at a time; stochastic mode lets every agent flip
-roles independently with a sigmoid probability of its streak length.
+roles independently with a sigmoid probability of its streak length. A
+round's `RoleAssignment` names its sacrifice-role agents; the rest are
+primary.
 Each round's group outcome, produced by that round's sacrificing side, is
 credited back to it in equal shares as the round ends (delayed credit);
 the ledger's `credited_reward` is the only record of that credit.
@@ -41,7 +43,6 @@ class AgentRecord:
 @dataclass(frozen=True)
 class RoleAssignment:
     sacrificers: frozenset[int]
-    primaries: frozenset[int]
 
 
 class RotationLedger:
@@ -87,13 +88,8 @@ class RotationLedger:
                 record.last_selected_round = self.rounds_completed
         self.rounds_completed += 1
         if self.rotated_role == SACRIFICE:
-            sacrificers = selected
-        else:
-            sacrificers = frozenset(range(self.n_agents)) - selected
-        return RoleAssignment(
-            sacrificers=frozenset(sacrificers),
-            primaries=frozenset(range(self.n_agents)) - frozenset(sacrificers),
-        )
+            return RoleAssignment(selected)
+        return RoleAssignment(frozenset(range(self.n_agents)) - selected)
 
     def apply_credits(self, credits: dict[int, float]) -> None:
         for agent_id, amount in credits.items():
@@ -166,20 +162,21 @@ class SwitchPolicy:
             raise ValidationError("streak_scale must be positive")
 
 
-def default_streak_midpoint(n_agents: int, cohort: int) -> int:
-    """Number of possible cohorts among the other agents: C(n-1, cohort)."""
-    _check_count("cohort", cohort, 1)
-    if not cohort < n_agents:
-        raise ValidationError("cohort must satisfy 0 < cohort < n_agents")
-    return math.comb(n_agents - 1, cohort)
-
-
 def default_switch(n_agents: int, cohort: int, mode: str) -> SwitchPolicy:
     """The switch policy a config gets for whatever it leaves unset: in
-    stochastic_sigmoid mode, the streak midpoint C(n_agents-1, cohort)."""
+    stochastic_sigmoid mode, the streak midpoint C(n_agents-1, cohort), the
+    number of possible cohorts among the other agents."""
     midpoint = 1.0
     if mode == "stochastic_sigmoid":
-        midpoint = float(default_streak_midpoint(n_agents, cohort))
+        _check_count("cohort", cohort, 1)
+        if not cohort < n_agents:
+            raise ValidationError("cohort must satisfy 0 < cohort < n_agents")
+        try:
+            midpoint = float(math.comb(n_agents - 1, cohort))
+        except OverflowError:
+            raise ValidationError(
+                f"streak_midpoint: C({n_agents - 1}, {cohort}) is beyond the float range"
+            ) from None
     return SwitchPolicy(mode=mode, streak_midpoint=midpoint)
 
 

@@ -184,6 +184,36 @@ def test_a_population_too_large_for_numpy_exits_one_before_the_solve(
 
 
 @pytest.mark.parametrize(
+    "payload, runner",
+    [
+        ({"experiment": "dungeon", "rounds": 10**30}, "run_dungeon"),
+        (
+            {"experiment": "roles_run", "n_agents": 6, "threshold": 2, "rounds": 10**30},
+            "intersection_episode",
+        ),
+    ],
+    ids=["dungeon", "roles_run"],
+)
+def test_a_state_log_too_large_for_numpy_exits_one_before_the_episode(
+    tmp_path, monkeypatch, capsys, payload, runner
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran an episode whose state log numpy cannot hold")
+
+    monkeypatch.setattr(harness, runner, unreachable)
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "r"
+    command = payload["experiment"].replace("_", "-")
+    code = cli.main([command, "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: config: rounds, n_agents: a rounds x n_agents x 3 int64 state log "
+        "is larger than numpy's size limit\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "error, detail",
     [
         (MemoryError("Unable to allocate 6.55 TiB"), "Unable to allocate 6.55 TiB"),

@@ -11,7 +11,7 @@ from coopdyn.envs import (
 )
 from coopdyn.errors import ValidationError
 from coopdyn.ipd import Alternator, MatchConfig, PayoffMatrix
-from coopdyn.mfg import MOVE, MfgParams, RewardTable
+from coopdyn.mfg import MOVE, MfgParams, RewardTable, reward_array
 from coopdyn.roles import RotationLedger, SwitchPolicy, default_switch, deterministic_assign
 
 
@@ -22,7 +22,7 @@ from coopdyn.roles import RotationLedger, SwitchPolicy, default_switch, determin
 
 def test_dungeon_rotates_the_sacrifice_evenly():
     result = run_dungeon(DungeonConfig(n_agents=3, rounds=6))
-    sacrificers = [row.sacrificer for row in result.rounds]
+    sacrificers = result.rounds.tolist()
     assert sacrificers[:3] == [0, 1, 2]
     assert all(sacrificers.count(i) == 2 for i in range(3))
 
@@ -37,8 +37,9 @@ def test_dungeon_has_exactly_one_sacrificer_per_round():
         },
     ):
         result = run_dungeon(DungeonConfig(n_agents=4, rounds=12, seed=5, **mode_kwargs))
-        for row, states in zip(result.rounds, result.states):
-            assert np.flatnonzero(states[:, 0]).tolist() == [row.sacrificer]
+        assert result.rounds.dtype == np.int64 and len(result.rounds) == 12
+        for sacrificer, states in zip(result.rounds.tolist(), result.states):
+            assert np.flatnonzero(states[:, 0]).tolist() == [sacrificer]
 
 
 def test_episode_states_log_each_agents_role_streak_and_sacrifices():
@@ -65,6 +66,20 @@ def test_dungeon_delayed_credit_flows_to_sacrificers():
     assert result.fairness.sacrifice_gap == 0
 
 
+def test_the_largest_state_log_numpy_can_describe_is_accepted():
+    # numpy describes an array of at most intp-max bytes; 24 bytes per
+    # (round, agent) entry of the int64 state log. Nothing here runs.
+    entries = np.iinfo(np.intp).max // 24
+    for n_agents, make in (
+        (3, lambda rounds: DungeonConfig(rounds=rounds, n_agents=3)),
+        (4, lambda rounds: IntersectionConfig(n_agents=4, threshold=2, rounds=rounds)),
+    ):
+        largest = entries // n_agents
+        assert make(largest).rounds == largest
+        with pytest.raises(ValidationError, match="^rounds, n_agents: .* numpy's size limit"):
+            make(largest + 1)
+
+
 def test_dungeon_config_validation():
     with pytest.raises(ValidationError):
         DungeonConfig(n_agents=1, rounds=3)
@@ -82,9 +97,9 @@ def test_static_assignment_never_rotates():
         n_agents=5, threshold=2, rounds=8, cohort=2, assignment="static"
     )
     result = intersection_episode(config)
-    mover_sets = {tuple(sorted(row.movers)) for row in result.rounds}
-    assert mover_sets == {(0, 1)}
-    assert all(row.passed for row in result.rounds)
+    assert result.rounds.tolist() == [2] * 8
+    # every round's state log shows agents 0 and 1 outside the sacrifice role
+    assert np.all(result.states[:, :, 0] == [0, 0, 1, 1, 1])
     # max-min mover-count gap equals the round count
     counts = [result.ledger.rounds_completed - rec.times_sacrifice for rec in result.ledger.records]
     assert max(counts) - min(counts) == 8
@@ -97,7 +112,7 @@ def test_rotation_spreads_moves_evenly():
     result = intersection_episode(config)
     counts = [result.ledger.rounds_completed - rec.times_sacrifice for rec in result.ledger.records]
     assert counts == [3, 3, 3, 3, 3, 3]
-    assert all(row.passed for row in result.rounds)
+    assert np.all(result.rounds <= config.threshold)
 
 
 def test_rotation_gap_stays_within_one_when_rounds_do_not_divide():
@@ -114,10 +129,7 @@ def test_forced_congestion_blocks_everyone():
         n_agents=4, threshold=1, rounds=3, cohort=3, assignment="static"
     )
     result = intersection_episode(config)
-    for row in result.rounds:
-        assert row.n_moved == 3
-        assert not row.passed
-        assert row.haul == 0.0  # move_congested
+    assert result.rounds.tolist() == [3, 3, 3]  # each above the threshold 1
     # a blocked round hands its waiters nothing
     assert all(rec.credited_reward == 0.0 for rec in result.ledger.records)
 
@@ -127,9 +139,10 @@ def test_rewards_follow_the_realized_count():
         n_agents=4, threshold=2, rounds=1, cohort=2, assignment="static"
     )
     result = intersection_episode(config)
-    row = result.rounds[0]
-    assert row.passed
-    assert row.haul == 2 * 1.0  # two movers at move_clear
+    assert result.rounds.tolist() == [2]
+    # the two waiters split two movers' move_clear rewards
+    credited = [rec.credited_reward for rec in result.ledger.records]
+    assert credited == [0.0, 0.0, 2 * 1.0 / 2, 2 * 1.0 / 2]
 
 
 def test_waiters_split_the_haul_summed_one_mover_at_a_time():
@@ -138,7 +151,7 @@ def test_waiters_split_the_haul_summed_one_mover_at_a_time():
         n_agents=12, threshold=10, rounds=1, cohort=10, assignment="static", params=params
     )
     result = intersection_episode(config)
-    assert result.rounds[0].haul == sum([0.1] * 10) != 10 * 0.1
+    assert sum([0.1] * 10) != 10 * 0.1
     assert [rec.credited_reward for rec in result.ledger.records[10:]] == [
         sum([0.1] * 10) / 2
     ] * 2 == [0.49999999999999994] * 2
@@ -152,12 +165,11 @@ def test_policy_driven_episode_uses_the_state_sequence():
         n_agents=3, threshold=1, rounds=4, assignment="policy", params=params
     )
     result = intersection_episode(config, policy=policy)
-    for row in result.rounds:
-        assert row.n_moved == 3
-        assert not row.passed
+    assert result.rounds.tolist() == [3] * 4  # each above the threshold 1
+    assert all(rec.credited_reward == 0.0 for rec in result.ledger.records)
 
 
-def test_a_round_nobody_moves_in_hauls_a_float_zero():
+def test_a_round_nobody_moves_in_credits_a_float_zero():
     params = MfgParams(n_agents=3, threshold=1, horizon=4)
     policy = np.zeros((4, 4, 2))
     policy[:, :, 1 - MOVE] = 1.0  # nobody ever moves
@@ -165,9 +177,10 @@ def test_a_round_nobody_moves_in_hauls_a_float_zero():
         n_agents=3, threshold=1, rounds=4, assignment="policy", params=params
     )
     result = intersection_episode(config, policy=policy)
-    for row in result.rounds:
-        assert row.n_moved == 0 and row.passed
-        assert type(row.haul) is float and row.haul == 0.0
+    assert result.rounds.tolist() == [0] * 4
+    # every round passes and credits its three waiters a share of nothing
+    for rec in result.ledger.records:
+        assert type(rec.credited_reward) is float and rec.credited_reward == 0.0
 
 
 def test_waiters_collect_delayed_credit_when_rounds_pass():
@@ -211,9 +224,21 @@ def test_keys_an_assignment_never_reads_are_rejected():
 def test_a_stochastic_episode_without_a_switch_uses_the_default_switch():
     config = IntersectionConfig(n_agents=6, threshold=2, rounds=30, assignment="stochastic")
     explicit = replace(config, switch=default_switch(6, 2, "stochastic_sigmoid"))
+    assert config.switch == explicit.switch
     ours, theirs = intersection_episode(config), intersection_episode(explicit)
-    assert ours.rounds == theirs.rounds
+    assert np.array_equal(ours.rounds, theirs.rounds)
     assert np.array_equal(ours.states, theirs.states)
+
+
+def test_each_config_resolves_its_unset_switch_and_params_when_built():
+    rotation = IntersectionConfig(n_agents=6, threshold=2, rounds=3, cohort=3)
+    assert rotation.switch == default_switch(6, 3, "deterministic_window")
+    assert rotation.params == MfgParams(n_agents=6, threshold=2)
+    stochastic = replace(rotation, assignment="stochastic", switch=None)
+    assert stochastic.switch == default_switch(6, 3, "stochastic_sigmoid")
+    assert DungeonConfig(rounds=3, n_agents=4).switch == default_switch(
+        4, 1, "deterministic_window"
+    )
 
 
 @pytest.mark.parametrize("policy", [
@@ -238,9 +263,9 @@ def test_stochastic_intersection_is_seed_deterministic():
     )
     first = intersection_episode(config)
     second = intersection_episode(config)
-    assert [tuple(sorted(r.movers)) for r in first.rounds] == [
-        tuple(sorted(r.movers)) for r in second.rounds
-    ]
+    assert np.array_equal(first.rounds, second.rounds)
+    assert np.array_equal(first.states, second.states)
+    assert len(set(first.rounds.tolist())) > 1  # the draws do vary
 
 
 def rebuilt_credits(result, outcomes):
@@ -270,8 +295,12 @@ def test_credits_are_the_round_order_sums_of_each_rounds_shares():
         n_agents=7, threshold=3, rounds=40, assignment="policy", params=params, seed=11
     )
     intersection = intersection_episode(config, policy=policy)
-    assert 0 < sum(row.passed for row in intersection.rounds) < 40
-    hauls = [row.haul if row.passed else None for row in intersection.rounds]
+    passed = intersection.rounds <= 3
+    assert 0 < np.count_nonzero(passed) < 40
+    # a passed round's outcome is its movers' rewards, summed one at a time
+    move = reward_array(params)[:, MOVE].tolist()
+    hauls = [sum([move[n]] * n, 0.0) if ok else None
+             for n, ok in zip(intersection.rounds.tolist(), passed)]
     # a dungeon round's outcome is the escapes its sacrifice enabled
     for result, outcomes in ((dungeon, [0.1 * 3] * 50), (intersection, hauls)):
         credited = [rec.credited_reward for rec in result.ledger.records]

@@ -664,7 +664,9 @@ def test_oversized_delta_scan_grid_is_rejected_before_it_is_built(tmp_path):
 
 def test_default_streak_midpoint_beyond_float_range_is_a_config_error(tmp_path):
     config = roles_config(n_agents=2000, threshold=1000, cohort=1000, assignment="stochastic")
-    with pytest.raises(ConfigError, match=r"config\.switch"):
+    with pytest.raises(
+        ConfigError, match=r"^config: streak_midpoint: C\(1999, 1000\) is beyond the float range$"
+    ):
         run(config, out_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()
 

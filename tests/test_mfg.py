@@ -805,15 +805,26 @@ def test_large_population_equilibrium_is_the_static_logit_response(threshold):
     assert np.max(np.abs(result.policy[:, :, MOVE] - limit)) < tol
 
 
-@pytest.mark.parametrize("mode", ["table", "formula"])
-@pytest.mark.parametrize("temperature", [0.2, 1.0])
-@pytest.mark.parametrize("threshold", [4, 8, 13])
-def test_equilibrium_policy_is_the_stagewise_backward_induction(threshold, temperature, mode):
+STAGEWISE_CASES = [
+    pytest.param(20, threshold, temperature, mode, id=f"{threshold}-{temperature}-{mode}")
+    for threshold in (4, 8, 13) for temperature in (0.2, 1.0) for mode in ("table", "formula")
+] + [
+    # each costs about ten N=20 cases of oracle time, so three cover both modes
+    pytest.param(200, 80, 0.2, "table", id="N200-80-0.2-table"),
+    pytest.param(200, 90, 1.0, "table", id="N200-90-1.0-table"),
+    pytest.param(200, 80, 0.2, "formula", id="N200-80-0.2-formula"),
+]
+
+
+@pytest.mark.parametrize("n_agents, threshold, temperature, mode", STAGEWISE_CASES)
+def test_equilibrium_policy_is_the_stagewise_backward_induction(
+    n_agents, threshold, temperature, mode
+):
     # Oracle A: each (t, j)'s move probability solves a scalar equation
     # given v[t + 1]; where every equation has one root, that root is the
     # fixed point, and the solve must land within its tolerance of it
     extra = {"reward_mode": "formula", "consistency_weight": 0.05} if mode == "formula" else {}
-    sizes = {"n_agents": 20, "threshold": threshold, "discount": 0.9,
+    sizes = {"n_agents": n_agents, "threshold": threshold, "discount": 0.9,
              "temperature": temperature, "horizon": 30, **extra}
     move, sign_changes = stagewise.stagewise_policy(oracle.make_params(**sizes))
     assert np.all(sign_changes == 1)

@@ -11,7 +11,7 @@ from coopdyn.roles import (
     FairnessStats,
     RotationLedger,
     SwitchPolicy,
-    default_streak_midpoint,
+    default_switch,
     delayed_credit,
     deterministic_assign,
     fairness_report,
@@ -25,7 +25,9 @@ def run_deterministic(n_agents, k, rounds, rotated_role=SACRIFICE):
     picks = []
     for _ in range(rounds):
         assignment = deterministic_assign(ledger, k)
-        held = assignment.sacrificers if rotated_role == SACRIFICE else assignment.primaries
+        held = assignment.sacrificers
+        if rotated_role == PRIMARY:
+            held = frozenset(range(n_agents)) - held
         picks.append(sorted(held))
     return ledger, picks
 
@@ -132,14 +134,16 @@ def test_sigmoid_midpoint_and_tail():
 
 
 def test_default_streak_midpoint_is_a_binomial_coefficient():
-    assert default_streak_midpoint(4, 2) == math.comb(3, 2) == 3
-    assert default_streak_midpoint(9, 3) == math.comb(8, 3)
+    assert default_switch(4, 2, "stochastic_sigmoid").streak_midpoint == math.comb(3, 2) == 3
+    assert default_switch(9, 3, "stochastic_sigmoid").streak_midpoint == math.comb(8, 3)
+    # deterministic mode reads no midpoint, so it keeps SwitchPolicy's default
+    assert default_switch(9, 3, "deterministic_window") == SwitchPolicy("deterministic_window")
 
 
 @pytest.mark.parametrize("cohort", [True, 1.5, 0, 4])
 def test_default_streak_midpoint_rejects_cohorts_that_are_not_counts_below_n(cohort):
     with pytest.raises(ValidationError, match="cohort"):
-        default_streak_midpoint(4, cohort)
+        default_switch(4, cohort, "stochastic_sigmoid")
 
 
 def test_sigmoid_is_monotone_and_bounded():
