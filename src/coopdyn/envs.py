@@ -133,6 +133,11 @@ def run_dungeon(config: DungeonConfig) -> EpisodeResult:
 ASSIGNMENT_MODES = ("static", "rotation", "stochastic", "policy")
 
 
+def switch_mode(assignment: str) -> str:
+    """The switch mode an intersection assignment runs with."""
+    return "stochastic_sigmoid" if assignment == "stochastic" else "deterministic_window"
+
+
 @dataclass(frozen=True)
 class IntersectionConfig:
     """Per round, a mover set forms; if its size stays within the threshold
@@ -176,13 +181,12 @@ class IntersectionConfig:
             raise ValidationError("params.n_agents must match the environment")
         if self.params.threshold != self.threshold:
             raise ValidationError("params.threshold must match the environment")
-        stochastic = self.assignment == "stochastic"
+        mode = switch_mode(self.assignment)
         if self.switch is None:
-            mode = "stochastic_sigmoid" if stochastic else "deterministic_window"
             object.__setattr__(
                 self, "switch", default_switch(self.n_agents, self.cohort, mode)
             )
-        if (self.switch.mode == "stochastic_sigmoid") != stochastic:
+        if self.switch.mode != mode:
             raise ValidationError(
                 "switch mode must be 'stochastic_sigmoid' exactly when assignment is 'stochastic'"
             )

@@ -28,7 +28,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .envs import DungeonConfig, IntersectionConfig, intersection_episode, run_dungeon
+from .envs import DungeonConfig, IntersectionConfig, intersection_episode, run_dungeon, switch_mode
 from .errors import ConfigError, NumericalIntegrityError, ValidationError
 from .ipd import (
     Alternator,
@@ -214,12 +214,16 @@ def _build(cls, raw, path, problems):
 
 def _switch(raw, env, cohort, problems):
     """The switch block; what it leaves unset comes from roles.default_switch
-    for the mode it names, else the mode of the environment's own default."""
+    for the mode it names, else the mode of the environment's own default.
+    A block that names its midpoint never works out the default one."""
     mode = raw.get("mode", env.switch.mode)
-    base = _construct(default_switch, "config.switch", problems, env.n_agents, cohort, mode)
-    if base is None:
-        return None
-    return _build(SwitchPolicy, {**asdict(base), **raw}, "config.switch", problems)
+    base = {"mode": mode}
+    if "streak_midpoint" not in raw:
+        default = _construct(default_switch, "config.switch", problems, env.n_agents, cohort, mode)
+        if default is None:
+            return None
+        base = asdict(default)
+    return _build(SwitchPolicy, {**base, **raw}, "config.switch", problems)
 
 
 def _finish_validation(problems: list[str]) -> None:
@@ -434,7 +438,11 @@ def _roles_table(episode) -> _ArrayTable:
 def _run_roles(top, seed, problems):
     blocks = {key: top.pop(key) for key in ("switch", "mfg", "solver")}
     # switch and mfg defaults depend on the resolved sizes and cohort, so the
-    # environment is checked first with its own defaults
+    # environment is checked first with its own defaults, less the default
+    # midpoint C(n_agents - 1, cohort) (it may not fit a float) when the
+    # switch block names one
+    if "streak_midpoint" in blocks["switch"]:
+        top["switch"] = SwitchPolicy(switch_mode(top["assignment"]))
     env = _construct(IntersectionConfig, "config", problems, seed=seed, **top)
     _finish_validation(problems)
     switch = _switch(blocks["switch"], env, env.cohort, problems)

@@ -23,9 +23,12 @@ plus a (horizon, N+1) index, so every (t, j) whose policy moves with the
 same probability shares one row. The rows are built a block of about
 2**16 cells at a time, which bounds the build's temporaries. For U
 distinct move probabilities in the whole policy, a stack costs O(U*N) to
-build and a sweep O(U*N*H), instead of O(N^2*H); table-mode rewards
-without a consistency penalty depend on the state only through
-j <= threshold, which keeps U at 3 per step or fewer.
+build. A small stack is multiplied whole at every step, O(U*N*H) a sweep;
+above _SELECT_CELLS cells each step multiplies only its own rows, so a
+sweep costs O(sum_t U_t*N), where U_t is the number of distinct move
+probabilities at step t, instead of O(N^2*H). Table-mode rewards without
+a consistency penalty depend on the state only through j <= threshold,
+which keeps U_t at 3 or fewer.
 The solver builds one stack per policy, shared by that policy's forward
 flow, the next backward pass and the final certificate, so a solve
 builds iterations + 1 stacks.
@@ -245,13 +248,14 @@ def _binomial_pmf_rows(n: int, probs: np.ndarray) -> np.ndarray:
     interior = (probs > 0.0) & (probs < 1.0)
     if np.any(interior):
         p = probs[interior][:, None]
-        k = np.arange(n + 1, dtype=float)[None, :]
-        log_pmf = _log_binomial_coefficients(n)[None, :] + k * np.log(p) + (
-            n - k
-        ) * np.log1p(-p)
+        k = np.arange(n + 1, dtype=float)
+        log_pmf = k * np.log(p)
+        log_pmf += _log_binomial_coefficients(n)
+        log_pmf += (n - k) * np.log1p(-p)
         # entries below -746 underflow to 0.0 anyway, and exp is slow on them
         pmf = np.exp(log_pmf, out=np.zeros_like(log_pmf), where=log_pmf > -746.0)
-        rows[interior] = pmf / pmf.sum(axis=1, keepdims=True)
+        pmf /= pmf.sum(axis=1, keepdims=True)
+        rows[interior] = pmf
     rows[probs <= 0.0] = 0.0
     rows[probs <= 0.0, 0] = 1.0
     rows[probs >= 1.0] = 0.0
@@ -259,20 +263,51 @@ def _binomial_pmf_rows(n: int, probs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _kernel(policy: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A whole policy's peer kernels as one stack (rows, index): the
-    Binomial(n - 1, p) pmf of state j at step t is rows[index[t, j]], one
-    row per distinct move probability in the policy. Rows are built a
-    block at a time, so the log-pmf temporaries stay about 2**16 cells."""
-    probs, index = np.unique(policy[:, :, MOVE], return_inverse=True)
+# Above this many cells a stack's steps multiply only their own rows. At
+# H=30 a forward and backward pass breaks even near 10**4 cells (N=300,
+# 35 rows) and gains 25% at N=1000 (33 rows); table-mode stacks at
+# N <= 200 hold at most 12 000 cells and stay whole.
+_SELECT_CELLS = 2**14
+
+
+def _kernel(policy: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """A whole policy's peer kernels as one stack (rows, index, steps): the
+    Binomial(n - 1, p) pmf of state j at step t is rows[steps[t]][index[t, j]].
+
+    rows holds one row per distinct move probability, U in all, in
+    increasing order, built in O(U*N) a block at a time so the log-pmf
+    temporaries stay about 2**16 cells. Up to _SELECT_CELLS cells every
+    steps[t] is slice(None), so each step multiplies the whole stack;
+    above it steps[t] holds the sorted ids of the U_t rows step t uses and
+    index[t] is local to them, so a sweep costs O(sum_t U_t*N).
+    """
+    # np.unique(moves, return_inverse=True)'s probabilities and index, from a
+    # sort and a search: its argsort takes about twice as long
+    moves = policy[:, :, MOVE]
+    ordered = np.sort(moves, axis=None)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    probs = ordered[first]
+    index = np.searchsorted(probs, moves)
     rows = np.empty((probs.size, n))
     block = max(1, 2**16 // n)
     for start in range(0, probs.size, block):
         rows[start : start + block] = _binomial_pmf_rows(n - 1, probs[start : start + block])
-    return rows, index.reshape(policy.shape[:2])
+    if rows.size <= _SELECT_CELLS:
+        return rows, index, [slice(None)] * len(index)
+    # used[t, r]: step t reads row r, set at flat positions, which index
+    # faster than (t, row) pairs
+    used = np.zeros((len(index), len(rows)), dtype=bool)
+    cells = index + np.arange(0, used.size, len(rows))[:, None]
+    used.ravel()[cells] = True
+    local = np.cumsum(used, axis=1)
+    steps = np.split(np.nonzero(used)[1], np.cumsum(local[:, -1])[:-1])
+    local -= 1
+    return rows, local.ravel()[cells], steps
 
 
-def _policy_kernel(policy: np.ndarray, n: int, kernel) -> tuple[np.ndarray, np.ndarray]:
+def _policy_kernel(policy: np.ndarray, n: int, kernel) -> tuple[np.ndarray, np.ndarray, list]:
     """`kernel`, the stack a caller built for this policy, or the policy's
     own stack when it is None."""
     if kernel is None:
@@ -310,17 +345,19 @@ def forward_flow(policy, params: MfgParams, *, kernel=None) -> np.ndarray:
     policy's `_kernel` stack when the caller already holds it."""
     policy = _check_policy(policy, params)
     n = params.n_agents
-    rows, index = _policy_kernel(policy, n, kernel)
+    rows, index, steps = _policy_kernel(policy, n, kernel)
     flow = np.zeros((params.horizon + 1, n + 1))
     flow[0] = initial_distribution_array(params)
     for t in range(params.horizon):
+        used = rows[steps[t]]
         out = flow[t + 1]
-        out[:n] += np.bincount(index[t], flow[t] * policy[t, :, WAIT], len(rows)) @ rows
-        out[1:] += np.bincount(index[t], flow[t] * policy[t, :, MOVE], len(rows)) @ rows
-        drift = abs(float(out.sum()) - 1.0)
+        out[:n] += np.bincount(index[t], flow[t] * policy[t, :, WAIT], len(used)) @ used
+        out[1:] += np.bincount(index[t], flow[t] * policy[t, :, MOVE], len(used)) @ used
+        total = out.sum()
+        drift = abs(float(total) - 1.0)
         if not drift <= _DRIFT_TOL:  # a NaN drift fails too
             raise NumericalIntegrityError(f"distribution drifted by {drift:.3e} at step {t}")
-        out /= out.sum()
+        out /= total
     return flow
 
 
@@ -383,14 +420,15 @@ def _backward(policy: np.ndarray, params: MfgParams, rules: tuple[str, ...],
     `rules`: "max" backs up greedy values, "policy" the value of following
     the policy itself. Every rule reads the one kernel stack."""
     n, horizon = params.n_agents, params.horizon
-    rows, index = _policy_kernel(policy, n, kernel)
+    rows, index, steps = _policy_kernel(policy, n, kernel)
     utilities = utility_table(params)
     tables = {rule: (np.zeros((horizon + 1, n + 1, 2)), np.zeros((horizon + 1, n + 1)))
               for rule in rules}
     for t in reversed(range(horizon)):
+        used = rows[steps[t]]
         for rule, (q, v) in tables.items():
-            q[t, :, WAIT] = utilities[:, WAIT] + params.discount * (rows @ v[t + 1, :n])[index[t]]
-            q[t, :, MOVE] = utilities[:, MOVE] + params.discount * (rows @ v[t + 1, 1:])[index[t]]
+            q[t, :, WAIT] = utilities[:, WAIT] + params.discount * (used @ v[t + 1, :n])[index[t]]
+            q[t, :, MOVE] = utilities[:, MOVE] + params.discount * (used @ v[t + 1, 1:])[index[t]]
             if rule == "max":
                 v[t] = np.maximum(q[t, :, WAIT], q[t, :, MOVE])
             else:
@@ -569,24 +607,25 @@ def simulate_population(
     check_episodes(episodes)
     _check_count("seed", seed, 0)
     n = params.n_agents
-    rows, index = kernel = _kernel(policy, n)
+    rows, index, steps = kernel = _kernel(policy, n)
     counts = np.arange(n + 1, dtype=float)
     mf_mean_states = forward_flow(policy, params, kernel=kernel) @ counts
-    # each row's move probability, clipped: _check_policy admits entries up
-    # to _INPUT_TOL outside [0, 1]
-    row_move = np.empty(len(rows))
-    row_move[index] = np.clip(policy[:, :, MOVE], 0.0, 1.0)
     rng = np.random.default_rng(seed)
     visits = np.zeros((params.horizon + 1, n + 1), dtype=np.int64)
     visits[0] = rng.multinomial(episodes, initial_distribution_array(params))
     for t in range(params.horizon):
+        step_rows = rows[steps[t]]
+        # each row's move probability, clipped: _check_policy admits entries
+        # up to _INPUT_TOL outside [0, 1]
+        row_move = np.empty(len(step_rows))
+        row_move[index[t]] = np.clip(policy[t, :, MOVE], 0.0, 1.0)
         # int64 sums: float ones round above 2**53 episodes
-        per_row = np.zeros(len(rows), dtype=np.int64)
+        per_row = np.zeros(len(step_rows), dtype=np.int64)
         np.add.at(per_row, index[t], visits[t])
         used = np.flatnonzero(per_row)
         # Binomial(N, p): the own move, Bernoulli(p), plus the row's
         # Binomial(N - 1, p) peers
-        peers, p = rows[used], row_move[used, None]
+        peers, p = step_rows[used], row_move[used, None]
         law = np.zeros((used.size, n + 1))
         law[:, :n] = (1.0 - p) * peers
         law[:, 1:] += p * peers

@@ -1,10 +1,16 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from coopdyn import cli, harness
 from coopdyn.errors import NumericalIntegrityError
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -296,3 +302,26 @@ def test_file_level_errors_exit_one_with_a_message(tmp_path, capsys, argv, messa
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and message in err
+
+
+def test_mfg_runs_leave_numpy_ma_unimported(tmp_path):
+    # np.unique without return_inverse imports numpy.ma on its first call,
+    # about 1.2 MB that no run needs; the kernel stack is built without it
+    simulate = json.loads((REPO / "configs" / "mfg_simulate.json").read_text())
+    # formula mode at N=100 holds more rows than _SELECT_CELLS: per-step products
+    simulate["params"] = {"n_agents": 100, "threshold": 40, "temperature": 0.2,
+                          "horizon": 10, "reward_mode": "formula"}
+    simulate_path = write_config(tmp_path, simulate, "simulate.json")
+    script = (
+        "import sys\n"
+        "from coopdyn import cli\n"
+        f"assert cli.main(['mfg-solve', '--config', {str(REPO / 'configs' / 'mfg_solve.json')!r}, "
+        f"'--out', {str(tmp_path / 'solve')!r}]) == 0\n"
+        f"assert cli.main(['mfg-simulate', '--config', {str(simulate_path)!r}, "
+        f"'--out', {str(tmp_path / 'simulate')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "False"

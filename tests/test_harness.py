@@ -671,6 +671,30 @@ def test_default_streak_midpoint_beyond_float_range_is_a_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# C(1999, 1000) is beyond the float range
+HUGE_COHORT = {"n_agents": 2000, "threshold": 1000, "cohort": 1000, "rounds": 3,
+               "assignment": "stochastic"}
+
+
+@pytest.mark.parametrize("switch", [{}, {"mode": "stochastic_sigmoid", "streak_scale": 1}],
+                         ids=["absent", "scale-only"])
+def test_cli_refuses_a_default_midpoint_beyond_float_range(tmp_path, capsys, switch):
+    code, out = run_cli(tmp_path, roles_config(**HUGE_COHORT, switch=switch))
+    assert code == 1
+    assert ("config: streak_midpoint: C(1999, 1000) is beyond the float range"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_runs_a_switch_block_that_names_its_midpoint_past_an_unfit_default(tmp_path):
+    switch = {"mode": "stochastic_sigmoid", "streak_midpoint": 5, "streak_scale": 1}
+    code, out = run_cli(tmp_path, roles_config(**HUGE_COHORT, switch=switch))
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["switch"] == {**switch, "streak_midpoint": 5.0, "streak_scale": 1.0}
+    assert manifest["summary"]["rounds"] == 3
+
+
 def test_non_finite_result_is_a_numerical_error_and_writes_nothing(tmp_path):
     # finite payoffs whose discounted sums overflow to inf
     config = ipd_match_config(

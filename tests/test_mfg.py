@@ -553,17 +553,137 @@ def test_kernel_stack_changes_no_values(n_agents, distinct):
     policy = policy_with_distinct_moves(n_agents, params.horizon, count,
                                         np.random.default_rng(n_agents))
     kernel = mfg._kernel(policy, n_agents)
-    rows, index = kernel
+    rows, index, steps = kernel
     assert index.shape == policy.shape[:2]
     assert len(rows) == np.unique(policy[:, :, MOVE]).size
     for t in range(params.horizon):
         want = mfg._binomial_pmf_rows(n_agents - 1, policy[t][:, MOVE])
-        assert np.max(np.abs(rows[index[t]] - want)) <= 1e-15
+        assert np.max(np.abs(rows[steps[t]][index[t]] - want)) <= 1e-15
     assert np.array_equal(forward_flow(policy, params, kernel=kernel),
                           forward_flow(policy, params))
     shared, own = bellman_backward(policy, params, kernel=kernel), bellman_backward(policy, params)
     assert np.array_equal(shared.q, own.q) and np.array_equal(shared.v, own.v)
     assert best_response_gap(policy, params, kernel=kernel) == best_response_gap(policy, params)
+
+
+# _SELECT_CELLS values that force each stack path on any input
+STACK_PATHS = {"whole": 2**62, "per-step": 0}
+
+
+def unique_stack(policy, n):
+    """Reference stack: np.unique's sorted probabilities and inverse, rows
+    built in the same blocks as mfg._kernel."""
+    probs, index = np.unique(policy[:, :, MOVE], return_inverse=True)
+    block = max(1, 2**16 // n)
+    rows = np.concatenate([mfg._binomial_pmf_rows(n - 1, probs[start : start + block])
+                           for start in range(0, probs.size, block)])
+    return rows, index.reshape(policy.shape[:2])
+
+
+def solved_policy(reward_mode):
+    params = MfgParams(n_agents=40, threshold=16, temperature=0.2, horizon=6,
+                       reward_mode=reward_mode, consistency_weight=0.01)
+    return params, solve_equilibrium(params).policy
+
+
+def stack_policy(kind):
+    """(params, policy) whose move probabilities take one value, a few, all
+    distinct ones, both signs of zero, or come from a table- or
+    formula-mode solve; every kind but "all" repeats values across steps."""
+    if kind in ("table", "formula"):
+        return solved_policy(kind)
+    n, horizon = 40, 5
+    params = MfgParams(n_agents=n, threshold=16, horizon=horizon, consistency_weight=0.01)
+    rng = np.random.default_rng(5)
+    if kind == "signed-zero":
+        moves = rng.choice([-0.0, 0.0, 0.3, 1.0], size=(horizon, n + 1))
+        return params, np.stack([1.0 - moves, moves], axis=2)
+    if kind == "all":
+        moves = rng.random((horizon, n + 1))
+        return params, np.stack([1.0 - moves, moves], axis=2)
+    count = {"one": 1, "few": 3}[kind]
+    return params, policy_with_distinct_moves(n, horizon, count, rng)
+
+
+STACK_KINDS = ["one", "few", "all", "signed-zero", "table", "formula"]
+
+
+@pytest.mark.parametrize("path", STACK_PATHS)
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_sorted_stack_is_the_unique_stack_bit_for_bit(monkeypatch, path, kind):
+    monkeypatch.setattr(mfg, "_SELECT_CELLS", STACK_PATHS[path])
+    params, policy = stack_policy(kind)
+    rows, index, steps = mfg._kernel(policy, params.n_agents)
+    want_rows, want_index = unique_stack(policy, params.n_agents)
+    assert np.array_equal(rows, want_rows)
+    ids = np.arange(len(rows))
+    for t in range(params.horizon):
+        assert np.array_equal(ids[steps[t]][index[t]], want_index[t])
+    if path == "whole":
+        assert np.array_equal(index, want_index)
+        assert all(step == slice(None) for step in steps)
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_per_step_rows_are_each_steps_own_kernel(monkeypatch, kind):
+    monkeypatch.setattr(mfg, "_SELECT_CELLS", STACK_PATHS["per-step"])
+    params, policy = stack_policy(kind)
+    n = params.n_agents
+    rows, index, steps = mfg._kernel(policy, n)
+    assert len(rows) == np.unique(policy[:, :, MOVE]).size
+    for t in range(params.horizon):
+        assert np.all(np.diff(steps[t]) > 0)
+        assert len(rows[steps[t]]) == np.unique(policy[t, :, MOVE]).size
+        dense = mfg._binomial_pmf_rows(n - 1, policy[t, :, MOVE])
+        assert np.max(np.abs(rows[steps[t]][index[t]] - dense)) <= 1e-15
+
+
+def on_path(monkeypatch, path, call, *args):
+    monkeypatch.setattr(mfg, "_SELECT_CELLS", STACK_PATHS[path])
+    return call(*args)
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_both_stack_paths_give_the_same_flow_values_and_gap(monkeypatch, kind):
+    params, policy = stack_policy(kind)
+    flows, tables, gaps = [], [], []
+    for path in STACK_PATHS:
+        flows.append(on_path(monkeypatch, path, forward_flow, policy, params))
+        tables.append(on_path(monkeypatch, path, bellman_backward, policy, params))
+        gaps.append(on_path(monkeypatch, path, best_response_gap, policy, params))
+    assert np.max(np.abs(flows[0] - flows[1])) <= 1e-15
+    np.testing.assert_array_max_ulp(tables[0].q, tables[1].q, maxulp=4)
+    np.testing.assert_array_max_ulp(tables[0].v, tables[1].v, maxulp=4)
+    assert gaps[0] == pytest.approx(gaps[1], rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_both_stack_paths_draw_the_same_population(monkeypatch, kind):
+    params, policy = stack_policy(kind)
+    stats = [on_path(monkeypatch, path, simulate_population, params, policy, 500, 3)
+             for path in STACK_PATHS]
+    assert np.array_equal(stats[0].state_frequencies, stats[1].state_frequencies)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [MfgParams(n_agents=20, threshold=t, temperature=0.2, horizon=30) for t in (4, 8, 13)]
+    + [MfgParams(n_agents=200, threshold=t, temperature=0.2, horizon=30) for t in (70, 80, 90)],
+    ids=lambda params: f"N{params.n_agents}-threshold{params.threshold}",
+)
+def test_small_table_solves_keep_the_whole_stack_path(monkeypatch, params):
+    # their stacks multiply whole, so their results keep their bits
+    build = mfg._kernel
+    cells = []
+
+    def recording(policy, n):
+        out = build(policy, n)
+        cells.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(mfg, "_kernel", recording)
+    solve_equilibrium(params)
+    assert max(cells) <= mfg._SELECT_CELLS
 
 
 @pytest.mark.parametrize("call", [forward_flow, bellman_backward, best_response_gap],
