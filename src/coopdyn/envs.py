@@ -13,12 +13,13 @@ only record of credit, and its fairness is tallied into an `EpisodeResult`.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
-from .errors import ValidationError, _check_count, _check_finite_fields
+from .errors import ValidationError, _check_count, _check_finite_fields, _check_unread
 from .mfg import MOVE, MfgParams, _check_policy, initial_distribution_array, reward_array
 from .roles import (
     PRIMARY,
@@ -190,9 +191,10 @@ class IntersectionConfig:
             raise ValidationError(
                 "switch mode must be 'stochastic_sigmoid' exactly when assignment is 'stochastic'"
             )
+        if self.assignment != "static":
+            _check_unread({"static_movers": self.static_movers}, vars(IntersectionConfig),
+                          "when assignment is 'static'")
         if self.static_movers is not None:
-            if self.assignment != "static":
-                raise ValidationError("static_movers: used only when assignment is 'static'")
             for i in self.static_movers:
                 _check_count("static_movers id", i, 0)
             ids = set(self.static_movers)
@@ -203,13 +205,9 @@ class IntersectionConfig:
 
 
 def _sample_categorical(rng: random.Random, probs) -> int:
-    u = rng.random()
-    acc = 0.0
-    for idx, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return idx
-    return len(probs) - 1
+    """The first state whose running sum of `probs` exceeds a uniform draw, else the last."""
+    cumulative = list(accumulate(probs))
+    return min(bisect_right(cumulative, rng.random()), len(cumulative) - 1)
 
 
 def intersection_episode(config: IntersectionConfig, policy=None) -> EpisodeResult:

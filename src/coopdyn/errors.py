@@ -39,6 +39,12 @@ def _check_number(name: str, value) -> None:
         raise ValidationError(f"{name} is non-finite: {value!r}")
 
 
+def _check_unread(values: dict, defaults, where: str) -> None:
+    """Refuse the keys of `values` that left `defaults[key]`: the chosen mode never reads them."""
+    if unused := [key for key, value in values.items() if value != defaults[key]]:
+        raise ValidationError(f"{', '.join(unused)}: used only {where}")
+
+
 def _check_finite_fields(instance) -> None:
     """Every float field of a dataclass instance must pass `_check_number`
     (annotations are postponed, so a field's type is the string "float")."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .envs import DungeonConfig, IntersectionConfig, intersection_episode, run_dungeon, switch_mode
-from .errors import ConfigError, NumericalIntegrityError, ValidationError
+from .errors import ConfigError, NumericalIntegrityError, ValidationError, _check_unread
 from .ipd import (
     Alternator,
     MatchConfig,
@@ -57,22 +57,15 @@ _CELL = {bool: "%d", int: "%d", float: "%.12g", str: "%s"}
 
 
 class _ArrayTable:
-    """Equal-length array columns held as they are; `len()` is the row
-    count."""
+    """Equal-length array columns, formatted when written; `len()` is the row count."""
 
-    def __init__(self, columns: tuple[np.ndarray, ...]):
+    def __init__(self, *columns: np.ndarray):
+        if len({len(column) for column in columns}) != 1:
+            raise ValueError(f"table columns differ in length: {[len(c) for c in columns]}")
         self.columns = columns
 
     def __len__(self) -> int:
         return len(self.columns[0])
-
-
-def _rows(*columns) -> _ArrayTable:
-    """A table of one or more equal-length array columns, formatted when
-    written."""
-    if len({len(column) for column in columns}) != 1:
-        raise ValueError(f"table columns differ in length: {[len(c) for c in columns]}")
-    return _ArrayTable(columns)
 
 
 def _cells(column: np.ndarray, end: str) -> np.ndarray:
@@ -88,7 +81,7 @@ def _cells(column: np.ndarray, end: str) -> np.ndarray:
 
 
 def write_csv(path: Path, header: list[str], rows: _ArrayTable) -> None:
-    """Write an array table (from `_rows`), one type per column: bools as
+    """Write an array table, one type per column: bools as
     1/0, ints as they are, floats at 12 significant digits, strings as they
     are. Each column is formatted once per distinct value, and the cells
     are joined in one pass; the tables hold few distinct values per column,
@@ -144,6 +137,7 @@ def _schema(target, skip=()) -> dict:
 # Taken at import from the solver itself: the module attribute may later be
 # replaced by a wrapper whose signature says nothing.
 _SOLVER = _schema(solve_equilibrium, skip=("params",))
+_SOLVER_DEFAULTS = {key: default for key, (_, default) in _SOLVER.items()}
 
 
 def _value(value, tp, path, problems):
@@ -268,7 +262,7 @@ def _run_ipd_match(top, seed, problems):
     # mine[a, b]: the payoff of action a against action b
     mine = np.array([[payoff.payoffs(a, b)[0] for b in (0, 1)] for a in (0, 1)])
     letters = np.array(["C", "D"])
-    rows = _rows(np.arange(len(x)), letters[x], letters[y], mine[x, y], mine[y, x])
+    rows = _ArrayTable(np.arange(len(x)), letters[x], letters[y], mine[x, y], mine[y, x])
     summary = {
         "regime": payoff.regime().value,
         "total_payoffs": list(result.total_payoffs),
@@ -282,7 +276,7 @@ def _run_ipd_match(top, seed, problems):
 def _run_ipd_tournament(top, seed, problems):
     payoff, players, match, resolved = _read_ipd(top, problems)
     scores = tournament(players, payoff, match)
-    rows = _rows(*map(np.array, zip(*map(astuple, scores))))
+    rows = _ArrayTable(*map(np.array, zip(*map(astuple, scores))))
     best = max(scores, key=lambda r: r.mean_discounted)
     summary = {
         "regime": payoff.regime().value,
@@ -342,7 +336,7 @@ def _run_delta_scan(top, seed, problems):
         "points_favoring_stick": int(np.count_nonzero(sign > 0)),
     }
     header = ["delta", "stick", "deviate", "sign", "above_solved", "above_quoted"]
-    rows = _rows(deltas, stick, deviate, sign, deltas > solved, deltas > threshold.quoted)
+    rows = _ArrayTable(deltas, stick, deviate, sign, deltas > solved, deltas > threshold.quoted)
     return resolved, summary, {"scan.csv": (header, rows)}
 
 
@@ -354,10 +348,10 @@ def _solve_tables(result) -> dict:
     residuals = np.array(result.residual_history).T
     iters = np.arange(1, residuals.shape[1] + 1)
     return {
-        "policy.csv": (["t", "j", "pi_wait", "pi_move"], _rows(t[:size], j[:size], *policy)),
-        "flow.csv": (["t", "j", "prob"], _rows(t, j, result.flow.reshape(-1))),
-        "values.csv": (["t", "j", "q_wait", "q_move"], _rows(t, j, *q)),
-        "diag.csv": (["iter", "policy_residual", "dist_residual"], _rows(iters, *residuals)),
+        "policy.csv": (["t", "j", "pi_wait", "pi_move"], _ArrayTable(t[:size], j[:size], *policy)),
+        "flow.csv": (["t", "j", "prob"], _ArrayTable(t, j, result.flow.reshape(-1))),
+        "values.csv": (["t", "j", "q_wait", "q_move"], _ArrayTable(t, j, *q)),
+        "diag.csv": (["iter", "policy_residual", "dist_residual"], _ArrayTable(iters, *residuals)),
     }
 
 
@@ -387,6 +381,9 @@ def _equilibrium_policy(params, solver):
 
 def _run_mfg_simulate(top, seed, problems):
     solver = _read(top["solver"], _SOLVER, "config.solver", problems)
+    if solver and top["policy"] != "equilibrium":
+        _construct(_check_unread, "config.solver", problems, solver, _SOLVER_DEFAULTS,
+                   "when policy is 'equilibrium'")
     # before any solve: an episode count the simulator refuses fails at once
     _construct(check_episodes, "config.episodes", problems, top["episodes"])
     if top["policy"] not in ("equilibrium", "uniform"):
@@ -401,7 +398,7 @@ def _run_mfg_simulate(top, seed, problems):
         policy, solve_summary = uniform_policy(params), None
     stats = simulate_population(params, policy, episodes=episodes, seed=seed)
     gap = np.abs(stats.mean_states - stats.mf_mean_states) / params.n_agents
-    rows = _rows(np.arange(params.horizon + 1), stats.mean_states, stats.mf_mean_states, gap)
+    rows = _ArrayTable(np.arange(params.horizon + 1), stats.mean_states, stats.mf_mean_states, gap)
     resolved = {**top, "params": asdict(params), "solver": solver}
     summary = {
         "episodes": episodes,
@@ -425,7 +422,7 @@ def _roles_table(episode) -> _ArrayTable:
     sacrifice, streak, sacrifices = episode.states.reshape(-1, 3).T
     credited = np.zeros(rounds * n_agents)
     credited[-n_agents:] = [rec.credited_reward for rec in episode.ledger.records]
-    return _rows(
+    return _ArrayTable(
         np.repeat(np.arange(rounds), n_agents),
         np.tile(np.arange(n_agents), rounds),
         np.array([PRIMARY, SACRIFICE])[sacrifice],
@@ -449,9 +446,9 @@ def _run_roles(top, seed, problems):
     sizes = {"n_agents": env.n_agents, "threshold": env.threshold}
     params = _build(MfgParams, {**sizes, **blocks["mfg"]}, "config.mfg", problems)
     solver = _read(blocks["solver"], _SOLVER, "config.solver", problems)
-    unused = [key for key, (_, default) in _SOLVER.items() if solver and solver[key] != default]
-    if unused and env.assignment != "policy":
-        problems.append(f"config.solver: {', '.join(unused)}: used only when assignment is 'policy'")
+    if solver and env.assignment != "policy":
+        _construct(_check_unread, "config.solver", problems, solver, _SOLVER_DEFAULTS,
+                   "when assignment is 'policy'")
     _finish_validation(problems)
     config = _construct(replace, "config", problems, env, switch=switch, params=params)
     _finish_validation(problems)
@@ -469,7 +466,7 @@ def _run_roles(top, seed, problems):
         "credited_spread": episode.fairness.credited_spread,
         "solve": solve_summary,
     }
-    rounds = _rows(np.arange(config.rounds), episode.rounds, passed)
+    rounds = _ArrayTable(np.arange(config.rounds), episode.rounds, passed)
     return resolved, summary, {
         "roles.csv": (_ROLES_HEADER, _roles_table(episode)),
         "rounds.csv": (["round", "n_moved", "passed"], rounds),
@@ -491,7 +488,7 @@ def _run_dungeon(top, seed, problems):
         "sacrifice_gap": result.fairness.sacrifice_gap,
         "credited_spread": result.fairness.credited_spread,
     }
-    rounds = _rows(np.arange(config.rounds), result.rounds)
+    rounds = _ArrayTable(np.arange(config.rounds), result.rounds)
     return asdict(config), summary, {
         "roles.csv": (_ROLES_HEADER, _roles_table(result)),
         "rounds.csv": (["round", "sacrificer"], rounds),

@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalIntegrityError, ValidationError
-from .errors import _check_count, _check_finite_fields, _check_number
+from .errors import _check_count, _check_finite_fields, _check_number, _check_unread
 
 WAIT = 0
 MOVE = 1
@@ -127,13 +127,10 @@ class MfgParams:
             raise ValidationError("consistency_weight must be nonnegative")
         if self.reward_mode not in ("table", "formula"):
             raise ValidationError("reward_mode must be 'table' or 'formula'")
-        # a field that only the other mode reads must keep its default
         other = "formula" if self.reward_mode == "table" else "table"
         read_only_by = {"table": ("reward_table",), "formula": ("smoothing", "reward_offset")}
-        unused = [key for key in read_only_by[other]
-                  if getattr(self, key) != getattr(MfgParams, key)]
-        if unused:
-            raise ValidationError(f"{', '.join(unused)}: used only when reward_mode is {other!r}")
+        _check_unread({key: getattr(self, key) for key in read_only_by[other]}, vars(MfgParams),
+                      f"when reward_mode is {other!r}")
         if self.initial_distribution is not None:
             _check_distribution(self.initial_distribution, self.n_agents)
 

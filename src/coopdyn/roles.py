@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ValidationError, _check_count, _check_finite_fields
+from .errors import ValidationError, _check_count, _check_finite_fields, _check_unread
 
 SACRIFICE = "sacrifice"
 PRIMARY = "primary"
@@ -152,10 +152,8 @@ class SwitchPolicy:
                 "mode must be 'deterministic_window' or 'stochastic_sigmoid'"
             )
         if self.mode == "deterministic_window":
-            unused = [key for key in ("streak_midpoint", "streak_scale")
-                      if getattr(self, key) != getattr(SwitchPolicy, key)]
-            if unused:
-                raise ValidationError(f"{', '.join(unused)}: used only in stochastic_sigmoid mode")
+            _check_unread({key: getattr(self, key) for key in ("streak_midpoint", "streak_scale")},
+                          vars(SwitchPolicy), "in stochastic_sigmoid mode")
         if self.streak_midpoint < 1:
             raise ValidationError("streak_midpoint must be >= 1")
         if not self.streak_scale > 0:
@@ -166,18 +164,17 @@ def default_switch(n_agents: int, cohort: int, mode: str) -> SwitchPolicy:
     """The switch policy a config gets for whatever it leaves unset: in
     stochastic_sigmoid mode, the streak midpoint C(n_agents-1, cohort), the
     number of possible cohorts among the other agents."""
-    midpoint = 1.0
-    if mode == "stochastic_sigmoid":
-        _check_count("cohort", cohort, 1)
-        if not cohort < n_agents:
-            raise ValidationError("cohort must satisfy 0 < cohort < n_agents")
-        try:
-            midpoint = float(math.comb(n_agents - 1, cohort))
-        except OverflowError:
-            raise ValidationError(
-                f"streak_midpoint: C({n_agents - 1}, {cohort}) is beyond the float range"
-            ) from None
-    return SwitchPolicy(mode=mode, streak_midpoint=midpoint)
+    if mode != "stochastic_sigmoid":
+        return SwitchPolicy(mode)
+    _check_count("cohort", cohort, 1)
+    if not cohort < n_agents:
+        raise ValidationError("cohort must satisfy 0 < cohort < n_agents")
+    try:
+        return SwitchPolicy(mode, streak_midpoint=float(math.comb(n_agents - 1, cohort)))
+    except OverflowError:
+        raise ValidationError(
+            f"streak_midpoint: C({n_agents - 1}, {cohort}) is beyond the float range"
+        ) from None
 
 
 def sigmoid_switch_probability(streak: int, policy: SwitchPolicy) -> float:

@@ -14,6 +14,7 @@ math only; the utilities come from mfg_scratch_oracle, which shares no code
 with the package.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -21,13 +22,20 @@ import numpy as np
 import mfg_scratch_oracle as scratch
 
 
+@functools.cache
+def _log_comb(n):
+    """log C(n, k) for k = 0..n, read-only, worked out once per n."""
+    log_comb = np.log([float(math.comb(n, i)) for i in range(n + 1)])
+    log_comb.flags.writeable = False
+    return log_comb
+
+
 def binomial_pmf(n, probs):
     """Binomial(n, p) pmfs on a new last axis, one per entry of `probs`."""
     k = np.arange(n + 1)
-    log_comb = np.log([float(math.comb(n, i)) for i in k])
     p = np.asarray(probs, dtype=float)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        pmf = np.exp(log_comb + k * np.log(p) + (n - k) * np.log1p(-p))
+        pmf = np.exp(_log_comb(n) + k * np.log(p) + (n - k) * np.log1p(-p))
     # 0 * log(0) is NaN above: p = 0 and p = 1 are point masses
     pmf = np.where(p == 0.0, k == 0, np.where(p == 1.0, k == n, pmf))
     return pmf / pmf.sum(axis=-1, keepdims=True)
@@ -50,6 +58,9 @@ def stagewise_policy(p, *, grid_points=20001, tol=1e-15):
     discount, temperature = p["discount"], p["temperature"]
     utilities = np.array([[scratch.utility(a, j, p) for a in (0, 1)] for j in range(n + 1)])
     du = utilities[:, 1] - utilities[:, 0]
+    # on the grid, j enters the residual only through du, so the sign scan
+    # runs once per distinct du and its counts are mapped back to the states
+    gaps, gap_of_state = np.unique(du, return_inverse=True)
     # the peers' law depends on p alone, so the grid's pmfs serve every (t, j)
     grid = np.linspace(0.0, 1.0, grid_points)
     grid_pmf = binomial_pmf(n - 1, grid)
@@ -59,8 +70,9 @@ def stagewise_policy(p, *, grid_points=20001, tol=1e-15):
     for t in reversed(range(horizon)):
         dv = v[1:] - v[:-1]
         args = (du, discount, temperature)
-        positive = _residual(grid[:, None], (grid_pmf @ dv)[:, None], *args) > 0.0
-        sign_changes[t] = np.count_nonzero(positive[1:] != positive[:-1], axis=0)
+        gain = (grid_pmf @ dv)[:, None]
+        positive = _residual(grid[:, None], gain, gaps, discount, temperature) > 0.0
+        sign_changes[t] = np.count_nonzero(positive[1:] != positive[:-1], axis=0)[gap_of_state]
         lo, hi = np.zeros(n + 1), np.ones(n + 1)
         while np.max(hi - lo) > tol:
             mid = 0.5 * (lo + hi)

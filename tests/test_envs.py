@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from coopdyn.envs import (
     DungeonConfig,
     IntersectionConfig,
+    _sample_categorical,
     intersection_episode,
     run_dungeon,
 )
@@ -167,6 +169,58 @@ def test_policy_driven_episode_uses_the_state_sequence():
     result = intersection_episode(config, policy=policy)
     assert result.rounds.tolist() == [3] * 4  # each above the threshold 1
     assert all(rec.credited_reward == 0.0 for rec in result.ledger.records)
+
+
+def cdf_walk(u, probs):
+    """The start-state draw by its definition: walk the running sum of
+    `probs` to the first state whose sum exceeds `u`, else the last state."""
+    acc = 0.0
+    for idx, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return idx
+    return len(probs) - 1
+
+
+class FixedDraw:
+    """An rng stand-in whose one uniform draw is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+# [0.1] * 10 sums to 1 - 2**-53, just below 1; the others hold zero states
+DRAW_DISTRIBUTIONS = [
+    [1.0], [0.0, 1.0], [0.25, 0.0, 0.0, 0.75], [0.5, 0.5, 0.0], [0.1] * 10, [0.3, 0.0, 0.3, 0.3],
+]
+
+
+@pytest.mark.parametrize("probs", DRAW_DISTRIBUTIONS)
+def test_the_start_state_draw_is_the_cdf_walk_at_every_edge(probs):
+    # every running sum and its neighbours, 0 and the largest double below 1
+    sums = np.cumsum(probs).tolist()
+    edges = {0.0, 1.0 - 2**-53, *sums, *np.nextafter(sums, 0.0), *np.nextafter(sums, 1.0)}
+    for u in sorted(u for u in edges if 0.0 <= u < 1.0):
+        assert _sample_categorical(FixedDraw(u), probs) == cdf_walk(u, probs), u
+
+
+def test_a_draw_at_or_past_the_total_takes_the_last_state():
+    assert _sample_categorical(FixedDraw(1.0 - 2**-53), [0.1] * 10) == 9
+    assert _sample_categorical(FixedDraw(0.95), [0.3, 0.0, 0.3, 0.3, 0.0]) == 4
+
+
+def test_the_start_state_draw_is_the_cdf_walk_for_every_seed():
+    generator = np.random.default_rng(7)
+    for size in (2, 3, 8, 21):
+        for _ in range(10):
+            probs = generator.dirichlet(np.ones(size))
+            probs[generator.random(size) < 0.3] = 0.0  # zero states, sum below 1
+            for seed in range(200):
+                u = random.Random(seed).random()
+                assert _sample_categorical(random.Random(seed), probs) == cdf_walk(u, probs)
 
 
 def test_a_round_nobody_moves_in_credits_a_float_zero():

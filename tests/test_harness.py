@@ -85,7 +85,7 @@ def read_lines(path):
 def columns_of(rows):
     """The table holding `rows`, one numpy column per position, each of
     the dtype numpy infers from its values."""
-    return harness._rows(*(np.array(column) for column in zip(*rows)))
+    return harness._ArrayTable(*(np.array(column) for column in zip(*rows)))
 
 
 def test_write_csv_uses_twelve_significant_digits(tmp_path):
@@ -97,7 +97,7 @@ def test_write_csv_uses_twelve_significant_digits(tmp_path):
         "0.333333333333,1.5e-11,7,1,abc,2,-0",
         "0.5,1e+20,-3,0,d,1,0",
     ]
-    write_csv(tmp_path / "empty.csv", ["a", "b"], harness._rows(np.zeros(0), np.zeros(0)))
+    write_csv(tmp_path / "empty.csv", ["a", "b"], harness._ArrayTable(np.zeros(0), np.zeros(0)))
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
 
 
@@ -162,19 +162,21 @@ def test_array_tables_write_the_bytes_of_the_row_writer(columns):
     rows = list(zip(*(column.tolist() for column in columns)))
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "t.csv"
-        write_csv(path, header, harness._rows(*columns))
+        write_csv(path, header, harness._ArrayTable(*columns))
         assert path.read_bytes() == row_oracle_bytes(header, rows)
 
 
 def test_array_tables_write_strided_columns_and_both_zeros(tmp_path):
     # the solver's policy and value columns are strided views of (.., 2) arrays
     pairs = np.array([[0.0, -0.0], [-0.0, 0.5], [0.0, -0.0]])
-    write_csv(tmp_path / "t.csv", ["a", "b"], harness._rows(*pairs.T))
+    write_csv(tmp_path / "t.csv", ["a", "b"], harness._ArrayTable(*pairs.T))
     assert read_lines(tmp_path / "t.csv") == ["a,b", "0,-0", "-0,0.5", "0,-0"]
 
 
 def test_an_array_table_has_a_length_and_rows_of_plain_python_values():
-    table = harness._rows(np.arange(3), np.array([0.5, -0.0, 2.0]), np.array([True, False, True]))
+    table = harness._ArrayTable(
+        np.arange(3), np.array([0.5, -0.0, 2.0]), np.array([True, False, True])
+    )
     assert len(table) == 3
     columns = [column.tolist() for column in table.columns]
     assert columns == [[0, 1, 2], [0.5, -0.0, 2.0], [True, False, True]]
@@ -183,11 +185,11 @@ def test_an_array_table_has_a_length_and_rows_of_plain_python_values():
 
 def test_array_table_columns_of_unequal_length_are_rejected():
     with pytest.raises(ValueError, match="differ in length"):
-        harness._rows(np.arange(3), np.arange(4.0))
+        harness._ArrayTable(np.arange(3), np.arange(4.0))
 
 
 def test_an_empty_array_table_writes_the_header_only(tmp_path):
-    table = harness._rows(np.arange(0), np.zeros(0))
+    table = harness._ArrayTable(np.arange(0), np.zeros(0))
     assert len(table) == 0
     write_csv(tmp_path / "t.csv", ["a", "b"], table)
     assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
@@ -609,9 +611,14 @@ SWITCH_MODE = "config: switch mode must be 'stochastic_sigmoid' exactly when ass
             roles_config(assignment="stochastic", solver={"damping": 0.9}),
             "config.solver: damping: used only when assignment is 'policy'",
         ),
+        (
+            dict(mfg_solve_config(), experiment="mfg_simulate", episodes=3, policy="uniform",
+                 solver={"tol": 0.3, "max_iter": 2, "damping": 0.9}),
+            "config.solver: tol, max_iter, damping: used only when policy is 'equilibrium'",
+        ),
     ],
     ids=["static_movers", "stochastic-switch", "deterministic-switch", "window-midpoint",
-         "dungeon-window-scale", "rotation-solver", "stochastic-solver"],
+         "dungeon-window-scale", "rotation-solver", "stochastic-solver", "uniform-solver"],
 )
 def test_a_key_the_run_never_reads_must_keep_its_default(tmp_path, capsys, config, message):
     code, out = run_cli(tmp_path, config)
@@ -631,6 +638,15 @@ def test_unread_keys_written_at_their_defaults_are_accepted(tmp_path):
         out_dir=tmp_path / "explicit",
     )
     for name in ("roles.csv", "rounds.csv", "manifest.json"):
+        assert (plain.out_dir / name).read_bytes() == (explicit.out_dir / name).read_bytes()
+
+
+def test_a_uniform_simulation_accepts_its_solver_block_at_the_defaults(tmp_path):
+    config = dict(mfg_solve_config(), experiment="mfg_simulate", episodes=3, policy="uniform")
+    plain = run({**config, "solver": {}}, out_dir=tmp_path / "plain")
+    explicit = run({**config, "solver": {"tol": 1e-8, "max_iter": 500, "damping": 0.5}},
+                   out_dir=tmp_path / "explicit")
+    for name in ("sim.csv", "manifest.json"):
         assert (plain.out_dir / name).read_bytes() == (explicit.out_dir / name).read_bytes()
 
 
