@@ -194,6 +194,9 @@ class IntersectionConfig:
         if self.assignment != "static":
             _check_unread({"static_movers": self.static_movers}, vars(IntersectionConfig),
                           "when assignment is 'static'")
+        if self.assignment == "policy" or self.static_movers is not None:
+            _check_unread({"cohort": self.cohort}, {"cohort": self.threshold},
+                          "when neither a policy nor static_movers picks the movers")
         if self.static_movers is not None:
             for i in self.static_movers:
                 _check_count("static_movers id", i, 0)

@@ -141,8 +141,10 @@ _SOLVER_DEFAULTS = {key: default for key, (_, default) in _SOLVER.items()}
 
 
 def _value(value, tp, path, problems):
-    """`value` checked against type `tp`, nested dataclasses built; None
-    after recording a problem."""
+    """`value` checked against type `tp`, nested dataclasses built and
+    nested schema dicts read; None after recording a problem."""
+    if isinstance(tp, dict):
+        return _read(value, tp, path, problems)
     # before Python 3.11, get_type_hints turns a parameter annotated
     # `X | None = None` into typing.Union[X, None]
     if get_origin(tp) in (Union, types.UnionType):
@@ -226,7 +228,7 @@ def _finish_validation(problems: list[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each gets its checked top-level keys (_KEYS below),
+# experiment runners: each gets its checked top-level keys (_KINDS below),
 # validates the rest, computes, and returns its resolved config, summary
 # and {csv name: (header, rows)}
 # ---------------------------------------------------------------------------
@@ -356,9 +358,7 @@ def _solve_tables(result) -> dict:
 
 
 def _run_mfg_solve(top, seed, problems):
-    solver = _read(top["solver"], _SOLVER, "config.solver", problems)
-    _finish_validation(problems)
-    params = top["params"]
+    params, solver = top["params"], top["solver"]
     result = solve_equilibrium(params, **solver)
     last = result.residual_history[-1]
     resolved = {"params": asdict(params), "solver": solver}
@@ -373,17 +373,22 @@ def _run_mfg_solve(top, seed, problems):
     return resolved, summary, _solve_tables(result)
 
 
-def _equilibrium_policy(params, solver):
-    """The solved equilibrium policy and the summary's solve block."""
+def _equilibrium_policy(solves, params, solver, problems, path, reads, where):
+    """The one gate for the optional solve: the solved policy and the
+    summary's solve block; for a run that skips the solve, (None, None) once
+    the solver block and each field of `params` (the block at `path`) that
+    `reads` does not name are found at their defaults."""
+    if not solves:
+        unread = {f.name: getattr(params, f.name) for f in fields(params) if f.name not in reads}
+        _construct(_check_unread, "config.solver", problems, solver, _SOLVER_DEFAULTS, where)
+        _construct(_check_unread, path, problems, unread, vars(MfgParams), where)
+        _finish_validation(problems)
+        return None, None
     result = solve_equilibrium(params, **solver)
     return result.policy, {"converged": result.converged, "iterations": result.iterations}
 
 
 def _run_mfg_simulate(top, seed, problems):
-    solver = _read(top["solver"], _SOLVER, "config.solver", problems)
-    if solver and top["policy"] != "equilibrium":
-        _construct(_check_unread, "config.solver", problems, solver, _SOLVER_DEFAULTS,
-                   "when policy is 'equilibrium'")
     # before any solve: an episode count the simulator refuses fails at once
     _construct(check_episodes, "config.episodes", problems, top["episodes"])
     if top["policy"] not in ("equilibrium", "uniform"):
@@ -392,14 +397,17 @@ def _run_mfg_simulate(top, seed, problems):
         )
     _finish_validation(problems)
     params, episodes, policy_kind = top["params"], top["episodes"], top["policy"]
-    if policy_kind == "equilibrium":
-        policy, solve_summary = _equilibrium_policy(params, solver)
-    else:
-        policy, solve_summary = uniform_policy(params), None
+    # the uniform policy and the simulator read only the sizes and the start law
+    policy, solve_summary = _equilibrium_policy(
+        policy_kind == "equilibrium", params, top["solver"], problems, "config.params",
+        ("n_agents", "threshold", "horizon", "initial_distribution"),
+        "when policy is 'equilibrium'")
+    if policy is None:
+        policy = uniform_policy(params)
     stats = simulate_population(params, policy, episodes=episodes, seed=seed)
     gap = np.abs(stats.mean_states - stats.mf_mean_states) / params.n_agents
     rows = _ArrayTable(np.arange(params.horizon + 1), stats.mean_states, stats.mf_mean_states, gap)
-    resolved = {**top, "params": asdict(params), "solver": solver}
+    resolved = {**top, "params": asdict(params)}
     summary = {
         "episodes": episodes,
         "deviation": stats.deviation,
@@ -445,18 +453,16 @@ def _run_roles(top, seed, problems):
     switch = _switch(blocks["switch"], env, env.cohort, problems)
     sizes = {"n_agents": env.n_agents, "threshold": env.threshold}
     params = _build(MfgParams, {**sizes, **blocks["mfg"]}, "config.mfg", problems)
-    solver = _read(blocks["solver"], _SOLVER, "config.solver", problems)
-    if solver and env.assignment != "policy":
-        _construct(_check_unread, "config.solver", problems, solver, _SOLVER_DEFAULTS,
-                   "when assignment is 'policy'")
     _finish_validation(problems)
     config = _construct(replace, "config", problems, env, switch=switch, params=params)
     _finish_validation(problems)
-    policy, solve_summary = None, None
-    if config.assignment == "policy":
-        policy, solve_summary = _equilibrium_policy(params, solver)
+    # without a policy the episode reads only the sizes and the rewards
+    policy, solve_summary = _equilibrium_policy(
+        config.assignment == "policy", params, blocks["solver"], problems, "config.mfg",
+        ("n_agents", "threshold", "reward_mode", "reward_table", "smoothing", "reward_offset"),
+        "when assignment is 'policy'")
     episode = intersection_episode(config, policy=policy)
-    resolved = {**asdict(config), "solver": solver}
+    resolved = {**asdict(config), "solver": blocks["solver"]}
     resolved["mfg"] = resolved.pop("params")
     passed = episode.rounds <= config.threshold
     summary = {
@@ -495,38 +501,24 @@ def _run_dungeon(top, seed, problems):
     }
 
 
-_IPD_KEYS = {
-    "payoff": (PayoffMatrix, MISSING),
-    "players": (list, MISSING),
-    **_schema(MatchConfig),
+_IPD_KEYS = {"payoff": (PayoffMatrix, MISSING), "players": (list, MISSING), **_schema(MatchConfig)}
+_SOLVER_KEY = {"solver": (_SOLVER, _SOLVER_DEFAULTS)}
+# Each kind's runner and its top-level keys besides experiment, seed and
+# out_dir. A block typed dict is read by the runner, against defaults it has
+# to work out; a block typed by a schema dict is read with the config.
+_KINDS = {
+    "ipd_match": (_run_ipd_match, _IPD_KEYS),
+    "ipd_tournament": (_run_ipd_tournament, _IPD_KEYS),
+    "delta_scan": (_run_delta_scan, {"payoff": (PayoffMatrix, MISSING), "grid": (dict, MISSING)}),
+    "mfg_solve": (_run_mfg_solve, {"params": (MfgParams, MISSING), **_SOLVER_KEY}),
+    "mfg_simulate": (_run_mfg_simulate, {"params": (MfgParams, MISSING), **_SOLVER_KEY,
+                                         "episodes": (int, MISSING),
+                                         "policy": (str, "equilibrium")}),
+    "roles_run": (_run_roles, {**_schema(IntersectionConfig, skip=("params", "switch", "seed")),
+                               "switch": (dict, {}), "mfg": (dict, {}), **_SOLVER_KEY}),
+    "dungeon": (_run_dungeon, {**_schema(DungeonConfig, skip=("seed",)), "switch": (dict, {})}),
 }
-_MFG_KEYS = {"params": (MfgParams, MISSING), "solver": (dict, {})}
-# Each kind's top-level keys besides experiment, seed and out_dir. Blocks
-# typed dict are read by the runner, against defaults it has to work out.
-_KEYS = {
-    "ipd_match": _IPD_KEYS,
-    "ipd_tournament": _IPD_KEYS,
-    "delta_scan": {"payoff": (PayoffMatrix, MISSING), "grid": (dict, MISSING)},
-    "mfg_solve": _MFG_KEYS,
-    "mfg_simulate": {**_MFG_KEYS, "episodes": (int, MISSING), "policy": (str, "equilibrium")},
-    "roles_run": {
-        **_schema(IntersectionConfig, skip=("params", "switch", "seed")),
-        "switch": (dict, {}),
-        "mfg": (dict, {}),
-        "solver": (dict, {}),
-    },
-    "dungeon": {**_schema(DungeonConfig, skip=("seed",)), "switch": (dict, {})},
-}
-_RUNNERS = {
-    "ipd_match": _run_ipd_match,
-    "ipd_tournament": _run_ipd_tournament,
-    "delta_scan": _run_delta_scan,
-    "mfg_solve": _run_mfg_solve,
-    "mfg_simulate": _run_mfg_simulate,
-    "roles_run": _run_roles,
-    "dungeon": _run_dungeon,
-}
-EXPERIMENT_KINDS = tuple(_RUNNERS)
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +549,7 @@ def _read_config(config) -> tuple[str, dict]:
         )
     problems: list[str] = []
     rest = {key: value for key, value in config.items() if key != "experiment"}
-    top = _read(rest, {**_COMMON, **_KEYS[kind]}, "config", problems)
+    top = _read(rest, {**_COMMON, **_KINDS[kind][1]}, "config", problems)
     if top is not None and not 0 <= top["seed"] < 2**64:
         problems.append("config.seed: must be >= 0 and < 2**64")
     _finish_validation(problems)
@@ -568,7 +560,7 @@ def run(config: dict, out_dir=None) -> RunArtifacts:
     """Validate and execute one experiment config, then write all artifacts."""
     kind, top = _read_config(config)
     seed, configured_out = top.pop("seed"), top.pop("out_dir")
-    resolved, summary, tables = _RUNNERS[kind](top, seed, [])
+    resolved, summary, tables = _KINDS[kind][0](top, seed, [])
     manifest = {
         "config": {"experiment": kind, "seed": seed, **resolved},
         "version": __version__,
@@ -609,12 +601,11 @@ _MANIFEST = {"config": dict, "outputs": tuple[str, ...], "summary": dict, "versi
 
 
 def _load_manifest(path) -> dict:
-    """The manifest at `path`, its top-level keys and config checked as `run` does."""
+    """The manifest at `path`, its top-level keys checked."""
     problems: list[str] = []
     schema = {key: (tp, MISSING) for key, tp in _MANIFEST.items()}
     manifest = _read(load_config(path), schema, str(path), problems)
     _finish_validation(problems)
-    _read_config(manifest["config"])
     return manifest
 
 
@@ -628,7 +619,9 @@ def regenerate_report(run_dir) -> Path:
     run_dir = Path(run_dir)
     manifest_path = run_dir if run_dir.name == "manifest.json" else run_dir / "manifest.json"
     report_path = manifest_path.parent / "report.md"
-    _write_text(report_path, render_report(_load_manifest(manifest_path)))
+    manifest = _load_manifest(manifest_path)
+    _read_config(manifest["config"])  # its config checked as `run` checks it
+    _write_text(report_path, render_report(manifest))
     return report_path
 
 

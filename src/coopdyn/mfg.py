@@ -198,10 +198,20 @@ def _check_policy(policy, params: MfgParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(x)), overflow-safe, elementwise."""
-    shrink = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, shrink / (1.0 + shrink), 1.0 / (1.0 + shrink))
+def _logistic_pair(x: np.ndarray) -> np.ndarray:
+    """(1 / (1 + exp(x)), 1 / (1 + exp(-x))) on a new last (wait, move) axis,
+    overflow-safe: one exp per pair, the loser's weight exp(-|x|) to the winner's 1."""
+    lose = np.exp(-np.abs(x))
+    total = lose + 1.0
+    win = 1.0 / total
+    lose /= total
+    out = np.empty(x.shape + (2,))
+    out[..., WAIT] = win
+    out[..., MOVE] = lose
+    move_wins = x > 0.0
+    np.copyto(out[..., WAIT], lose, where=move_wins)
+    np.copyto(out[..., MOVE], win, where=move_wins)
+    return out
 
 
 def reward_array(params: MfgParams) -> np.ndarray:
@@ -213,9 +223,7 @@ def reward_array(params: MfgParams) -> np.ndarray:
         clear = (counts <= params.threshold)[:, None]
         return np.where(clear, [table.wait_clear, table.move_clear],
                         [table.wait_congested, table.move_congested])
-    signs = 1 - 2 * np.array([WAIT, MOVE])
-    exponents = signs * (params.threshold - counts)[:, None] / params.smoothing
-    return _logistic(exponents) + params.reward_offset
+    return _logistic_pair((params.threshold - counts) / params.smoothing) + params.reward_offset
 
 
 def utility_table(params: MfgParams) -> np.ndarray:
@@ -378,22 +386,9 @@ def softmax_policy(values, temperature: float) -> np.ndarray:
         raise ValidationError(f"softmax values must end in a (wait, move) axis; got shape {q.shape}")
     if not np.isfinite(q).all():
         raise NumericalIntegrityError("softmax input contains non-finite values")
-    # One exp per pair: the winner's weight is exp(0) = 1 and the loser's
-    # exponent, -|q_wait - q_move| / temperature, is the max-subtracted one
-    # bit for bit, so this gives the general max-subtracted formula's bits.
-    gap = q[..., MOVE] - q[..., WAIT]
-    lose = np.exp(-np.abs(gap) / temperature)
-    total = lose + 1.0
-    win = 1.0 / total
-    lose = lose / total
-    # ties go to wait, where both weights are 1 and both probabilities 0.5
-    move_wins = gap > 0.0
-    out = np.empty(q.shape)
-    out[..., WAIT] = win
-    out[..., MOVE] = lose
-    np.copyto(out[..., WAIT], lose, where=move_wins)
-    np.copyto(out[..., MOVE], win, where=move_wins)
-    return out
+    # -|q_wait - q_move| / temperature is the loser's max-subtracted exponent
+    # bit for bit, so this gives the general max-subtracted formula's bits
+    return _logistic_pair((q[..., MOVE] - q[..., WAIT]) / temperature)
 
 
 def uniform_policy(params: MfgParams) -> np.ndarray:

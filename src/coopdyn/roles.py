@@ -15,6 +15,7 @@ the ledger's `credited_reward` is the only record of that credit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -169,12 +170,17 @@ def default_switch(n_agents: int, cohort: int, mode: str) -> SwitchPolicy:
     _check_count("cohort", cohort, 1)
     if not cohort < n_agents:
         raise ValidationError("cohort must satisfy 0 < cohort < n_agents")
+    # log C refuses a huge count before the slow exact one; lgamma errs far below 1
+    log_count = math.lgamma(n_agents) - math.lgamma(cohort + 1) - math.lgamma(n_agents - cohort)
     try:
-        return SwitchPolicy(mode, streak_midpoint=float(math.comb(n_agents - 1, cohort)))
+        if log_count > math.log(sys.float_info.max) + 1.0:
+            raise OverflowError
+        midpoint = float(math.comb(n_agents - 1, cohort))
     except OverflowError:
         raise ValidationError(
             f"streak_midpoint: C({n_agents - 1}, {cohort}) is beyond the float range"
         ) from None
+    return SwitchPolicy(mode, streak_midpoint=midpoint)
 
 
 def sigmoid_switch_probability(streak: int, policy: SwitchPolicy) -> float:

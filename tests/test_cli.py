@@ -100,7 +100,7 @@ def test_numerical_integrity_exits_two(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise NumericalIntegrityError("synthetic failure")
 
-    monkeypatch.setitem(harness._RUNNERS, "delta_scan", explode)
+    monkeypatch.setitem(harness._KINDS, "delta_scan", (explode, harness._KINDS["delta_scan"][1]))
     code = cli.main(["delta-scan", "--config", str(config), "--out", str(tmp_path / "r")])
     assert code == 2
     assert "synthetic failure" in capsys.readouterr().err
@@ -233,7 +233,7 @@ def test_a_run_out_of_memory_exits_one_with_one_line(
     def exhaust(*args, **kwargs):
         raise error
 
-    monkeypatch.setitem(harness._RUNNERS, "dungeon", exhaust)
+    monkeypatch.setitem(harness._KINDS, "dungeon", (exhaust, harness._KINDS["dungeon"][1]))
     config = write_config(tmp_path, {"experiment": "dungeon", "rounds": 3})
     out = tmp_path / "r"
     code = cli.main(["dungeon", "--config", str(config), "--out", str(out)])

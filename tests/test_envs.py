@@ -273,6 +273,12 @@ def test_keys_an_assignment_never_reads_are_rejected():
     for assignment, switch in (("rotation", stochastic), ("stochastic", window)):
         with pytest.raises(ValidationError, match="exactly when assignment is 'stochastic'"):
             IntersectionConfig(4, 2, 3, assignment=assignment, switch=switch)
+    # a policy or static_movers picks the movers, so cohort keeps its default, the threshold
+    for movers in ({"assignment": "policy"}, {"assignment": "static", "static_movers": (0, 1)}):
+        with pytest.raises(ValidationError, match="^cohort: used only when neither a policy nor "
+                                                  "static_movers picks the movers$"):
+            IntersectionConfig(4, 2, 3, cohort=3, **movers)
+        assert IntersectionConfig(4, 2, 3, cohort=2, **movers).cohort == 2
 
 
 def test_a_stochastic_episode_without_a_switch_uses_the_default_switch():

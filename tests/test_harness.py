@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 
 from coopdyn import cli, harness
 from coopdyn.errors import ConfigError, NumericalIntegrityError
+from coopdyn.ipd import Alternator, PayoffMatrix
+from coopdyn.mfg import MfgParams, RewardTable
+from coopdyn.roles import SwitchPolicy
 from coopdyn.harness import (
     MAX_GRID_POINTS,
     load_config,
@@ -616,9 +620,27 @@ SWITCH_MODE = "config: switch mode must be 'stochastic_sigmoid' exactly when ass
                  solver={"tol": 0.3, "max_iter": 2, "damping": 0.9}),
             "config.solver: tol, max_iter, damping: used only when policy is 'equilibrium'",
         ),
+        (
+            roles_config(mfg={"discount": 0.5, "temperature": 3, "horizon": 7}),
+            "config.mfg: discount, temperature, horizon: used only when assignment is 'policy'",
+        ),
+        (
+            {"experiment": "mfg_simulate", "episodes": 3, "policy": "uniform",
+             "params": {"n_agents": 6, "threshold": 2, "reward_mode": "formula", "smoothing": 2}},
+            "config.params: smoothing, reward_mode: used only when policy is 'equilibrium'",
+        ),
+        (
+            roles_config(assignment="policy", cohort=1),
+            "config: cohort: used only when neither a policy nor static_movers picks the movers",
+        ),
+        (
+            roles_config(assignment="static", static_movers=[0, 1], cohort=1),
+            "config: cohort: used only when neither a policy nor static_movers picks the movers",
+        ),
     ],
     ids=["static_movers", "stochastic-switch", "deterministic-switch", "window-midpoint",
-         "dungeon-window-scale", "rotation-solver", "stochastic-solver", "uniform-solver"],
+         "dungeon-window-scale", "rotation-solver", "stochastic-solver", "uniform-solver",
+         "rotation-mfg", "uniform-params", "policy-cohort", "static-movers-cohort"],
 )
 def test_a_key_the_run_never_reads_must_keep_its_default(tmp_path, capsys, config, message):
     code, out = run_cli(tmp_path, config)
@@ -643,6 +665,7 @@ def test_unread_keys_written_at_their_defaults_are_accepted(tmp_path):
 
 def test_a_uniform_simulation_accepts_its_solver_block_at_the_defaults(tmp_path):
     config = dict(mfg_solve_config(), experiment="mfg_simulate", episodes=3, policy="uniform")
+    del config["params"]["temperature"]  # read only by the solve
     plain = run({**config, "solver": {}}, out_dir=tmp_path / "plain")
     explicit = run({**config, "solver": {"tol": 1e-8, "max_iter": 500, "damping": 0.5}},
                    out_dir=tmp_path / "explicit")
@@ -757,6 +780,19 @@ def test_manifest_with_a_window_key_cannot_be_rerun(tmp_path, config):
     assert not (tmp_path / "rerun").exists()
 
 
+def test_report_checks_a_manifests_solver_block_as_a_rerun_does(tmp_path, capsys):
+    out = tmp_path / "old"
+    manifest_path = run(roles_config(), out_dir=out).manifest_path
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["solver"]["tol"] = "tight"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["report", "--config", str(out)]) == 1
+    assert capsys.readouterr().err == "error: config.solver.tol: expected a finite number\n"
+    with pytest.raises(ConfigError, match=r"^config\.solver\.tol: expected a finite number$"):
+        run_from_manifest(manifest_path, out_dir=tmp_path / "rerun")
+
+
 def test_report_on_a_manifest_with_a_window_key_exits_zero(tmp_path):
     out = _run_with_window_key(tmp_path, roles_config())
     (out / "report.md").unlink()
@@ -846,6 +882,24 @@ KNOWN_KEYS = {
         "n_agents": None, "rounds": None, "success_reward": None, "switch": SWITCH,
     },
 }
+
+
+def test_the_fuzz_key_spec_names_exactly_the_keys_the_program_accepts():
+    def names(target):
+        return {field.name for field in dataclasses.fields(target)}
+
+    assert list(KNOWN_KEYS) == list(harness.EXPERIMENT_KINDS)
+    for kind, (_, keys) in harness._KINDS.items():
+        assert set(KNOWN_KEYS[kind]) == set(keys), kind
+    assert set(PARAMS) == names(MfgParams)
+    assert set(PARAMS["reward_table"]) == names(RewardTable)
+    assert set(SOLVER) == set(harness._SOLVER)
+    assert set(SWITCH) == names(SwitchPolicy)
+    assert set(PAYOFF) == names(PayoffMatrix)
+    assert set(IPD["players"][0]) == {"kind", *harness._schema(Alternator)}
+    assert set(KNOWN_KEYS["delta_scan"]["grid"]) == {*harness._GRID_RANGE, "values"}
+
+
 # small valid configs; mutating them reaches the checks behind the key checks
 VALID = {
     "ipd_match": ipd_match_config(),

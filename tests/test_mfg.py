@@ -344,6 +344,25 @@ def test_logistic_reward_orientation():
     )
 
 
+def _elementwise_logistic_reward(params):
+    """Formula-mode rewards from an elementwise 1 / (1 + exp(x)): the form
+    the pair form replaced, kept as its bit-for-bit reference."""
+    counts = np.arange(params.n_agents + 1)
+    x = (1 - 2 * np.array([WAIT, MOVE])) * (params.threshold - counts)[:, None] / params.smoothing
+    shrink = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, shrink / (1.0 + shrink), 1.0 / (1.0 + shrink)) + params.reward_offset
+
+
+@pytest.mark.parametrize("n_agents, threshold", [(2, 1), (20, 8), (200, 90), (1000, 400)])
+def test_formula_rewards_are_bit_identical_to_the_elementwise_logistic(n_agents, threshold):
+    for smoothing, offset in itertools.product((1e-9, 0.3, 1.0, 7.0, 1e6), (0.0, -0.0, -0.25, 3)):
+        params = MfgParams(n_agents=n_agents, threshold=threshold, smoothing=smoothing,
+                           reward_offset=offset, reward_mode="formula")
+        got, want = reward_array(params), _elementwise_logistic_reward(params)
+        # array_equal cannot tell -0.0 from 0.0; the bits can
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (smoothing, offset)
+
+
 def test_table_reward_cases():
     params = MfgParams(n_agents=20, threshold=10)
     table = params.reward_table

@@ -140,6 +140,30 @@ def test_default_streak_midpoint_is_a_binomial_coefficient():
     assert default_switch(9, 3, "deterministic_window") == SwitchPolicy("deterministic_window")
 
 
+def test_a_midpoint_far_past_the_float_range_is_refused_before_the_exact_count(monkeypatch):
+    def exact_count(*args):
+        raise AssertionError("the exact count was made")
+
+    monkeypatch.setattr(math, "comb", exact_count)
+    with pytest.raises(
+        ValidationError, match=r"^streak_midpoint: C\(9999999, 5000000\) is beyond the float range$"
+    ):
+        default_switch(10**7, 5 * 10**6, "stochastic_sigmoid")
+
+
+@pytest.mark.parametrize("n_agents", range(1025, 1036))
+def test_every_midpoint_that_fits_a_float_keeps_its_bits(n_agents):
+    # C(n_agents - 1, cohort) crosses the float range for these n_agents
+    for cohort in range(1, n_agents):
+        try:
+            want = float(math.comb(n_agents - 1, cohort))
+        except OverflowError:
+            with pytest.raises(ValidationError, match="is beyond the float range"):
+                default_switch(n_agents, cohort, "stochastic_sigmoid")
+        else:
+            assert default_switch(n_agents, cohort, "stochastic_sigmoid").streak_midpoint == want
+
+
 @pytest.mark.parametrize("cohort", [True, 1.5, 0, 4])
 def test_default_streak_midpoint_rejects_cohorts_that_are_not_counts_below_n(cohort):
     with pytest.raises(ValidationError, match="cohort"):
