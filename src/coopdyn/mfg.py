@@ -7,9 +7,10 @@ state, so the next count is own action + Binomial(N-1, p). The module
 provides the reward/utility evaluation (one array formula), the exact
 binomial transition closure, forward distribution flow (policy checked
 once, every step run in its loop), backward action-value recursion with a
-hard max, Boltzmann policy extraction, a damped fixed-point equilibrium
-solver, a best-response exploitability certificate, and a
-finite-population Monte Carlo consistency check.
+hard max, Boltzmann policy extraction, an equilibrium solver (backward
+induction, one scalar equation per step and utility gap, verified by
+damped fixed-point sweeps), a best-response exploitability certificate,
+and a finite-population Monte Carlo consistency check.
 
 In the finite population every agent at state j moves with the same
 probability, so an episode's next count is exactly Binomial(N, p).
@@ -31,7 +32,8 @@ a consistency penalty depend on the state only through j <= threshold,
 which keeps U_t at 3 or fewer.
 The solver builds one stack per policy, shared by that policy's forward
 flow, the next backward pass and the final certificate, so a solve
-builds iterations + 1 stacks.
+builds iterations + 1 stacks; the induction before them reads its pmf
+rows one step at a time and stores no stack.
 """
 
 from __future__ import annotations
@@ -261,11 +263,23 @@ def _binomial_pmf_rows(n: int, probs: np.ndarray) -> np.ndarray:
         pmf = np.exp(log_pmf, out=np.zeros_like(log_pmf), where=log_pmf > -746.0)
         pmf /= pmf.sum(axis=1, keepdims=True)
         rows[interior] = pmf
-    rows[probs <= 0.0] = 0.0
-    rows[probs <= 0.0, 0] = 1.0
-    rows[probs >= 1.0] = 0.0
-    rows[probs >= 1.0, n] = 1.0
+    # point masses at p = 0 or 1, skipped when there are none, as in most
+    # of the induction's small calls
+    if not interior.all():
+        rows[~interior] = 0.0
+        rows[probs <= 0.0, 0] = 1.0
+        rows[probs >= 1.0, n] = 1.0
     return rows
+
+
+def _peer_pmf_blocks(n: int, probs: np.ndarray):
+    """(part, rows) pairs: rows holds the Binomial(n - 1, p) pmf of each
+    p in probs[part], built a block of about 2**16 cells at a time so the
+    log-pmf temporaries stay small."""
+    block = max(1, 2**16 // n)
+    for start in range(0, len(probs), block):
+        part = slice(start, start + block)
+        yield part, _binomial_pmf_rows(n - 1, probs[part])
 
 
 # Above this many cells a stack's steps multiply only their own rows. At
@@ -296,9 +310,8 @@ def _kernel(policy: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
     probs = ordered[first]
     index = np.searchsorted(probs, moves)
     rows = np.empty((probs.size, n))
-    block = max(1, 2**16 // n)
-    for start in range(0, probs.size, block):
-        rows[start : start + block] = _binomial_pmf_rows(n - 1, probs[start : start + block])
+    for part, pmf in _peer_pmf_blocks(n, probs):
+        rows[part] = pmf
     if rows.size <= _SELECT_CELLS:
         return rows, index, [slice(None)] * len(index)
     # used[t, r]: step t reads row r, set at flat positions, which index
@@ -460,10 +473,10 @@ def best_response_gap(policy, params: MfgParams, *, kernel=None) -> float:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Solver output: the damped fixed-point policy, the distribution flow
-    and greedy values consistent with it, per-iteration max-norm residuals,
-    the best-response gap certificate, and the convergence flag.
-    Non-convergence is reported here, never raised."""
+    """Solver output: the fixed-point policy after the last damped sweep,
+    the distribution flow and greedy values consistent with it,
+    per-sweep max-norm residuals, the best-response gap certificate, and
+    the convergence flag. Non-convergence is reported here, never raised."""
 
     policy: np.ndarray
     flow: np.ndarray
@@ -472,6 +485,83 @@ class EquilibriumResult:
     residual_history: tuple[tuple[float, float], ...]
     exploitability: float
     converged: bool
+
+
+# A root is accepted once its logit is within this relative distance of
+# solving its equation, far below what the verifying sweep's tol can see.
+# Every iteration shrinks the bracket or takes a Newton step inside it, and
+# the cap ends the rare search that rounding keeps from passing the test.
+_ROOT_TOL = 1e-13
+_ROOT_STEPS = 100
+# beyond this logit the (wait, move) pair is exactly (1, 0) or (0, 1), as
+# exp(-746) underflows, so the bracket stops there and stays finite
+_LOGIT_BOUND = 746.0
+
+
+def _induction_policy(params: MfgParams) -> np.ndarray:
+    """The equilibrium policy by backward induction, one scalar equation
+    per (step, distinct utility gap).
+
+    The peer kernel at (t, j) depends only on the move probability there,
+    and q[t] only on the policy from t on. So going backward from
+    t = horizon - 1 with v[t + 1] known, the move logit x at (t, j) solves
+
+        x = (dU(j) + discount * E[dv(K)]) / temperature,
+
+    where dU = U_move - U_wait, dv(k) = v[t + 1, k + 1] - v[t + 1, k] and
+    K ~ Binomial(N - 1, sigmoid(x)). States with the same dU share the
+    equation, so they are solved once as a group. Each root is found by
+    Newton steps in x, started from the same group's root at t + 1 and
+    guarded by the bracket (dU + discount * [min dv, max dv]) / temperature,
+    which holds every root, cut at +-_LOGIT_BOUND: an iterate that would
+    leave the bracket bisects it instead, so the search ends in a bounded
+    number of steps however close sigmoid(x) is to 0 or 1. Where an
+    equation has several roots, the one returned is the one this guarded
+    Newton reaches from the t + 1 root. v[t] = max(q_wait, q_move) then
+    backs up as in `_backward`.
+    """
+    n, horizon = params.n_agents, params.horizon
+    discount, temperature = params.discount, params.temperature
+    utilities = utility_table(params)
+    gaps, group = np.unique(utilities[:, MOVE] - utilities[:, WAIT], return_inverse=True)
+    peers = np.arange(n, dtype=float)
+    policy = np.empty((horizon, n + 1, 2))
+    v = np.zeros(n + 1)
+    x = gaps / temperature  # the roots at t = horizon - 1, where dv is 0
+    for t in reversed(range(horizon)):
+        dv = v[1:] - v[:-1]
+        # per group: E[v[t + 1, K]], E[v[t + 1, K + 1]], E[dv(K)], E[K dv(K)]
+        columns = np.stack([v[:n], v[1:], dv, peers * dv], axis=1)
+        lo = np.clip((gaps + discount * dv.min()) / temperature, -_LOGIT_BOUND, _LOGIT_BOUND)
+        hi = np.clip((gaps + discount * dv.max()) / temperature, -_LOGIT_BOUND, _LOGIT_BOUND)
+        x = np.clip(x, lo, hi)
+        for step in range(_ROOT_STEPS):
+            move = _logistic_pair(x)[:, MOVE]
+            probs, inverse = np.unique(move, return_inverse=True)
+            means = np.empty((probs.size, 4))
+            for part, pmf in _peer_pmf_blocks(n, probs):
+                means[part] = pmf @ columns
+            if not np.isfinite(means).all():
+                raise NumericalIntegrityError("backward induction produced non-finite values")
+            means = means[inverse]
+            gain = means[:, 2]
+            excess = x - (gaps + discount * gain) / temperature
+            lo = np.where(excess < 0.0, x, lo)
+            hi = np.where(excess > 0.0, x, hi)
+            scale = _ROOT_TOL * np.maximum(1.0, np.abs(x))
+            done = (np.abs(excess) <= scale) | (hi - lo <= scale)
+            if step == _ROOT_STEPS - 1 or done.all():
+                break
+            # d excess / dx, as the pmf's derivative in x is pmf(k) (k - (N-1) p)
+            slope = 1.0 - discount / temperature * (means[:, 3] - (n - 1) * move * gain)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = x - excess / slope
+            guarded = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+            x = np.where(done, x, guarded)
+        policy[t] = _logistic_pair(x)[group]
+        v = np.maximum(utilities[:, WAIT] + discount * means[group, 0],
+                       utilities[:, MOVE] + discount * means[group, 1])
+    return policy
 
 
 def exploitability(result: EquilibriumResult, params: MfgParams) -> float:
@@ -485,14 +575,20 @@ def solve_equilibrium(
     max_iter: int = 500,
     damping: float = 0.5,
 ) -> EquilibriumResult:
-    """Damped fixed-point iteration for the equilibrium policy.
+    """The equilibrium policy by backward induction, verified by damped
+    fixed-point sweeps.
 
-    Starting from the uniform policy, each sweep recomputes action values
-    against the current policy's kernels, extracts the Boltzmann target,
-    and moves the policy a `damping` fraction toward it. Each policy's
-    kernel stack is built once and serves its forward flow, the next
-    sweep's backward pass and, for the last policy, the certificate and
-    the final values: `iterations + 1` stacks per solve. The policy
+    `_induction_policy` solves the fixed point one step and utility gap at
+    a time; where an equation has several roots it keeps the one its
+    guarded Newton reaches from the t + 1 root. The damped loop starts
+    from that policy: each sweep recomputes action values against the
+    current policy's kernels, extracts the Boltzmann target, and moves the
+    policy a `damping` fraction toward it. From the induction's policy one
+    sweep normally finds both residuals at rounding level and stops; if the
+    induction were imprecise, the loop would keep sweeping to tol. Each
+    policy's kernel stack is built once and serves its forward flow, the
+    next sweep's backward pass and, for the last policy, the certificate
+    and the final values: `iterations + 1` stacks per solve. The policy
     residual is the max-norm gap between policy and target; the
     distribution residual is the max-norm change of the forward flow
     between sweeps. Convergence requires both below tol. tol=0 disables
@@ -506,7 +602,7 @@ def solve_equilibrium(
         raise ValidationError("damping must lie in (0, 1]")
     _check_count("max_iter", max_iter, 1)
 
-    policy = uniform_policy(params)
+    policy = _induction_policy(params)
     kernel = _kernel(policy, params.n_agents)
     flow_prev = forward_flow(policy, params, kernel=kernel)
     history: list[tuple[float, float]] = []

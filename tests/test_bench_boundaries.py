@@ -66,16 +66,21 @@ def test_the_solver_calls_through_every_traced_mfg_boundary(monkeypatch):
     # The bench counts these calls at the module attributes; a caller that
     # bound a function directly would bypass the wrapper and its metrics.
     calls = counting_calls(monkeypatch)
-    result = mfg.solve_equilibrium(mfg.default_params())
+    params = mfg.default_params()
+    mfg._induction_policy(params)
+    induction = calls.pop("_binomial_pmf_rows")
+    assert calls == {}
+    result = mfg.solve_equilibrium(params)
     sweeps = result.iterations
     assert result.converged
-    # one stack per policy, each one block of rows at N=20
+    # the induction's pmf rows, then one stack per policy, each one block
+    # of rows at N=20
     assert calls == {
         "forward_flow": sweeps + 1,
         "bellman_backward": sweeps + 1,
         "best_response_gap": 1,
         "softmax_policy": sweeps,
-        "_binomial_pmf_rows": sweeps + 1,
+        "_binomial_pmf_rows": sweeps + 1 + induction,
     }
 
 
