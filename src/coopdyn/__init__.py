@@ -2,10 +2,10 @@
 
 Three cores and a harness: a two-player iterated prisoner's dilemma engine
 with a turn-taking strategy and its discount analysis (`ipd`), a discrete
-mean-field game for a threshold intersection with a damped fixed-point
-equilibrium solver (`mfg`), role rotation with delayed group-reward
-crediting (`roles`), round-based environments (`envs`), and a config-driven
-experiment runner with a CLI (`harness`, `cli`).
+mean-field game for a threshold intersection whose equilibrium is solved by
+backward induction and verified by a damped sweep (`mfg`), role rotation with
+delayed group-reward crediting (`roles`), round-based environments (`envs`),
+and a config-driven experiment runner with a CLI (`harness`, `cli`).
 """
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ from .roles import (
     FairnessStats,
     RotationLedger,
     SwitchPolicy,
+    _checked_ids,
     default_switch,
     delayed_credit,
     deterministic_assign,
@@ -36,9 +37,12 @@ from .roles import (
 )
 
 
-def _check_state_log(config) -> None:
-    """The episode's (rounds, n_agents, 3) int64 state log must be an array
-    numpy can describe; it is allocated whole before round 0."""
+def _check_episode(config) -> None:
+    """An episode's rounds and seed must be counts, and its (rounds,
+    n_agents, 3) int64 state log an array numpy can describe; the log is
+    allocated whole before round 0."""
+    _check_count("rounds", config.rounds, 1)
+    _check_count("seed", config.seed, 0)
     if 24 * config.rounds * config.n_agents > np.iinfo(np.intp).max:
         raise ValidationError("rounds, n_agents: a rounds x n_agents x 3 int64 state log "
                               "is larger than numpy's size limit")
@@ -64,9 +68,7 @@ class DungeonConfig:
     def __post_init__(self):
         _check_finite_fields(self)
         _check_count("n_agents", self.n_agents, 2)
-        _check_count("rounds", self.rounds, 1)
-        _check_count("seed", self.seed, 0)
-        _check_state_log(self)
+        _check_episode(self)
         if self.switch is None:
             object.__setattr__(
                 self, "switch", default_switch(self.n_agents, 1, "deterministic_window")
@@ -159,21 +161,15 @@ class IntersectionConfig:
 
     def __post_init__(self):
         _check_count("n_agents", self.n_agents, 2)
-        _check_count("threshold", self.threshold, 1)
-        if self.threshold >= self.n_agents:
-            raise ValidationError("threshold must satisfy 0 < threshold < n_agents")
-        _check_count("rounds", self.rounds, 1)
-        _check_count("seed", self.seed, 0)
-        _check_state_log(self)
+        _check_count("threshold", self.threshold, 1, self.n_agents)
+        _check_episode(self)
         if self.assignment not in ASSIGNMENT_MODES:
             raise ValidationError(
                 f"assignment must be one of {ASSIGNMENT_MODES}, got {self.assignment!r}"
             )
         if self.cohort is None:
             object.__setattr__(self, "cohort", self.threshold)
-        _check_count("cohort", self.cohort, 1)
-        if self.cohort >= self.n_agents:
-            raise ValidationError("cohort must satisfy 1 <= cohort < n_agents")
+        _check_count("cohort", self.cohort, 1, self.n_agents)
         if self.params is None:
             object.__setattr__(
                 self, "params", MfgParams(n_agents=self.n_agents, threshold=self.threshold)
@@ -198,11 +194,7 @@ class IntersectionConfig:
             _check_unread({"cohort": self.cohort}, {"cohort": self.threshold},
                           "when neither a policy nor static_movers picks the movers")
         if self.static_movers is not None:
-            for i in self.static_movers:
-                _check_count("static_movers id", i, 0)
-            ids = set(self.static_movers)
-            if not all(i < self.n_agents for i in ids):
-                raise ValidationError("static_movers ids out of range")
+            ids = _checked_ids("static_movers id", self.static_movers, self.n_agents)
             if len(ids) != len(self.static_movers):
                 raise ValidationError("static_movers ids must be distinct")
 

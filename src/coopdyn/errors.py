@@ -23,11 +23,19 @@ class NumericalIntegrityError(ArithmeticError):
     """An internal numerical guarantee (normalization, finiteness) broke."""
 
 
-def _check_count(name: str, value, low: int) -> None:
-    """`value` must be an int >= low; bools are rejected although
-    `isinstance(True, int)` holds."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+def _check_count(name: str, value, low: int, n_agents: int | None = None) -> None:
+    """`value` must be an int >= low, and below `n_agents` when that is
+    given; bools are rejected although `isinstance(True, int)` holds."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < low
+            or n_agents is not None and value >= n_agents):
+        bound = "" if n_agents is None else f" and < n_agents = {n_agents}"
+        raise ValidationError(f"{name} must be an integer >= {low}{bound}, got {value!r}")
+
+
+def _check_discount(discount) -> None:
+    """A discount factor must lie in [0, 1)."""
+    if not 0.0 <= discount < 1.0:
+        raise ValidationError(f"discount must lie in [0, 1), got {discount!r}")
 
 
 def _check_number(name: str, value) -> None:

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .envs import DungeonConfig, IntersectionConfig, intersection_episode, run_dungeon, switch_mode
-from .errors import ConfigError, NumericalIntegrityError, ValidationError, _check_unread
+from .errors import ConfigError, NumericalIntegrityError, ValidationError
+from .errors import _check_discount, _check_unread
 from .ipd import (
     Alternator,
     MatchConfig,
@@ -315,8 +316,8 @@ def _read_grid(raw, problems) -> list[float]:
 
 def _run_delta_scan(top, seed, problems):
     grid = _read_grid(top["grid"], problems)
-    if not all(0.0 <= value < 1.0 for value in grid):
-        problems.append("config.grid: every point must lie in [0, 1)")
+    # every point is a discount factor
+    _construct(lambda: [_check_discount(value) for value in grid], "config.grid", problems)
     _finish_validation(problems)
     payoff = top["payoff"]
     threshold = critical_discount(payoff)

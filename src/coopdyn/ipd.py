@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Sequence
 
-from .errors import ValidationError, _check_count, _check_finite_fields
+from .errors import ValidationError, _check_count, _check_discount, _check_finite_fields
 
 
 class ActionPD(IntEnum):
@@ -87,11 +87,6 @@ class PayoffMatrix:
                 f"actions must be 0 (cooperate) or 1 (defect), got {mine!r}, {theirs!r}"
             )
         return self._table[mine, theirs]
-
-
-def _check_discount(delta: float) -> None:
-    if not 0.0 <= delta < 1.0:
-        raise ValidationError(f"discount factor must lie in [0, 1), got {delta!r}")
 
 
 def stick_payoff(temptation: float, sucker: float, delta: float) -> float:

@@ -38,18 +38,19 @@ rows one step at a time and stores no stack.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalIntegrityError, ValidationError
-from .errors import _check_count, _check_finite_fields, _check_number, _check_unread
+from .errors import NumericalIntegrityError, ValidationError, _check_count, _check_discount
+from .errors import _check_finite_fields, _check_number, _check_unread
 
 WAIT = 0
 MOVE = 1
 
-# distributions produced here must stay normalized to this drift bound
+# a kernel step may lose or gain at most this much mass
 _DRIFT_TOL = 1e-12
 # inputs are allowed a looser slack: callers may have accumulated rounding
 _INPUT_TOL = 1e-9
@@ -112,15 +113,11 @@ class MfgParams:
     def __post_init__(self):
         _check_finite_fields(self)
         _check_count("n_agents", self.n_agents, 2)
-        _check_count("threshold", self.threshold, 1)
-        if not self.threshold < self.n_agents:
-            raise ValidationError("threshold must satisfy 0 < threshold < n_agents")
-        if not 0.0 <= self.discount < 1.0:
-            raise ValidationError("discount must lie in [0, 1)")
+        _check_count("threshold", self.threshold, 1, self.n_agents)
+        _check_discount(self.discount)
         if not self.smoothing > 0.0:
             raise ValidationError("smoothing must be positive")
-        if not self.temperature > 0.0:
-            raise ValidationError("temperature must be positive")
+        _check_temperature(self.temperature)
         _check_count("horizon", self.horizon, 1)
         if 16 * (self.horizon + 1) * (self.n_agents + 1) > np.iinfo(np.intp).max:
             raise ValidationError("n_agents, horizon: a (horizon + 1) x (n_agents + 1) x 2 "
@@ -168,6 +165,15 @@ def _check_distribution(dist, n_agents: int) -> None:
         raise ValidationError("initial_distribution has negative entries")
     if abs(float(dist.sum()) - 1.0) > _INPUT_TOL:
         raise ValidationError(f"initial_distribution is not normalized (sum={dist.sum()!r})")
+
+
+def _check_temperature(temperature) -> None:
+    """A temperature must be a positive number whose reciprocal is finite:
+    above 1 / float max, about 5.56e-309, where dividing by it overflows."""
+    if (not isinstance(temperature, (int, float, np.integer, np.floating))
+            or isinstance(temperature, bool) or not temperature > 1.0 / sys.float_info.max):
+        raise ValidationError(f"temperature must be a positive number with a finite "
+                              f"reciprocal, got {temperature!r}")
 
 
 def _check_policy(policy, params: MfgParams) -> np.ndarray:
@@ -282,10 +288,11 @@ def _peer_pmf_blocks(n: int, probs: np.ndarray):
         yield part, _binomial_pmf_rows(n - 1, probs[part])
 
 
-# Above this many cells a stack's steps multiply only their own rows. At
-# H=30 a forward and backward pass breaks even near 10**4 cells (N=300,
-# 35 rows) and gains 25% at N=1000 (33 rows); table-mode stacks at
-# N <= 200 hold at most 12 000 cells and stay whole.
+# Above this many cells a stack's steps multiply only their own rows. Each
+# path still wins somewhere after the induction: the selection makes the
+# N=1000 table solves whose stacks pass this size (thresholds 350-377) and
+# formula-mode solves faster, while N=20 solves would lose 0.5-0.9 ms to
+# its gathers. Table-mode stacks at N <= 200 hold at most 12 000 cells.
 _SELECT_CELLS = 2**14
 
 
@@ -358,9 +365,12 @@ def transition_distribution(action: int, move_probability: float, n_agents: int)
 
 
 def forward_flow(policy, params: MfgParams, *, kernel=None) -> np.ndarray:
-    """Distribution at every t in {0..horizon} under the given policy, with
-    each step's total mass checked for drift. `kernel` may pass the
-    policy's `_kernel` stack when the caller already holds it."""
+    """Distribution at every t in {0..horizon} under the given policy,
+    renormalized at each step. Only `_check_policy` judges the policy's
+    pair sums; each step's mass check compares the mass that came out of
+    the kernel with the mass that went in, so it measures what the kernel
+    lost, not the input's slack. `kernel` may pass the policy's `_kernel`
+    stack when the caller already holds it."""
     policy = _check_policy(policy, params)
     n = params.n_agents
     rows, index, steps = _policy_kernel(policy, n, kernel)
@@ -369,10 +379,12 @@ def forward_flow(policy, params: MfgParams, *, kernel=None) -> np.ndarray:
     for t in range(params.horizon):
         used = rows[steps[t]]
         out = flow[t + 1]
-        out[:n] += np.bincount(index[t], flow[t] * policy[t, :, WAIT], len(used)) @ used
-        out[1:] += np.bincount(index[t], flow[t] * policy[t, :, MOVE], len(used)) @ used
+        wait = np.bincount(index[t], flow[t] * policy[t, :, WAIT], len(used))
+        move = np.bincount(index[t], flow[t] * policy[t, :, MOVE], len(used))
+        out[:n] += wait @ used
+        out[1:] += move @ used
         total = out.sum()
-        drift = abs(float(total) - 1.0)
+        drift = abs(float(total) - (wait.sum() + move.sum()))
         if not drift <= _DRIFT_TOL:  # a NaN drift fails too
             raise NumericalIntegrityError(f"distribution drifted by {drift:.3e} at step {t}")
         out /= total
@@ -388,9 +400,7 @@ def softmax_policy(values, temperature: float) -> np.ndarray:
     """Boltzmann probabilities over the (wait, move) pair on the last axis,
     max-subtracted for stability; temperature 1 reproduces the plain
     exponential weighting."""
-    if (not isinstance(temperature, (int, float, np.integer, np.floating))
-            or isinstance(temperature, bool) or not temperature > 0.0):
-        raise ValidationError(f"temperature must be a positive number, got {temperature!r}")
+    _check_temperature(temperature)
     try:
         q = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -410,10 +420,7 @@ def uniform_policy(params: MfgParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ActionValueTable:
-    """q[t, j, a] with a zero terminal layer at t = horizon and v = max_a q.
-
-    Ties in the max resolve to wait by convention (argmax order).
-    """
+    """q[t, j, a] with a zero terminal layer at t = horizon and v = max_a q."""
 
     q: np.ndarray
     v: np.ndarray
@@ -591,8 +598,8 @@ def solve_equilibrium(
     and the final values: `iterations + 1` stacks per solve. The policy
     residual is the max-norm gap between policy and target; the
     distribution residual is the max-norm change of the forward flow
-    between sweeps. Convergence requires both below tol. tol=0 disables
-    the stopping test and runs exactly max_iter sweeps.
+    between sweeps. Convergence requires both below tol; no residual is
+    below 0, so tol=0 runs exactly max_iter sweeps.
     """
     _check_number("tol", tol)
     _check_number("damping", damping)
@@ -606,8 +613,6 @@ def solve_equilibrium(
     kernel = _kernel(policy, params.n_agents)
     flow_prev = forward_flow(policy, params, kernel=kernel)
     history: list[tuple[float, float]] = []
-    converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         table = bellman_backward(policy, params, kernel=kernel)
         kernel = None  # the updated policy gets its own stack; free this one first
@@ -621,8 +626,8 @@ def solve_equilibrium(
         if not (np.isfinite(policy).all() and np.isfinite(flow).all()):
             raise NumericalIntegrityError("solver produced non-finite values")
         history.append((policy_residual, dist_residual))
-        if tol > 0.0 and policy_residual < tol and dist_residual < tol:
-            converged = True
+        converged = policy_residual < tol and dist_residual < tol
+        if converged:
             break
 
     # the last sweep's table and target go before the certificate's tables

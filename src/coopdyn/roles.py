@@ -68,7 +68,7 @@ class RotationLedger:
     def initialize_roles(self, selected: Iterable[int]) -> None:
         """Seed current roles without consuming a round (stochastic mode
         needs a starting assignment to flip from)."""
-        selected = self._checked_ids(selected)
+        selected = _checked_ids("agent id", selected, self.n_agents)
         other = PRIMARY if self.rotated_role == SACRIFICE else SACRIFICE
         for record in self.records:
             record.role = self.rotated_role if record.agent_id in selected else other
@@ -76,7 +76,7 @@ class RotationLedger:
 
     def record_round(self, selected: Iterable[int]) -> RoleAssignment:
         """Commit one round's selection and update all per-agent memory."""
-        selected = self._checked_ids(selected)
+        selected = _checked_ids("agent id", selected, self.n_agents)
         other = PRIMARY if self.rotated_role == SACRIFICE else SACRIFICE
         for record in self.records:
             now_selected = record.agent_id in selected
@@ -96,13 +96,13 @@ class RotationLedger:
         for agent_id, amount in credits.items():
             self.records[agent_id].credited_reward += amount
 
-    def _checked_ids(self, ids: Iterable[int]) -> frozenset[int]:
-        ids = frozenset(ids)
-        for i in ids:
-            _check_count("agent id", i, 0)
-        if not all(i < self.n_agents for i in ids):
-            raise ValidationError("agent ids out of range")
-        return ids
+
+def _checked_ids(name: str, ids: Iterable[int], n_agents: int) -> frozenset[int]:
+    """The distinct ids in `ids`, each an int in [0, n_agents)."""
+    ids = frozenset(ids)
+    for i in ids:
+        _check_count(name, i, 0, n_agents)
+    return ids
 
 
 def rotation_priority(record: AgentRecord, rotated_role: str):
@@ -124,9 +124,7 @@ def deterministic_assign(ledger: RotationLedger, k: int) -> RoleAssignment:
     From a fresh ledger this is the cycle 0..n-1, k agents a round, so no
     agent serves again before every other agent has served once.
     """
-    _check_count("cohort size", k, 1)
-    if k >= ledger.n_agents:
-        raise ValidationError(f"cohort size must be < n_agents = {ledger.n_agents}, got {k}")
+    _check_count("cohort", k, 1, ledger.n_agents)
     chosen = sorted(
         ledger.records, key=lambda rec: rotation_priority(rec, ledger.rotated_role)
     )[:k]
@@ -167,9 +165,7 @@ def default_switch(n_agents: int, cohort: int, mode: str) -> SwitchPolicy:
     number of possible cohorts among the other agents."""
     if mode != "stochastic_sigmoid":
         return SwitchPolicy(mode)
-    _check_count("cohort", cohort, 1)
-    if not cohort < n_agents:
-        raise ValidationError("cohort must satisfy 0 < cohort < n_agents")
+    _check_count("cohort", cohort, 1, n_agents)
     # log C refuses a huge count before the slow exact one; lgamma errs far below 1
     log_count = math.lgamma(n_agents) - math.lgamma(cohort + 1) - math.lgamma(n_agents - cohort)
     try:

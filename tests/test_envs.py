@@ -12,7 +12,7 @@ from coopdyn.envs import (
     run_dungeon,
 )
 from coopdyn.errors import ValidationError
-from coopdyn.ipd import Alternator, MatchConfig, PayoffMatrix
+from coopdyn.ipd import Alternator, MatchConfig, PayoffMatrix, deviate_payoff, stick_payoff
 from coopdyn.mfg import MOVE, MfgParams, RewardTable, reward_array
 from coopdyn.roles import RotationLedger, SwitchPolicy, default_switch, deterministic_assign
 
@@ -432,6 +432,92 @@ ID_SITES = {
 def test_agent_ids_reject_bools_floats_and_non_numbers(site, value):
     with pytest.raises(ValidationError, match="must be an integer"):
         ID_SITES[site](value)
+
+
+@pytest.mark.parametrize("value", [-1, 4, 5])
+@pytest.mark.parametrize("site", sorted(ID_SITES))
+def test_agent_ids_out_of_range_share_the_range_message(site, value):
+    n_agents = 4 if site.startswith("IntersectionConfig") else 3
+    name = "static_movers id" if site.startswith("IntersectionConfig") else "agent id"
+    with pytest.raises(ValidationError) as excinfo:
+        ID_SITES[site](value)
+    assert str(excinfo.value) == (
+        f"{name} must be an integer >= 0 and < n_agents = {n_agents}, got {value}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# one rule, one message: thresholds and cohorts, discounts, episode sizes
+# ---------------------------------------------------------------------------
+
+RANGE_SITES = {
+    "MfgParams.threshold": lambda v: MfgParams(n_agents=4, threshold=v),
+    "IntersectionConfig.threshold": lambda v: IntersectionConfig(4, v, 3),
+    "IntersectionConfig.cohort": lambda v: IntersectionConfig(4, 2, 3, cohort=v),
+    "default_switch.cohort": lambda v: default_switch(4, v, "stochastic_sigmoid"),
+    "deterministic_assign.cohort": lambda v: deterministic_assign(RotationLedger(4), v),
+}
+
+
+@pytest.mark.parametrize("value", [0, 4, 5])
+@pytest.mark.parametrize("site", sorted(RANGE_SITES))
+def test_thresholds_and_cohorts_share_one_range_message(site, value):
+    name = site.split(".")[1]
+    with pytest.raises(ValidationError) as excinfo:
+        RANGE_SITES[site](value)
+    assert str(excinfo.value) == f"{name} must be an integer >= 1 and < n_agents = 4, got {value}"
+
+
+DISCOUNT_SITES = {
+    "MfgParams": lambda v: MfgParams(n_agents=4, threshold=2, discount=v),
+    "MatchConfig": lambda v: MatchConfig(horizon=5, discount=v),
+    "stick_payoff": lambda v: stick_payoff(5, 0, v),
+    "deviate_payoff": lambda v: deviate_payoff(5, 1, v),
+}
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.0, 1.5])
+@pytest.mark.parametrize("site", sorted(DISCOUNT_SITES))
+def test_every_discount_shares_one_range_message(site, value):
+    with pytest.raises(ValidationError) as excinfo:
+        DISCOUNT_SITES[site](value)
+    assert str(excinfo.value) == f"discount must lie in [0, 1), got {value!r}"
+
+
+EPISODE_SITES = {
+    "DungeonConfig": lambda **kw: DungeonConfig(**{"rounds": 6, **kw}),
+    "IntersectionConfig": lambda **kw: IntersectionConfig(**{"n_agents": 4, "threshold": 2,
+                                                            "rounds": 6, **kw}),
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"rounds": 0}, "rounds must be an integer >= 1, got 0"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ],
+    ids=["rounds", "seed"],
+)
+@pytest.mark.parametrize("site", sorted(EPISODE_SITES))
+def test_both_environments_share_one_episode_size_check(site, change, message):
+    with pytest.raises(ValidationError) as excinfo:
+        EPISODE_SITES[site](**change)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (MfgParams(n_agents=5, threshold=2), "params.n_agents must match the environment"),
+        (MfgParams(n_agents=4, threshold=3), "params.threshold must match the environment"),
+    ],
+    ids=["n_agents", "threshold"],
+)
+def test_intersection_params_must_match_its_sizes(params, message):
+    with pytest.raises(ValidationError) as excinfo:
+        IntersectionConfig(4, 2, 3, params=params)
+    assert str(excinfo.value) == message
 
 
 # ---------------------------------------------------------------------------

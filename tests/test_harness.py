@@ -582,6 +582,59 @@ def test_duplicate_static_movers_are_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (ipd_match_config(players=[{"kind": "all_c"}] * 3),
+         "config.players: expected exactly 2 entries"),
+        (ipd_match_config(experiment="ipd_tournament", players=[{"kind": "all_c"}]),
+         "config.players: expected at least 2 entries"),
+        (dict(delta_scan_config(), grid={"start": 0.1, "stop": 0.5, "step": 0.0}),
+         "config.grid.step: must be positive"),
+        (dict(delta_scan_config(), grid={"values": [0.5, 1.0]}),
+         "config.grid: discount must lie in [0, 1), got 1.0"),
+        (dict(mfg_solve_config(), experiment="mfg_simulate", episodes=3, policy="greedy"),
+         "config.policy: must be 'equilibrium' or 'uniform', got 'greedy'"),
+        (roles_config(assignment="policy", mfg={"n_agents": 7}),
+         "config: params.n_agents must match the environment"),
+        (roles_config(assignment="policy", mfg={"threshold": 3}),
+         "config: params.threshold must match the environment"),
+        (roles_config(threshold=6), "config: threshold must be an integer >= 1 "
+         "and < n_agents = 6, got 6"),
+        (roles_config(assignment="static", static_movers=[0, 6]),
+         "config: static_movers id must be an integer >= 0 and < n_agents = 6, got 6"),
+    ],
+    ids=["players-exact", "players-at-least", "grid-step", "grid-point", "simulate-policy",
+         "mfg-n_agents", "mfg-threshold", "threshold", "static_movers"],
+)
+def test_each_config_refusal_is_one_line_naming_its_key(tmp_path, capsys, config, message):
+    code, out = run_cli(tmp_path, config)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_config_that_is_not_an_object_is_refused(tmp_path):
+    with pytest.raises(ConfigError) as excinfo:
+        run([delta_scan_config()], out_dir=tmp_path / "out")
+    assert excinfo.value.problems == ["config: expected a JSON object"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("temperature", [3e-309, 1e-309])
+@pytest.mark.parametrize("mode", ["table", "formula"])
+def test_a_temperature_whose_reciprocal_overflows_exits_one(tmp_path, capsys, mode, temperature):
+    config = mfg_solve_config()
+    config["params"].update(reward_mode=mode, temperature=temperature)
+    code, out = run_cli(tmp_path, config)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: config.params: temperature must be a positive number with a finite "
+        f"reciprocal, got {temperature!r}\n"
+    )
+    assert not out.exists()
+
+
 SWITCH_MODE = "config: switch mode must be 'stochastic_sigmoid' exactly when assignment is"
 
 

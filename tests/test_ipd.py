@@ -471,3 +471,21 @@ def test_an_alternator_refuses_a_round_out_of_order():
     assert alternator.act([D, C], [C, C]) is D
     assert alternator.act([], []) is D
     assert alternator.act([D], [C]) is C
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Alternator(parity="third"), "parity must be 'first' or 'second', got 'third'"),
+        (lambda: Alternator().act([], []), "alternator parity unresolved; set it or call bind()"),
+        (lambda: make_strategy("always_maybe"),
+         f"unknown strategy kind 'always_maybe' (known: {', '.join(sorted(STRATEGY_KINDS))})"),
+        (lambda: make_strategy("tit_for_tat", parity="first"),
+         "strategy 'tit_for_tat' takes no options"),
+    ],
+    ids=["alternator-parity", "alternator-unbound", "unknown-kind", "memory-one-options"],
+)
+def test_each_strategy_refusal_names_its_rule(make, message):
+    with pytest.raises(ValidationError) as excinfo:
+        make()
+    assert str(excinfo.value) == message

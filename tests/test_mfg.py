@@ -1,8 +1,11 @@
 import dataclasses
 import itertools
 import math
+import re
+import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -85,9 +88,11 @@ def test_bools_are_not_integers(call):
         ("tol", -1e-9, "tol must be nonnegative"),
         ("damping", True, "damping must be a number"),
         ("damping", "x", "damping must be a number"),
+        ("damping", 0.0, r"^damping must lie in \(0, 1\]$"),
+        ("damping", 1.5, r"^damping must lie in \(0, 1\]$"),
     ],
     ids=["tol-nan", "tol-inf", "tol-bool", "tol-text", "tol-negative", "damping-bool",
-         "damping-text"],
+         "damping-text", "damping-zero", "damping-above-one"],
 )
 def test_solver_tol_and_damping_must_be_finite_numbers(option, value, match):
     with pytest.raises(ValidationError, match=match):
@@ -109,6 +114,34 @@ def test_params_validation():
         MfgParams(n_agents=4, threshold=2, horizon=0)
     with pytest.raises(ValidationError):
         MfgParams(n_agents=4, threshold=2, reward_mode="other")
+
+
+def test_a_negative_consistency_weight_is_refused():
+    with pytest.raises(ValidationError, match="^consistency_weight must be nonnegative$"):
+        small_params(consistency_weight=-0.1)
+
+
+@pytest.mark.parametrize("temperature", [1 / sys.float_info.max, 3e-309, 1e-309])
+@pytest.mark.parametrize("mode", ["table", "formula"])
+def test_a_temperature_whose_reciprocal_overflows_is_refused(mode, temperature):
+    # below 1 / float max, about 5.56e-309, dividing by the temperature overflows
+    message = re.escape(f"temperature must be a positive number with a finite reciprocal, "
+                        f"got {temperature!r}")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        MfgParams(n_agents=20, threshold=8, temperature=temperature, reward_mode=mode)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        softmax_policy([0.0, 1.0], temperature)
+
+
+@pytest.mark.parametrize("mode", ["table", "formula"])
+def test_the_smallest_temperature_decade_that_is_accepted_solves_without_warnings(mode):
+    # the floor is exact: the next float up is accepted
+    softmax_policy([0.0, 1.0], math.nextafter(1 / sys.float_info.max, 1.0))
+    params = MfgParams(n_agents=20, threshold=8, temperature=1e-308, reward_mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_equilibrium(params)
+    assert result.converged and result.iterations == 1
 
 
 _LIMIT = np.iinfo(np.intp).max
@@ -729,6 +762,27 @@ def test_formula_mode_solve_keeps_a_small_traced_peak():
     assert peak < 10 * 2**20
 
 
+def test_pair_sums_within_the_input_slack_flow_and_simulate():
+    # _check_policy admits pair sums off by up to 1e-9; the flow's mass
+    # check measures what the kernel loses, so it does not judge them again
+    params = small_params()
+    policy = uniform_policy(params)
+    policy[:, :, WAIT] += 5e-10
+    flow = forward_flow(policy, params)
+    assert np.abs(flow.sum(axis=1) - 1.0).max() < 1e-15
+    stats = simulate_population(params, policy, episodes=100, seed=0)
+    assert np.array_equal(stats.mf_mean_states, flow @ np.arange(params.n_agents + 1.0))
+    assert math.isfinite(best_response_gap(policy, params))
+
+
+def test_a_kernel_that_loses_mass_is_a_numerical_error():
+    params = small_params()
+    policy = uniform_policy(params)
+    rows, index, steps = mfg._kernel(policy, params.n_agents)
+    with pytest.raises(NumericalIntegrityError, match="^distribution drifted by 1.000e-09 at step 0$"):
+        forward_flow(policy, params, kernel=(rows * (1.0 - 1e-9), index, steps))
+
+
 def test_evolution_rejects_unnormalized_distribution():
     with pytest.raises(ValidationError, match="not normalized"):
         small_params(initial_distribution=(0.3,) * 5)
@@ -1021,9 +1075,10 @@ def test_where_an_equation_has_three_roots_the_solve_keeps_the_newton_root():
 
 
 def test_a_subnormal_temperature_settles_each_step_in_one_evaluation(monkeypatch):
-    # every logit overflows; the bracket stops at +-_LOGIT_BOUND, where the
-    # policy is already exactly 0 or 1, so no step runs to the search's cap
-    params = MfgParams(n_agents=20, threshold=8, temperature=1e-309, horizon=30)
+    # every logit lies far beyond +-_LOGIT_BOUND, where the bracket stops and
+    # the policy is already exactly 0 or 1, so no step runs to the search's
+    # cap; 1e-308 is subnormal, and its reciprocal is still finite
+    params = MfgParams(n_agents=20, threshold=8, temperature=1e-308, horizon=30)
     calls = []
     build_rows = mfg._binomial_pmf_rows
 
@@ -1032,7 +1087,7 @@ def test_a_subnormal_temperature_settles_each_step_in_one_evaluation(monkeypatch
         return build_rows(n, probs)
 
     monkeypatch.setattr(mfg, "_binomial_pmf_rows", counted_rows)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="raise", divide="raise"):
         policy = mfg._induction_policy(params)
         assert len(calls) == params.horizon
         result = solve_equilibrium(params)

@@ -17,6 +17,7 @@ from coopdyn.roles import (
     fairness_report,
     sigmoid_switch_probability,
     stochastic_assign,
+    stochastic_selection,
 )
 
 
@@ -322,3 +323,45 @@ def test_credited_spread_is_reported():
     ledger.apply_credits(credits)
     stats = fairness_report(ledger)
     assert stats.credited_spread == pytest.approx(6.0)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+# ---------------------------------------------------------------------------
+
+
+def _uninitialized_selection():
+    policy = SwitchPolicy(mode="stochastic_sigmoid")
+    return stochastic_selection(RotationLedger(3), policy, random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: RotationLedger(3, rotated_role="mover"),
+         "rotated_role must be 'sacrifice' or 'primary'"),
+        (lambda: RotationLedger(3).record_round({0, 3}),
+         "agent id must be an integer >= 0 and < n_agents = 3, got 3"),
+        (lambda: RotationLedger(3).initialize_roles({-1}),
+         "agent id must be an integer >= 0 and < n_agents = 3, got -1"),
+        (lambda: SwitchPolicy(mode="sometimes"),
+         "mode must be 'deterministic_window' or 'stochastic_sigmoid'"),
+        (lambda: SwitchPolicy(mode="stochastic_sigmoid", streak_midpoint=0.5),
+         "streak_midpoint must be >= 1"),
+        (lambda: SwitchPolicy(mode="stochastic_sigmoid", streak_scale=0.0),
+         "streak_scale must be positive"),
+        (lambda: SwitchPolicy(mode="stochastic_sigmoid", streak_scale=-1.0),
+         "streak_scale must be positive"),
+        (lambda: stochastic_selection(RotationLedger(3), SwitchPolicy("deterministic_window"),
+                                      random.Random(0)),
+         "stochastic selection requires stochastic_sigmoid mode"),
+        (_uninitialized_selection, "roles are uninitialized; call initialize_roles first"),
+    ],
+    ids=["rotated_role", "record_round-id", "initialize_roles-id", "switch-mode",
+         "streak_midpoint", "streak_scale-zero", "streak_scale-negative",
+         "selection-deterministic", "selection-uninitialized"],
+)
+def test_each_refusal_names_its_rule(make, message):
+    with pytest.raises(ValidationError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
