@@ -30,10 +30,10 @@ sweep costs O(sum_t U_t*N), where U_t is the number of distinct move
 probabilities at step t, instead of O(N^2*H). Table-mode rewards without
 a consistency penalty depend on the state only through j <= threshold,
 which keeps U_t at 3 or fewer.
-The solver builds one stack per policy, shared by that policy's forward
-flow, the next backward pass and the final certificate, so a solve
-builds iterations + 1 stacks; the induction before them reads its pmf
-rows one step at a time and stores no stack.
+A stack travels with the policy it was built from, as a private pair that
+an evaluator builds or the solver hands it, so no caller can evaluate a
+policy against another's kernels. A solve builds iterations + 1 stacks;
+the induction before them reads its pmf rows step by step, storing none.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,7 +137,7 @@ class MfgParams:
 
 def default_params() -> MfgParams:
     """The canonical demo instance used throughout the docs and tests."""
-    return MfgParams(n_agents=20, threshold=8, discount=0.9, temperature=0.2, horizon=30)
+    return MfgParams(n_agents=20, threshold=8, temperature=0.2)
 
 
 def initial_distribution_array(params: MfgParams) -> np.ndarray:
@@ -332,17 +333,21 @@ def _kernel(policy: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
     return rows, local.ravel()[cells], steps
 
 
-def _policy_kernel(policy: np.ndarray, n: int, kernel) -> tuple[np.ndarray, np.ndarray, list]:
-    """`kernel`, the stack a caller built for this policy, or the policy's
-    own stack when it is None."""
-    if kernel is None:
-        return _kernel(policy, n)
-    if np.shape(kernel[1]) != policy.shape[:2]:
-        raise ValidationError(
-            f"kernel index must have the policy's shape {policy.shape[:2]}, "
-            f"got {np.shape(kernel[1])}"
-        )
-    return kernel
+class _Stack(NamedTuple):
+    """A checked policy and the `_kernel` stack built from it. Only this
+    module makes one, so no stack is ever paired with another policy."""
+
+    policy: np.ndarray
+    kernel: tuple[np.ndarray, np.ndarray, list]
+
+
+def _stack(policy, params: MfgParams) -> _Stack:
+    """`policy` itself when it is a `_Stack`; otherwise the policy, checked
+    once, with its own stack."""
+    if isinstance(policy, _Stack):
+        return policy
+    policy = _check_policy(policy, params)
+    return _Stack(policy, _kernel(policy, params.n_agents))
 
 
 def transition_distribution(action: int, move_probability: float, n_agents: int) -> np.ndarray:
@@ -364,16 +369,14 @@ def transition_distribution(action: int, move_probability: float, n_agents: int)
     return out
 
 
-def forward_flow(policy, params: MfgParams, *, kernel=None) -> np.ndarray:
+def forward_flow(policy, params: MfgParams) -> np.ndarray:
     """Distribution at every t in {0..horizon} under the given policy,
     renormalized at each step. Only `_check_policy` judges the policy's
     pair sums; each step's mass check compares the mass that came out of
     the kernel with the mass that went in, so it measures what the kernel
-    lost, not the input's slack. `kernel` may pass the policy's `_kernel`
-    stack when the caller already holds it."""
-    policy = _check_policy(policy, params)
+    lost, not the input's slack."""
+    policy, (rows, index, steps) = _stack(policy, params)
     n = params.n_agents
-    rows, index, steps = _policy_kernel(policy, n, kernel)
     flow = np.zeros((params.horizon + 1, n + 1))
     flow[0] = initial_distribution_array(params)
     for t in range(params.horizon):
@@ -426,13 +429,12 @@ class ActionValueTable:
     v: np.ndarray
 
 
-def _backward(policy: np.ndarray, params: MfgParams, rules: tuple[str, ...],
-              kernel=None) -> dict:
+def _backward(stack: _Stack, params: MfgParams, rules: tuple[str, ...]) -> dict:
     """One backward pass giving {rule: (q, v)} for each backup rule in
     `rules`: "max" backs up greedy values, "policy" the value of following
-    the policy itself. Every rule reads the one kernel stack."""
+    the policy itself. Every rule reads the policy's one kernel stack."""
     n, horizon = params.n_agents, params.horizon
-    rows, index, steps = _policy_kernel(policy, n, kernel)
+    policy, (rows, index, steps) = stack
     utilities = utility_table(params)
     tables = {rule: (np.zeros((horizon + 1, n + 1, 2)), np.zeros((horizon + 1, n + 1)))
               for rule in rules}
@@ -448,28 +450,27 @@ def _backward(policy: np.ndarray, params: MfgParams, rules: tuple[str, ...],
     return tables
 
 
-def bellman_backward(policy, params: MfgParams, *, kernel=None) -> ActionValueTable:
+def bellman_backward(policy, params: MfgParams) -> ActionValueTable:
     """Backward action-value recursion against the policy-induced kernels.
 
     q[t, j, a] = U(a, j) + discount * E[v[t+1, j']] where j' = a +
     Binomial(N-1, policy move probability at (t, j)) and v = max over
     actions. A single exact pass; rerunning on identical inputs is
-    bit-identical. `kernel` may pass the policy's `_kernel` stack.
+    bit-identical.
     """
-    q, v = _backward(_check_policy(policy, params), params, ("max",), kernel)["max"]
+    q, v = _backward(_stack(policy, params), params, ("max",))["max"]
     return ActionValueTable(q=q, v=v)
 
 
-def best_response_gap(policy, params: MfgParams, *, kernel=None) -> float:
+def best_response_gap(policy, params: MfgParams) -> float:
     """How much a single greedy deviator gains over the mixed policy.
 
     Both values come from one backward pass against the kernels the policy
-    induces (`kernel` may pass its `_kernel` stack); the gap is averaged
-    over the model's initial state distribution. Nonnegative up to
-    rounding for any policy.
+    induces; the gap is averaged over the model's initial state
+    distribution. Nonnegative up to rounding for any policy.
     """
-    policy = _check_policy(policy, params)
-    (_, greedy), (_, mixed) = _backward(policy, params, ("max", "policy"), kernel).values()
+    tables = _backward(_stack(policy, params), params, ("max", "policy"))
+    (_, greedy), (_, mixed) = tables.values()
     return float(initial_distribution_array(params) @ (greedy[0] - mixed[0]))
 
 
@@ -544,13 +545,11 @@ def _induction_policy(params: MfgParams) -> np.ndarray:
         x = np.clip(x, lo, hi)
         for step in range(_ROOT_STEPS):
             move = _logistic_pair(x)[:, MOVE]
-            probs, inverse = np.unique(move, return_inverse=True)
-            means = np.empty((probs.size, 4))
-            for part, pmf in _peer_pmf_blocks(n, probs):
+            means = np.empty((move.size, 4))
+            for part, pmf in _peer_pmf_blocks(n, move):
                 means[part] = pmf @ columns
             if not np.isfinite(means).all():
                 raise NumericalIntegrityError("backward induction produced non-finite values")
-            means = means[inverse]
             gain = means[:, 2]
             excess = x - (gaps + discount * gain) / temperature
             lo = np.where(excess < 0.0, x, lo)
@@ -593,9 +592,9 @@ def solve_equilibrium(
     policy a `damping` fraction toward it. From the induction's policy one
     sweep normally finds both residuals at rounding level and stops; if the
     induction were imprecise, the loop would keep sweeping to tol. Each
-    policy's kernel stack is built once and serves its forward flow, the
-    next sweep's backward pass and, for the last policy, the certificate
-    and the final values: `iterations + 1` stacks per solve. The policy
+    policy is checked and its stack built once, as one `_Stack` serving
+    its forward flow, the next backward pass and, for the last policy, the
+    certificate and final values: `iterations + 1` stacks. The policy
     residual is the max-norm gap between policy and target; the
     distribution residual is the max-norm change of the forward flow
     between sweeps. Convergence requires both below tol; no residual is
@@ -610,17 +609,17 @@ def solve_equilibrium(
     _check_count("max_iter", max_iter, 1)
 
     policy = _induction_policy(params)
-    kernel = _kernel(policy, params.n_agents)
-    flow_prev = forward_flow(policy, params, kernel=kernel)
+    stack = _stack(policy, params)
+    flow_prev = forward_flow(stack, params)
     history: list[tuple[float, float]] = []
     for iterations in range(1, max_iter + 1):
-        table = bellman_backward(policy, params, kernel=kernel)
-        kernel = None  # the updated policy gets its own stack; free this one first
+        table = bellman_backward(stack, params)
+        stack = None  # the updated policy gets its own stack; free this one first
         target = softmax_policy(table.q[: params.horizon], params.temperature)
         policy_residual = float(np.max(np.abs(target - policy)))
         policy = (1.0 - damping) * policy + damping * target
-        kernel = _kernel(policy, params.n_agents)
-        flow = forward_flow(policy, params, kernel=kernel)
+        stack = _stack(policy, params)
+        flow = forward_flow(stack, params)
         dist_residual = float(np.max(np.abs(flow - flow_prev)))
         flow_prev = flow
         if not (np.isfinite(policy).all() and np.isfinite(flow).all()):
@@ -633,8 +632,8 @@ def solve_equilibrium(
     # the last sweep's table and target go before the certificate's tables
     # are built, and the certificate's before the greedy one is
     del table, target
-    gap = best_response_gap(policy, params, kernel=kernel)
-    values = bellman_backward(policy, params, kernel=kernel)
+    gap = best_response_gap(stack, params)
+    values = bellman_backward(stack, params)
     return EquilibriumResult(
         policy=policy,
         flow=flow_prev,
@@ -696,13 +695,13 @@ def simulate_population(
     one multinomial per kernel row in use, in row order. Reruns with the
     same seed are bit-identical; single episodes are never drawn.
     """
-    policy = _check_policy(policy, params)
     check_episodes(episodes)
     _check_count("seed", seed, 0)
     n = params.n_agents
-    rows, index, steps = kernel = _kernel(policy, n)
+    stack = _stack(policy, params)
+    policy, (rows, index, steps) = stack
     counts = np.arange(n + 1, dtype=float)
-    mf_mean_states = forward_flow(policy, params, kernel=kernel) @ counts
+    mf_mean_states = forward_flow(stack, params) @ counts
     rng = np.random.default_rng(seed)
     visits = np.zeros((params.horizon + 1, n + 1), dtype=np.int64)
     visits[0] = rng.multinomial(episodes, initial_distribution_array(params))

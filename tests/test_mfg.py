@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import re
@@ -57,6 +58,11 @@ def small_params(**overrides):
 # ---------------------------------------------------------------------------
 # parameter validation
 # ---------------------------------------------------------------------------
+
+
+def test_the_demo_instance_takes_the_other_fields_from_mfg_params():
+    assert default_params() == MfgParams(n_agents=20, threshold=8, discount=0.9,
+                                         temperature=0.2, horizon=30)
 
 
 @pytest.mark.parametrize(
@@ -576,7 +582,7 @@ def test_factored_kernel_matches_dense_reference(n_agents, distinct):
     rng = np.random.default_rng(n_agents)
     policy = policy_with_distinct_moves(n_agents, params.horizon, count, rng)
     assert all(np.unique(policy[t][:, MOVE]).size == count for t in range(params.horizon))
-    factored = mfg._backward(policy, params, ("max", "policy"))
+    factored = mfg._backward(mfg._stack(policy, params), params, ("max", "policy"))
     for rule, (q, v) in dense_backward(policy, params).items():
         assert np.max(np.abs(factored[rule][0] - q)) < 1e-13
         assert np.max(np.abs(factored[rule][1] - v)) < 1e-13
@@ -594,6 +600,12 @@ def test_factored_kernel_matches_dense_reference(n_agents, distinct):
         assert np.max(np.abs(flow[t + 1] - want)) < 1e-13
 
 
+def values_of(policy, params):
+    """Flow, q, v and gap of a policy or of a `_Stack`."""
+    table = bellman_backward(policy, params)
+    return forward_flow(policy, params), table.q, table.v, best_response_gap(policy, params)
+
+
 @pytest.mark.parametrize("n_agents", [2, 257])
 @pytest.mark.parametrize("distinct", ["one", "few", "all"])
 def test_kernel_stack_changes_no_values(n_agents, distinct):
@@ -604,18 +616,52 @@ def test_kernel_stack_changes_no_values(n_agents, distinct):
     count = {"one": 1, "few": min(3, n_agents + 1), "all": n_agents + 1}[distinct]
     policy = policy_with_distinct_moves(n_agents, params.horizon, count,
                                         np.random.default_rng(n_agents))
-    kernel = mfg._kernel(policy, n_agents)
-    rows, index, steps = kernel
+    rows, index, steps = mfg._kernel(policy, n_agents)
     assert index.shape == policy.shape[:2]
     assert len(rows) == np.unique(policy[:, :, MOVE]).size
     for t in range(params.horizon):
         want = mfg._binomial_pmf_rows(n_agents - 1, policy[t][:, MOVE])
         assert np.max(np.abs(rows[steps[t]][index[t]] - want)) <= 1e-15
-    assert np.array_equal(forward_flow(policy, params, kernel=kernel),
-                          forward_flow(policy, params))
-    shared, own = bellman_backward(policy, params, kernel=kernel), bellman_backward(policy, params)
-    assert np.array_equal(shared.q, own.q) and np.array_equal(shared.v, own.v)
-    assert best_response_gap(policy, params, kernel=kernel) == best_response_gap(policy, params)
+    for shared, own in zip(values_of(mfg._stack(policy, params), params), values_of(policy, params)):
+        assert np.array_equal(shared, own)
+
+
+@pytest.mark.parametrize("call", [forward_flow, bellman_backward, best_response_gap],
+                         ids=lambda call: call.__name__)
+def test_the_evaluators_take_a_policy_and_params_only(call):
+    # the kernels always come from the policy being evaluated
+    assert list(inspect.signature(call).parameters) == ["policy", "params"]
+    params = small_params()
+    policy = uniform_policy(params)
+    with pytest.raises(TypeError, match="kernel"):
+        call(policy, params, kernel=mfg._kernel(policy, params.n_agents))
+
+
+def test_a_stack_evaluates_the_policy_it_was_built_from():
+    # the stack carries its own policy, so the uniform policy's stack gives
+    # the uniform policy's values bit for bit, never the equilibrium's
+    params = default_params()
+    uniform = uniform_policy(params)
+    stack = mfg._stack(uniform, params)
+    assert stack.policy is uniform
+    shared = values_of(stack, params)
+    for got, want in zip(shared, values_of(uniform, params)):
+        assert np.array_equal(got, want)
+    solved = values_of(solve_equilibrium(params).policy, params)
+    assert not np.array_equal(shared[0], solved[0]) and shared[3] != solved[3]
+
+
+def test_a_solve_checks_each_policy_once(monkeypatch):
+    checked = []
+    check = mfg._check_policy
+
+    def counting_check(policy, params):
+        checked.append(policy)
+        return check(policy, params)
+
+    monkeypatch.setattr(mfg, "_check_policy", counting_check)
+    result = solve_equilibrium(default_params())
+    assert result.iterations == 1 and len(checked) == result.iterations + 1
 
 
 # _SELECT_CELLS values that force each stack path on any input
@@ -738,16 +784,6 @@ def test_small_table_solves_keep_the_whole_stack_path(monkeypatch, params):
     assert max(cells) <= mfg._SELECT_CELLS
 
 
-@pytest.mark.parametrize("call", [forward_flow, bellman_backward, best_response_gap],
-                         ids=lambda call: call.__name__)
-def test_a_kernel_stack_of_another_shape_is_rejected(call):
-    params = small_params()
-    other = mfg._kernel(uniform_policy(small_params(horizon=params.horizon + 1)),
-                        params.n_agents)
-    with pytest.raises(ValidationError, match="kernel index"):
-        call(uniform_policy(params), params, kernel=other)
-
-
 def test_formula_mode_solve_keeps_a_small_traced_peak():
     # The stack is built in blocks of about 2**16 cells; built in one piece
     # its log-pmf temporaries took this solve's peak to about 21 MiB.
@@ -775,12 +811,12 @@ def test_pair_sums_within_the_input_slack_flow_and_simulate():
     assert math.isfinite(best_response_gap(policy, params))
 
 
-def test_a_kernel_that_loses_mass_is_a_numerical_error():
+def test_a_kernel_that_loses_mass_is_a_numerical_error(monkeypatch):
+    build = mfg._binomial_pmf_rows
+    monkeypatch.setattr(mfg, "_binomial_pmf_rows", lambda n, probs: build(n, probs) * (1.0 - 1e-9))
     params = small_params()
-    policy = uniform_policy(params)
-    rows, index, steps = mfg._kernel(policy, params.n_agents)
     with pytest.raises(NumericalIntegrityError, match="^distribution drifted by 1.000e-09 at step 0$"):
-        forward_flow(policy, params, kernel=(rows * (1.0 - 1e-9), index, steps))
+        forward_flow(uniform_policy(params), params)
 
 
 def test_evolution_rejects_unnormalized_distribution():
@@ -1158,17 +1194,24 @@ def test_initial_distributions_that_are_not_laws_are_rejected(initial, match):
 def counting_stacks(monkeypatch):
     """Record the number of rows in each kernel stack built, checking that
     it is the number of distinct move probabilities in the whole policy and
-    that no block of the build computes a row twice."""
+    that no block of a stack's build computes a row twice. The induction's
+    pmf calls are not checked: it builds one row per utility-gap group, and
+    formula-mode groups can round to the same probability."""
     rows = []
+    building = []
     build_rows, build_stack = mfg._binomial_pmf_rows, mfg._kernel
 
     def checked_rows(n, probs):
         out = build_rows(n, probs)
-        assert len(out) == np.unique(probs).size
+        assert not building or len(out) == np.unique(probs).size
         return out
 
     def counting_stack(policy, n):
-        out = build_stack(policy, n)
+        building.append(True)
+        try:
+            out = build_stack(policy, n)
+        finally:
+            building.pop()
         assert len(out[0]) == np.unique(policy[:, :, MOVE]).size
         rows.append(len(out[0]))
         return out
