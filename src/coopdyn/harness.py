@@ -10,20 +10,24 @@ ever half-written. Unreadable configs and manifests, and range errors such
 as table-mode smoothing or reward_offset, are ConfigErrors with a key path.
 Re-running a manifest reproduces the CSVs byte for byte.
 
-Every runner returns its tables as numpy columns, and the writer formats
-each distinct value of a column once.
+Every runner returns its tables as numpy columns. The writer streams each
+table into its temporary file one block of rows at a time, so its memory
+does not grow with the table; it formats an int or bool column of narrow
+range once per table, and any other column once per distinct value in
+each block.
 """
 
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import os
 import sys
 import types
 from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Iterable, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -55,6 +59,11 @@ MAX_GRID_POINTS = 1_000_000
 
 
 _CELL = {bool: "%d", int: "%d", float: "%.12g", str: "%s"}
+# a table is formatted, encoded and written this many rows at a time, so the
+# writer holds one block's cells whatever the table's length; a block is
+# wider than the j column of an N=5000 solve (5001 values), which is then
+# formatted once per table rather than once per block
+_BLOCK_ROWS = 8192
 
 
 class _ArrayTable:
@@ -81,24 +90,53 @@ def _cells(column: np.ndarray, end: str) -> np.ndarray:
     return np.array(list(map(template.__mod__, values)), dtype=object)[inverse]
 
 
+def _block_cells(name: str, column: np.ndarray, end: str):
+    """cells(start, stop): the cells of rows start:stop as `_cells` gives
+    them. An int or bool column whose value range is no wider than its first
+    block indexes the strings of range(lo, hi + 1), formatted once per
+    table; any other column formats each block's distinct values. An object
+    column must hold one Python type, so no block switches template."""
+    if column.dtype.kind in "biu" and len(column):
+        keys = column.view(np.uint8) if column.dtype.kind == "b" else column
+        lo, hi = int(keys.min()), int(keys.max())
+        if hi - lo < min(len(column), _BLOCK_ROWS):
+            strings = np.array(list(map(("%d" + end).__mod__, range(lo, hi + 1))), dtype=object)
+            return lambda start, stop: strings[keys[start:stop] - lo]
+    if column.dtype == object and len(kinds := {type(value) for value in column}) > 1:
+        names = sorted(kind.__name__ for kind in kinds)
+        raise ValueError(f"table column {name!r} mixes Python types: {', '.join(names)}")
+    return lambda start, stop: _cells(column[start:stop], end)
+
+
 def write_csv(path: Path, header: list[str], rows: _ArrayTable) -> None:
-    """Write an array table, one type per column: bools as
-    1/0, ints as they are, floats at 12 significant digits, strings as they
-    are. Each column is formatted once per distinct value, and the cells
-    are joined in one pass; the tables hold few distinct values per column,
-    since a table-mode policy has few distinct move probabilities and a
-    role column two."""
+    """Write an array table, one type per column: bools as 1/0, ints as
+    they are, floats at 12 significant digits, strings as they are. The
+    header, then one block of _BLOCK_ROWS rows at a time, is formatted,
+    encoded and written to the temporary file, so the writer's memory does
+    not grow with the table. Narrow int and bool columns are formatted once
+    per table, other columns once per distinct value in each block."""
     ends = [","] * (len(rows.columns) - 1) + ["\n"]
-    cells = np.column_stack([_cells(c, end) for c, end in zip(rows.columns, ends)])
-    _write_text(path, ",".join(header) + "\n" + "".join(cells.ravel().tolist()))
+    columns = [
+        _block_cells(name, column, end)
+        for name, column, end in zip(header, rows.columns, ends, strict=True)
+    ]
+    blocks = (
+        "".join(np.column_stack([cells(start, start + _BLOCK_ROWS) for cells in columns])
+                .ravel().tolist())
+        for start in range(0, len(rows), _BLOCK_ROWS)
+    )
+    _publish(path, itertools.chain([",".join(header) + "\n"], blocks))
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write through a temporary sibling moved into place, so `path` always
-    holds either its old or its new complete content."""
+def _publish(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks, UTF-8 encoded one at a time, through a
+    temporary sibling moved into place, so `path` always holds either its
+    old or its new complete content."""
     temporary = path.with_name(path.name + ".tmp")
     try:
-        temporary.write_text(text, encoding="utf-8")
+        with open(temporary, "wb") as file:
+            for chunk in chunks:
+                file.write(chunk.encode("utf-8"))
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
@@ -579,8 +617,8 @@ def run(config: dict, out_dir=None) -> RunArtifacts:
     for name, (header, rows) in tables.items():
         write_csv(out / name, header, rows)
     manifest_path, report_path = out / "manifest.json", out / "report.md"
-    _write_text(manifest_path, manifest_text + "\n")
-    _write_text(report_path, report_text)
+    _publish(manifest_path, [manifest_text + "\n"])
+    _publish(report_path, [report_text])
     return RunArtifacts(out, tuple(sorted(tables)), manifest_path, report_path, summary)
 
 
@@ -622,7 +660,7 @@ def regenerate_report(run_dir) -> Path:
     report_path = manifest_path.parent / "report.md"
     manifest = _load_manifest(manifest_path)
     _read_config(manifest["config"])  # its config checked as `run` checks it
-    _write_text(report_path, render_report(manifest))
+    _publish(report_path, [render_report(manifest)])
     return report_path
 
 

@@ -93,6 +93,8 @@ class RotationLedger:
         return RoleAssignment(frozenset(range(self.n_agents)) - selected)
 
     def apply_credits(self, credits: dict[int, float]) -> None:
+        """Add each agent's credited amount to its record."""
+        _checked_ids("agent id", credits, self.n_agents)
         for agent_id, amount in credits.items():
             self.records[agent_id].credited_reward += amount
 

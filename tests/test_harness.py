@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -137,6 +138,12 @@ POOLS = {
                          max_size=5).map(lambda pool: [0.0, -0.0, *pool]),
     np.int64: st.lists(st.one_of(st.sampled_from([0, -1, 2**63 - 1, -(2**63)]), INT64),
                        min_size=1, max_size=6),
+    # a narrow range, formatted once per table from the strings of its range
+    np.int32: st.lists(st.integers(min_value=-4, max_value=3), min_size=1, max_size=4),
+    # ints past int64 only fit an object column
+    object: st.lists(st.one_of(st.integers(min_value=2**63, max_value=2**65),
+                               st.integers(min_value=-3, max_value=3)),
+                     min_size=1, max_size=4),
     np.bool_: st.just([False, True]),
     # template characters of both `%` and `str.format`; no NUL, which numpy
     # strips from the end of a str array's items
@@ -160,14 +167,81 @@ def array_columns(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(array_columns())
-def test_array_tables_write_the_bytes_of_the_row_writer(columns):
+@given(array_columns(), st.sampled_from([1, 2, 3, 5, harness._BLOCK_ROWS]))
+def test_array_tables_write_the_bytes_of_the_row_writer(columns, block_rows):
+    # blocks of a few rows split a 30-row table many times over
     header = [f"c{i}" for i in range(len(columns))]
     rows = list(zip(*(column.tolist() for column in columns)))
-    with tempfile.TemporaryDirectory() as directory:
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_BLOCK_ROWS", block_rows)
         path = Path(directory) / "t.csv"
         write_csv(path, header, harness._ArrayTable(*columns))
         assert path.read_bytes() == row_oracle_bytes(header, rows)
+
+
+def edge_columns(length):
+    """Columns of `length` rows whose values repeat across the edges of
+    blocks of four rows: both zeros in different blocks, narrow and wide
+    int ranges with negative values and int64 extremes, bools, template
+    characters and object ints past int64."""
+    i = np.arange(length)
+    low, high = -(2**63), 2**63 - 1
+    return [
+        np.where(i < 4, 0.0, np.where(i % 3 == 0, -0.0, 1 / 3)),
+        i % 3 - 1,
+        np.array([low, high, 0, -5, 7])[i % 5],
+        high - i % 2,
+        low + i % 4,
+        i % 3 == 0,
+        np.array(["5%", "{}", "%d %s", "{0:d}", "%%"])[i % 5],
+        np.array([2**63, 2**64 + 1, 7, -1, 2**63], dtype=object)[i % 5],
+        np.random.default_rng(length).random(length),
+    ]
+
+
+def test_blocks_of_a_few_rows_write_the_bytes_of_the_row_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_BLOCK_ROWS", 4)
+    columns = edge_columns(30)
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp_path / "t.csv", header, harness._ArrayTable(*columns))
+    rows = list(zip(*(column.tolist() for column in columns)))
+    assert (tmp_path / "t.csv").read_bytes() == row_oracle_bytes(header, rows)
+
+
+def test_a_table_of_two_blocks_and_a_remainder_writes_the_bytes_of_the_row_writer(tmp_path):
+    length = 2 * harness._BLOCK_ROWS + 17
+    # a wide column, whose range is more than a block, next to the narrow ones
+    columns = [*edge_columns(length), np.arange(length) * 3 - length]
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp_path / "t.csv", header, harness._ArrayTable(*columns))
+    rows = list(zip(*(column.tolist() for column in columns)))
+    assert (tmp_path / "t.csv").read_bytes() == row_oracle_bytes(header, rows)
+
+
+def test_writing_a_table_holds_one_block_whatever_its_length(tmp_path):
+    # the writer's traced peak, for a solver-shaped (t, j, distinct float)
+    # table, stays under a fixed bound at ten times the rows
+    peaks = {}
+    for length in (10**5, 10**6):
+        t, j = np.divmod(np.arange(length), 1001)
+        table = harness._ArrayTable(t, j, np.random.default_rng(0).random(length))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", ["t", "j", "x"], table)
+            peaks[length] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "t.csv").read_bytes().count(b"\n") == length + 1
+    assert max(peaks.values()) < 3 * 2**20, peaks
+    assert abs(peaks[10**6] - peaks[10**5]) < 2**18, peaks
+
+
+def test_a_column_mixing_python_types_is_refused_by_name(tmp_path):
+    # one template per column: %d would write 2.5 as 2
+    table = harness._ArrayTable(np.arange(3), np.array([1, 2.5, 10**20], dtype=object))
+    with pytest.raises(ValueError, match="table column 'b' mixes Python types: float, int"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], table)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_array_tables_write_strided_columns_and_both_zeros(tmp_path):
@@ -204,9 +278,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
 def test_shipped_tables_hold_one_python_type_per_column(tmp_path, monkeypatch, path):
-    # write_csv picks a column's format from the type of its first distinct
-    # value, and %d would print a float in an int column truncated instead
-    # of failing; only an object column could mix types
+    # write_csv refuses an object column that mixes Python types, the only
+    # kind of column that could; no shipped config writes one
     written = {}
     original = harness.write_csv
 
@@ -242,6 +315,60 @@ def test_failing_report_writes_nothing_and_keeps_the_previous_run(tmp_path, monk
     assert not (tmp_path / "fresh").exists()
     assert leftovers(previous) == []
     assert {path.name: path.read_bytes() for path in previous.iterdir()} == before
+
+
+class FailingFile:
+    """A file whose `fail_at`-th write (counting from 1) raises ENOSPC."""
+
+    def __init__(self, file, writes, fail_at):
+        self.file, self.writes, self.fail_at = file, writes, fail_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        self.writes.append(len(data))
+        if len(self.writes) == self.fail_at:
+            raise OSError(28, "No space left on device")
+        return self.file.write(data)
+
+
+def fail_on_write(monkeypatch, fail_at):
+    """Write tables in blocks of four rows and fail the harness's
+    `fail_at`-th file write; returns the list of write sizes."""
+    writes = []
+    monkeypatch.setattr(harness, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(harness, "open",
+                        lambda *args: FailingFile(open(*args), writes, fail_at), raising=False)
+    return writes
+
+
+def test_a_write_failing_mid_stream_keeps_the_previous_file_and_no_temporary(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a"], harness._ArrayTable(np.arange(3)))
+    before = path.read_bytes()
+    writes = fail_on_write(monkeypatch, 3)  # the header, one block, then the failure
+    with pytest.raises(OSError, match="No space left"):
+        write_csv(path, ["a", "b"], harness._ArrayTable(np.arange(30), np.arange(30.0)))
+    assert len(writes) == 3
+    assert path.read_bytes() == before
+    assert leftovers(tmp_path) == []
+
+
+def test_a_run_failing_mid_stream_keeps_the_previous_run(tmp_path, monkeypatch):
+    run(delta_scan_config(), out_dir=tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    fail_on_write(monkeypatch, 4)
+    config = dict(delta_scan_config(), grid={"start": 0.0, "stop": 0.95, "step": 0.05})
+    with pytest.raises(OSError, match="No space left"):
+        run(config, out_dir=tmp_path)
+    assert leftovers(tmp_path) == []
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_failed_replace_leaves_earlier_artifacts_whole_and_no_temporary(

@@ -344,6 +344,12 @@ def _uninitialized_selection():
          "agent id must be an integer >= 0 and < n_agents = 3, got 3"),
         (lambda: RotationLedger(3).initialize_roles({-1}),
          "agent id must be an integer >= 0 and < n_agents = 3, got -1"),
+        (lambda: RotationLedger(3).apply_credits({-1: 1.0}),
+         "agent id must be an integer >= 0 and < n_agents = 3, got -1"),
+        (lambda: RotationLedger(3).apply_credits({True: 1.0}),
+         "agent id must be an integer >= 0 and < n_agents = 3, got True"),
+        (lambda: RotationLedger(3).apply_credits({3: 1.0}),
+         "agent id must be an integer >= 0 and < n_agents = 3, got 3"),
         (lambda: SwitchPolicy(mode="sometimes"),
          "mode must be 'deterministic_window' or 'stochastic_sigmoid'"),
         (lambda: SwitchPolicy(mode="stochastic_sigmoid", streak_midpoint=0.5),
@@ -357,7 +363,8 @@ def _uninitialized_selection():
          "stochastic selection requires stochastic_sigmoid mode"),
         (_uninitialized_selection, "roles are uninitialized; call initialize_roles first"),
     ],
-    ids=["rotated_role", "record_round-id", "initialize_roles-id", "switch-mode",
+    ids=["rotated_role", "record_round-id", "initialize_roles-id", "apply_credits-negative-id",
+         "apply_credits-bool-id", "apply_credits-id-past-n", "switch-mode",
          "streak_midpoint", "streak_scale-zero", "streak_scale-negative",
          "selection-deterministic", "selection-uninitialized"],
 )
