@@ -28,10 +28,10 @@ from .roles import (
     RotationLedger,
     SwitchPolicy,
     _checked_ids,
-    default_switch,
     delayed_credit,
     deterministic_assign,
     fairness_report,
+    resolve_switch,
     rotation_priority,
     stochastic_selection,
 )
@@ -57,7 +57,8 @@ def _check_episode(config) -> None:
 class DungeonConfig:
     """One sacrificer per round enables n_agents - 1 escapes, each worth
     success_reward to it, credited as the round ends. An unset switch is
-    roles.default_switch's deterministic rotation."""
+    the deterministic rotation; an unset stochastic midpoint is resolved
+    by roles.resolve_switch for a cohort of one, C(n_agents - 1, 1)."""
 
     rounds: int
     n_agents: int = 3
@@ -69,10 +70,8 @@ class DungeonConfig:
         _check_finite_fields(self)
         _check_count("n_agents", self.n_agents, 2)
         _check_episode(self)
-        if self.switch is None:
-            object.__setattr__(
-                self, "switch", default_switch(self.n_agents, 1, "deterministic_window")
-            )
+        switch = SwitchPolicy() if self.switch is None else self.switch
+        object.__setattr__(self, "switch", resolve_switch(switch, self.n_agents, 1))
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,10 @@ class IntersectionConfig:
     """Per round, a mover set forms; if its size stays within the threshold
     all movers pass, otherwise nobody does. Rewards are evaluated at the
     realized mover count. Unset, cohort is the threshold, params are
-    MfgParams' defaults at these sizes, and switch is roles.default_switch's
-    for the assignment's mode."""
+    MfgParams' defaults at these sizes, and switch is a SwitchPolicy in the
+    assignment's mode. The switch's mode must be the assignment's, and an
+    unset stochastic midpoint is resolved by roles.resolve_switch to
+    C(n_agents - 1, cohort)."""
 
     n_agents: int
     threshold: int
@@ -179,14 +180,12 @@ class IntersectionConfig:
         if self.params.threshold != self.threshold:
             raise ValidationError("params.threshold must match the environment")
         mode = switch_mode(self.assignment)
-        if self.switch is None:
-            object.__setattr__(
-                self, "switch", default_switch(self.n_agents, self.cohort, mode)
-            )
-        if self.switch.mode != mode:
+        switch = SwitchPolicy(mode) if self.switch is None else self.switch
+        if switch.mode != mode:
             raise ValidationError(
                 "switch mode must be 'stochastic_sigmoid' exactly when assignment is 'stochastic'"
             )
+        object.__setattr__(self, "switch", resolve_switch(switch, self.n_agents, self.cohort))
         if self.assignment != "static":
             _check_unread({"static_movers": self.static_movers}, vars(IntersectionConfig),
                           "when assignment is 'static'")

@@ -1,6 +1,7 @@
 """Error types shared by the library and the CLI, and checks raising them."""
 
 import math
+import sys
 from dataclasses import fields
 
 
@@ -39,10 +40,12 @@ def _check_discount(discount) -> None:
 
 
 def _check_number(name: str, value) -> None:
-    """`value` must be a finite int or float; bools are rejected, as
-    `_check_count` rejects them."""
+    """`value` must be a finite int or float (an int within the float
+    range); bools are rejected, as `_check_count` rejects them."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValidationError(f"{name} is beyond the float range")
     if not math.isfinite(value):
         raise ValidationError(f"{name} is non-finite: {value!r}")
 

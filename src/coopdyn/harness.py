@@ -47,7 +47,7 @@ from .ipd import (
     tournament,
 )
 from .mfg import MfgParams, check_episodes, simulate_population, solve_equilibrium, uniform_policy
-from .roles import PRIMARY, SACRIFICE, SwitchPolicy, default_switch
+from .roles import PRIMARY, SACRIFICE, SwitchPolicy
 
 # a delta_scan start/stop/step grid may hold at most this many points
 MAX_GRID_POINTS = 1_000_000
@@ -245,20 +245,6 @@ def _build(cls, raw, path, problems):
     dataclass. None on any problem."""
     values = _read(raw, _schema(cls), path, problems)
     return None if values is None else _construct(cls, path, problems, **values)
-
-
-def _switch(raw, env, cohort, problems):
-    """The switch block; what it leaves unset comes from roles.default_switch
-    for the mode it names, else the mode of the environment's own default.
-    A block that names its midpoint never works out the default one."""
-    mode = raw.get("mode", env.switch.mode)
-    base = {"mode": mode}
-    if "streak_midpoint" not in raw:
-        default = _construct(default_switch, "config.switch", problems, env.n_agents, cohort, mode)
-        if default is None:
-            return None
-        base = asdict(default)
-    return _build(SwitchPolicy, {**base, **raw}, "config.switch", problems)
 
 
 def _finish_validation(problems: list[str]) -> None:
@@ -480,20 +466,20 @@ def _roles_table(episode) -> _ArrayTable:
 
 
 def _run_roles(top, seed, problems):
+    """An intersection episode. The switch block's mode defaults to the
+    assignment's, IntersectionConfig resolves the rest as for a library
+    caller, and a bad block is reported before the environment is checked."""
     blocks = {key: top.pop(key) for key in ("switch", "mfg", "solver")}
-    # switch and mfg defaults depend on the resolved sizes and cohort, so the
-    # environment is checked first with its own defaults, less the default
-    # midpoint C(n_agents - 1, cohort) (it may not fit a float) when the
-    # switch block names one
-    if "streak_midpoint" in blocks["switch"]:
-        top["switch"] = SwitchPolicy(switch_mode(top["assignment"]))
+    top["switch"] = _build(SwitchPolicy, {"mode": switch_mode(top["assignment"]),
+                                          **blocks["switch"]}, "config.switch", problems)
+    _finish_validation(problems)
     env = _construct(IntersectionConfig, "config", problems, seed=seed, **top)
     _finish_validation(problems)
-    switch = _switch(blocks["switch"], env, env.cohort, problems)
+    # mfg defaults depend on the environment's checked sizes
     sizes = {"n_agents": env.n_agents, "threshold": env.threshold}
     params = _build(MfgParams, {**sizes, **blocks["mfg"]}, "config.mfg", problems)
     _finish_validation(problems)
-    config = _construct(replace, "config", problems, env, switch=switch, params=params)
+    config = _construct(replace, "config", problems, env, params=params)
     _finish_validation(problems)
     # without a policy the episode reads only the sizes and the rewards
     policy, solve_summary = _equilibrium_policy(
@@ -519,11 +505,9 @@ def _run_roles(top, seed, problems):
 
 
 def _run_dungeon(top, seed, problems):
-    raw_switch = top.pop("switch")
-    # the switch default depends on n_agents, so the environment is checked first
-    env = _construct(DungeonConfig, "config", problems, seed=seed, **top)
-    _finish_validation(problems)
-    config = replace(env, switch=_switch(raw_switch, env, 1, problems))
+    """A dungeon episode. The switch block was read with the config;
+    DungeonConfig resolves whatever it leaves unset."""
+    config = _construct(DungeonConfig, "config", problems, seed=seed, **top)
     _finish_validation(problems)
     result = run_dungeon(config)
     sac_counts = {rec.agent_id: rec.times_sacrifice for rec in result.ledger.records}
@@ -555,7 +539,7 @@ _KINDS = {
                                          "policy": (str, "equilibrium")}),
     "roles_run": (_run_roles, {**_schema(IntersectionConfig, skip=("params", "switch", "seed")),
                                "switch": (dict, {}), "mfg": (dict, {}), **_SOLVER_KEY}),
-    "dungeon": (_run_dungeon, {**_schema(DungeonConfig, skip=("seed",)), "switch": (dict, {})}),
+    "dungeon": (_run_dungeon, _schema(DungeonConfig, skip=("seed",))),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .errors import ValidationError, _check_count, _check_finite_fields, _check_unread
+from .errors import ValidationError, _check_count, _check_finite_fields
+from .errors import _check_number, _check_unread
 
 SACRIFICE = "sacrifice"
 PRIMARY = "primary"
@@ -137,40 +138,46 @@ def deterministic_assign(ledger: RotationLedger, k: int) -> RoleAssignment:
 class SwitchPolicy:
     """How roles rotate: deterministic least-served rotation (the mode keeps
     its historical name `deterministic_window`), or stochastic sigmoid
-    switching with midpoint `streak_midpoint` (conventionally the binomial
-    count of possible mover cohorts excluding oneself) and scale
-    `streak_scale`; deterministic mode reads neither, so both must keep
-    their defaults there."""
+    switching with midpoint `streak_midpoint` and scale `streak_scale`.
+    Deterministic mode reads neither, so both keep their defaults there and
+    an unset (None) midpoint records as 1.0. `resolve_switch` sets an unset
+    stochastic midpoint, as each environment config does when built."""
 
-    mode: str
-    streak_midpoint: float = 1.0
+    mode: str = "deterministic_window"
+    streak_midpoint: float | None = None
     streak_scale: float = 1.0
 
     def __post_init__(self):
+        if self.streak_midpoint is not None:
+            _check_number("streak_midpoint", self.streak_midpoint)
         _check_finite_fields(self)
         if self.mode not in ("deterministic_window", "stochastic_sigmoid"):
             raise ValidationError(
                 "mode must be 'deterministic_window' or 'stochastic_sigmoid'"
             )
         if self.mode == "deterministic_window":
-            _check_unread({key: getattr(self, key) for key in ("streak_midpoint", "streak_scale")},
-                          vars(SwitchPolicy), "in stochastic_sigmoid mode")
-        if self.streak_midpoint < 1:
+            if self.streak_midpoint is None:
+                object.__setattr__(self, "streak_midpoint", 1.0)
+            defaults = {"streak_midpoint": 1.0, "streak_scale": 1.0}
+            _check_unread({key: getattr(self, key) for key in defaults}, defaults,
+                          "in stochastic_sigmoid mode")
+        if self.streak_midpoint is not None and self.streak_midpoint < 1:
             raise ValidationError("streak_midpoint must be >= 1")
         if not self.streak_scale > 0:
             raise ValidationError("streak_scale must be positive")
 
 
-def default_switch(n_agents: int, cohort: int, mode: str) -> SwitchPolicy:
-    """The switch policy a config gets for whatever it leaves unset: in
-    stochastic_sigmoid mode, the streak midpoint C(n_agents-1, cohort), the
-    number of possible cohorts among the other agents."""
-    if mode != "stochastic_sigmoid":
-        return SwitchPolicy(mode)
+def resolve_switch(policy: SwitchPolicy, n_agents: int, cohort: int) -> SwitchPolicy:
+    """`policy` with an unset midpoint set to C(n_agents-1, cohort), the
+    number of possible cohorts among the other agents; a policy whose
+    midpoint is set, as every deterministic one is, comes back as it is."""
+    if policy.streak_midpoint is not None:
+        return policy
+    _check_number("n_agents", n_agents)
     _check_count("cohort", cohort, 1, n_agents)
-    # log C refuses a huge count before the slow exact one; lgamma errs far below 1
-    log_count = math.lgamma(n_agents) - math.lgamma(cohort + 1) - math.lgamma(n_agents - cohort)
     try:
+        # log C refuses a huge count before the slow exact one; lgamma errs far below 1
+        log_count = math.lgamma(n_agents) - math.lgamma(cohort + 1) - math.lgamma(n_agents - cohort)
         if log_count > math.log(sys.float_info.max) + 1.0:
             raise OverflowError
         midpoint = float(math.comb(n_agents - 1, cohort))
@@ -178,15 +185,20 @@ def default_switch(n_agents: int, cohort: int, mode: str) -> SwitchPolicy:
         raise ValidationError(
             f"streak_midpoint: C({n_agents - 1}, {cohort}) is beyond the float range"
         ) from None
-    return SwitchPolicy(mode, streak_midpoint=midpoint)
+    return replace(policy, streak_midpoint=midpoint)
 
 
 def sigmoid_switch_probability(streak: int, policy: SwitchPolicy) -> float:
     """Probability of abandoning the current role after `streak` rounds."""
     if policy.mode != "stochastic_sigmoid":
         raise ValidationError("switch probability requires stochastic_sigmoid mode")
+    if policy.streak_midpoint is None:
+        raise ValidationError("streak_midpoint is unset; set it or resolve it with resolve_switch")
     _check_count("streak", streak, 0)
-    x = (streak - policy.streak_midpoint) / policy.streak_scale
+    try:
+        x = (streak - policy.streak_midpoint) / policy.streak_scale
+    except OverflowError:
+        raise ValidationError("streak is beyond the float range") from None
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
     z = math.exp(x)

@@ -14,7 +14,7 @@ from coopdyn.envs import (
 from coopdyn.errors import ValidationError
 from coopdyn.ipd import Alternator, MatchConfig, PayoffMatrix, deviate_payoff, stick_payoff
 from coopdyn.mfg import MOVE, MfgParams, RewardTable, reward_array
-from coopdyn.roles import RotationLedger, SwitchPolicy, default_switch, deterministic_assign
+from coopdyn.roles import RotationLedger, SwitchPolicy, deterministic_assign, resolve_switch
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def test_keys_an_assignment_never_reads_are_rejected():
 
 def test_a_stochastic_episode_without_a_switch_uses_the_default_switch():
     config = IntersectionConfig(n_agents=6, threshold=2, rounds=30, assignment="stochastic")
-    explicit = replace(config, switch=default_switch(6, 2, "stochastic_sigmoid"))
+    explicit = replace(config, switch=resolve_switch(SwitchPolicy("stochastic_sigmoid"), 6, 2))
     assert config.switch == explicit.switch
     ours, theirs = intersection_episode(config), intersection_episode(explicit)
     assert np.array_equal(ours.rounds, theirs.rounds)
@@ -292,13 +292,11 @@ def test_a_stochastic_episode_without_a_switch_uses_the_default_switch():
 
 def test_each_config_resolves_its_unset_switch_and_params_when_built():
     rotation = IntersectionConfig(n_agents=6, threshold=2, rounds=3, cohort=3)
-    assert rotation.switch == default_switch(6, 3, "deterministic_window")
+    assert rotation.switch == SwitchPolicy("deterministic_window", 1.0)
     assert rotation.params == MfgParams(n_agents=6, threshold=2)
     stochastic = replace(rotation, assignment="stochastic", switch=None)
-    assert stochastic.switch == default_switch(6, 3, "stochastic_sigmoid")
-    assert DungeonConfig(rounds=3, n_agents=4).switch == default_switch(
-        4, 1, "deterministic_window"
-    )
+    assert stochastic.switch == resolve_switch(SwitchPolicy("stochastic_sigmoid"), 6, 3)
+    assert DungeonConfig(rounds=3, n_agents=4).switch == SwitchPolicy("deterministic_window", 1.0)
 
 
 @pytest.mark.parametrize("policy", [
@@ -454,7 +452,7 @@ RANGE_SITES = {
     "MfgParams.threshold": lambda v: MfgParams(n_agents=4, threshold=v),
     "IntersectionConfig.threshold": lambda v: IntersectionConfig(4, v, 3),
     "IntersectionConfig.cohort": lambda v: IntersectionConfig(4, 2, 3, cohort=v),
-    "default_switch.cohort": lambda v: default_switch(4, v, "stochastic_sigmoid"),
+    "resolve_switch.cohort": lambda v: resolve_switch(SwitchPolicy("stochastic_sigmoid"), 4, v),
     "deterministic_assign.cohort": lambda v: deterministic_assign(RotationLedger(4), v),
 }
 
@@ -540,9 +538,19 @@ def test_intersection_params_must_match_its_sizes(params, message):
         (lambda: PayoffMatrix("5", 3, 1, 0), "temptation must be a number"),
         (lambda: MatchConfig(horizon=5, discount=False), "discount must be a number"),
         (lambda: MatchConfig(horizon=5, discount=float("nan")), "discount is non-finite"),
+        (lambda: SwitchPolicy("stochastic_sigmoid", 2.0, 10**400),
+         "streak_scale is beyond the float range$"),
+        (lambda: SwitchPolicy("stochastic_sigmoid", 10**400),
+         "streak_midpoint is beyond the float range$"),
+        (lambda: DungeonConfig(rounds=6, success_reward=-10**400),
+         "success_reward is beyond the float range$"),
+        (lambda: PayoffMatrix(10**400, 2, 1, 0), "temptation is beyond the float range$"),
+        (lambda: MatchConfig(horizon=3, discount=-10**400), "discount is beyond the float range$"),
     ],
     ids=["streak_midpoint-nan", "streak_scale-inf", "success_reward-nan", "success_reward-bool",
-         "temptation-inf", "temptation-text", "discount-bool", "discount-nan"],
+         "temptation-inf", "temptation-text", "discount-bool", "discount-nan",
+         "streak_scale-huge-int", "streak_midpoint-huge-int", "success_reward-huge-int",
+         "temptation-huge-int", "discount-huge-int"],
 )
 def test_float_fields_reject_non_finite_values_bools_and_text(make, match):
     with pytest.raises(ValidationError, match=f"^{match}"):

@@ -39,6 +39,9 @@ after 1 sweep instead of 27 (24 for mfg_simulate), `diag.csv` holds one
 row, and the policy moves by at most 3.5e-9, the flow by 9.4e-9 and the
 values by 2e-11, all within the old solve's tol of 1e-8 (exploitability
 0.4896877389 -> 0.4896877322, deviation 0.0066407296 -> 0.0066407403).
+The dungeon_stochastic digests were taken before the switch's unset
+midpoint was resolved by the environment config instead of the harness:
+its switch block leaves the midpoint unset, so they pin that resolution.
 A refactor that changes any of these bytes must say why and re-pin them.
 """
 
@@ -62,6 +65,12 @@ GOLDEN = {
         "report.md": "02cc25953b08541f37ea820ac28aecea3b3c9b16058c15fa0473ae32a6feb0d2",
         "roles.csv": "c26210de9b77fa22844ab0cead13347878888a09aceb7f90cff2df79bf86770c",
         "rounds.csv": "26928129d7f24c89098ed5ed80b541ade575e12cbc391d489ab914f81307e5ff",
+    },
+    "dungeon_stochastic": {
+        "manifest.json": "be3884a695fd2ae06972853afc2258b4390eea9bace6c3929d62ff9143c5c860",
+        "report.md": "603a71ada23451896ca9ad318f362ed48aeba0f071cd95019715c597c2d72164",
+        "roles.csv": "3890254cbd9587a652bfd75e8b97dbbcbc7c1531c7932d54542a79517d1bd21d",
+        "rounds.csv": "ed811c47ea1862478e99845c2fdf44f08e2a3dd3d6a52fc576e87d92217a2c9e",
     },
     "ipd_match": {
         "manifest.json": "3d67c090bd907acf3bdde44c77cb1626121eb3edce564298ba6a1c81ffc3644f",

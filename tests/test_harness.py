@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopdyn import cli, harness
+from coopdyn.envs import DungeonConfig, IntersectionConfig
 from coopdyn.errors import ConfigError, NumericalIntegrityError
 from coopdyn.ipd import Alternator, PayoffMatrix
 from coopdyn.mfg import MfgParams, RewardTable
@@ -938,6 +939,28 @@ def test_absent_and_empty_switch_blocks_resolve_alike(tmp_path, assignment):
     assert switches[0]["streak_midpoint"] == (10.0 if assignment == "stochastic" else 1.0)
 
 
+@pytest.mark.parametrize("config, library, midpoint", [
+    (roles_config(rounds=10, assignment="stochastic"),
+     IntersectionConfig(6, 2, 10, assignment="stochastic",
+                        switch=SwitchPolicy("stochastic_sigmoid")), 10.0),
+    ({"experiment": "dungeon", "n_agents": 4, "rounds": 3},
+     DungeonConfig(rounds=3, n_agents=4, switch=SwitchPolicy("stochastic_sigmoid")), 3.0),
+], ids=["intersection", "dungeon"])
+def test_an_unset_midpoint_resolves_alike_in_the_library_and_a_config(
+    tmp_path, config, library, midpoint
+):
+    # C(n_agents - 1, cohort): a dungeon's cohort is its one sacrificer
+    blocks = {"absent": {"mode": "stochastic_sigmoid"},
+              "null": {"mode": "stochastic_sigmoid", "streak_midpoint": None}}
+    absent, null = (run({**config, "switch": block}, out_dir=tmp_path / name)
+                    for name, block in blocks.items())
+    manifest = json.loads(absent.manifest_path.read_text())
+    assert manifest["config"]["switch"]["streak_midpoint"] == midpoint
+    assert library.switch.streak_midpoint == midpoint
+    for name in (*absent.csv_files, "manifest.json", "report.md"):
+        assert (absent.out_dir / name).read_bytes() == (null.out_dir / name).read_bytes()
+
+
 def _run_with_window_key(tmp_path, config):
     """A finished run whose manifest's switch block carries the `window`
     key that manifests recorded before the rotation memory window went."""
@@ -1014,8 +1037,8 @@ def test_a_manifest_naming_credit_waiters_cannot_be_rerun(tmp_path):
 
 
 def test_a_one_agent_dungeon_reports_only_its_size(tmp_path):
-    # the switch is checked after the environment, so a bad n_agents does not
-    # also raise a cohort problem for an environment that has no cohort
+    # the switch's midpoint is resolved after the environment's sizes are
+    # checked, so a bad n_agents does not also raise a cohort problem
     config = {"experiment": "dungeon", "n_agents": 1, "rounds": 3,
               "switch": {"mode": "stochastic_sigmoid"}}
     with pytest.raises(ConfigError) as excinfo:

@@ -246,6 +246,14 @@ NAN_POLICY = with_nan(GOOD_POLICY, (1, 2, MOVE))
                      "move_clear is non-finite", id="reward_table-move_clear"),
         pytest.param(lambda: RewardTable(wait_congested=np.nan),
                      "wait_congested is non-finite", id="reward_table-wait_congested"),
+        # ints past the float range, refused before any float conversion
+        pytest.param(lambda: MfgParams(n_agents=20, threshold=8, discount=10**400),
+                     "^discount is beyond the float range$", id="discount-huge-int"),
+        pytest.param(lambda: transition_distribution(0, 10**400, 5),
+                     "^move_probability is beyond the float range$",
+                     id="move_probability-huge-int"),
+        pytest.param(lambda: solve_equilibrium(default_params(), tol=10**400),
+                     "^tol is beyond the float range$", id="tol-huge-int"),
     ],
 )
 def test_non_finite_inputs_are_rejected(call, match):

@@ -11,10 +11,10 @@ from coopdyn.roles import (
     FairnessStats,
     RotationLedger,
     SwitchPolicy,
-    default_switch,
     delayed_credit,
     deterministic_assign,
     fairness_report,
+    resolve_switch,
     sigmoid_switch_probability,
     stochastic_assign,
     stochastic_selection,
@@ -134,11 +134,16 @@ def test_sigmoid_midpoint_and_tail():
     assert sigmoid_switch_probability(0, tiny) < 1e-12
 
 
+STOCHASTIC = SwitchPolicy("stochastic_sigmoid")
+
+
 def test_default_streak_midpoint_is_a_binomial_coefficient():
-    assert default_switch(4, 2, "stochastic_sigmoid").streak_midpoint == math.comb(3, 2) == 3
-    assert default_switch(9, 3, "stochastic_sigmoid").streak_midpoint == math.comb(8, 3)
-    # deterministic mode reads no midpoint, so it keeps SwitchPolicy's default
-    assert default_switch(9, 3, "deterministic_window") == SwitchPolicy("deterministic_window")
+    assert resolve_switch(STOCHASTIC, 4, 2).streak_midpoint == math.comb(3, 2) == 3
+    assert resolve_switch(STOCHASTIC, 9, 3).streak_midpoint == math.comb(8, 3)
+    # a midpoint that is set, as every deterministic one is, is kept
+    assert resolve_switch(SwitchPolicy(), 9, 3) == SwitchPolicy("deterministic_window", 1.0)
+    given = SwitchPolicy("stochastic_sigmoid", 5.0, 0.5)
+    assert resolve_switch(given, 9, 3) is given
 
 
 def test_a_midpoint_far_past_the_float_range_is_refused_before_the_exact_count(monkeypatch):
@@ -149,7 +154,7 @@ def test_a_midpoint_far_past_the_float_range_is_refused_before_the_exact_count(m
     with pytest.raises(
         ValidationError, match=r"^streak_midpoint: C\(9999999, 5000000\) is beyond the float range$"
     ):
-        default_switch(10**7, 5 * 10**6, "stochastic_sigmoid")
+        resolve_switch(STOCHASTIC, 10**7, 5 * 10**6)
 
 
 @pytest.mark.parametrize("n_agents", range(1025, 1036))
@@ -160,15 +165,15 @@ def test_every_midpoint_that_fits_a_float_keeps_its_bits(n_agents):
             want = float(math.comb(n_agents - 1, cohort))
         except OverflowError:
             with pytest.raises(ValidationError, match="is beyond the float range"):
-                default_switch(n_agents, cohort, "stochastic_sigmoid")
+                resolve_switch(STOCHASTIC, n_agents, cohort)
         else:
-            assert default_switch(n_agents, cohort, "stochastic_sigmoid").streak_midpoint == want
+            assert resolve_switch(STOCHASTIC, n_agents, cohort).streak_midpoint == want
 
 
 @pytest.mark.parametrize("cohort", [True, 1.5, 0, 4])
 def test_default_streak_midpoint_rejects_cohorts_that_are_not_counts_below_n(cohort):
     with pytest.raises(ValidationError, match="cohort"):
-        default_switch(4, cohort, "stochastic_sigmoid")
+        resolve_switch(STOCHASTIC, 4, cohort)
 
 
 def test_sigmoid_is_monotone_and_bounded():
@@ -362,11 +367,17 @@ def _uninitialized_selection():
                                       random.Random(0)),
          "stochastic selection requires stochastic_sigmoid mode"),
         (_uninitialized_selection, "roles are uninitialized; call initialize_roles first"),
+        (lambda: sigmoid_switch_probability(0, STOCHASTIC),
+         "streak_midpoint is unset; set it or resolve it with resolve_switch"),
+        (lambda: sigmoid_switch_probability(10**400, SwitchPolicy("stochastic_sigmoid", 2.0)),
+         "streak is beyond the float range"),
+        (lambda: resolve_switch(STOCHASTIC, 10**400, 2), "n_agents is beyond the float range"),
     ],
     ids=["rotated_role", "record_round-id", "initialize_roles-id", "apply_credits-negative-id",
          "apply_credits-bool-id", "apply_credits-id-past-n", "switch-mode",
          "streak_midpoint", "streak_scale-zero", "streak_scale-negative",
-         "selection-deterministic", "selection-uninitialized"],
+         "selection-deterministic", "selection-uninitialized", "switch-unset-midpoint",
+         "switch-huge-streak", "resolve-huge-n_agents"],
 )
 def test_each_refusal_names_its_rule(make, message):
     with pytest.raises(ValidationError) as excinfo:
